@@ -36,7 +36,6 @@ from .core import (
 )
 from .correlated import CorrelatedSpec, high_sinr_gap_beta, lower_beta, t_of_qd, upper_correlated
 from .gaussian import (
-    GaussianChannelSpec,
     PowerSplit,
     dpc_scheme_oracle,
     gap,
@@ -54,7 +53,6 @@ __all__ = [
     "__version__",
     "BinaryChannelSpec",
     "CorrelatedSpec",
-    "GaussianChannelSpec",
     "GaussianCov",
     "JointPmf",
     "PowerSplit",

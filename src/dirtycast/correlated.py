@@ -2,9 +2,10 @@
 are correlated, e.g. scaled versions beta_k * S0 of one known sequence.
 
 Everything is driven by Qd = var(S1 - S2).  The upper bound charges a loss
-T(Qd) against the single-user-like rate; the achievable side is the
-dithered superposition scheme whose rate depends on the interference pair
-only through Qd.
+T(Qd) against the single-user-like rate.  The achievable side is the
+dithered superposition scheme, whose rate depends on the interference pair
+only through Qd: it is the independent-interference lower bound of
+`gaussian` at Q = Qd/2, so this module adds only the converse and T(Qd).
 """
 
 from __future__ import annotations
@@ -13,13 +14,12 @@ import math
 from dataclasses import dataclass
 
 from .core import RateBound
-from .gaussian import PowerSplit
+from .gaussian import _received_power, lower_bound
 
 __all__ = [
     "CorrelatedSpec",
     "t_of_qd",
     "upper_correlated",
-    "rate_beta_split",
     "lower_beta",
     "high_sinr_gap_beta",
 ]
@@ -60,11 +60,6 @@ class CorrelatedSpec:
         return cls(p, q, q, qd)
 
 
-def scaled_halves(beta1: float, beta2: float) -> tuple:
-    """(beta_A, beta_D) with S1 = (beta_A+beta_D) S0 and S2 = (beta_A-beta_D) S0."""
-    return (beta1 + beta2) / 2.0, (beta1 - beta2) / 2.0
-
-
 def t_of_qd(qd: float) -> float:
     """Rate loss charged for interference spread Qd:
 
@@ -80,37 +75,19 @@ def upper_correlated(spec: CorrelatedSpec) -> RateBound:
     """Upper bound sum_i log2(P+Q_i+1+2 sqrt(P Q_i))/4 - T(Qd)."""
     total = 0.0
     for qi in (spec.q1, spec.q2):
-        total += 0.25 * math.log2(spec.p + qi + 1.0 + 2.0 * math.sqrt(spec.p * qi))
+        total += 0.25 * math.log2(_received_power(spec.p, qi))
     return RateBound(total - t_of_qd(spec.qd), "upper", "correlated-converse")
 
 
-def rate_beta_split(split: PowerSplit, qd: float) -> float:
-    """Dithered superposition rate at a power split:
-
-    log2(1 + P_A/(1+Qd/4+P_D))/2 + log2(1+P_D)/4."""
-    if qd < 0:
-        raise ValueError("Qd must be nonnegative")
-    common = 0.5 * math.log2(1.0 + split.p_a / (1.0 + qd / 4.0 + split.p_d))
-    private = 0.25 * math.log2(1.0 + split.p_d)
-    return common + private
-
-
 def lower_beta(p: float, qd: float) -> RateBound:
-    """Best dithered-superposition rate over power splits, in closed form.
+    """Best dithered-superposition rate over power splits.
 
-    Identical to the independent-interference lower bound with the
-    substitution Q = Qd/2 (the scheme only feels half the spread on each
-    branch): DPC regime for Qd < 4, mixed for 4 <= Qd <= 4(P+1), pure
-    time-sharing beyond."""
+    The scheme feels half the spread on each branch, so this is the
+    independent-interference lower bound at Q = Qd/2: DPC regime for
+    Qd < 4, mixed for 4 <= Qd < 4(P+1), pure time-sharing beyond."""
     if p < 0 or qd < 0:
         raise ValueError("P and Qd must be nonnegative")
-    if qd < 4.0:
-        value = 0.5 * math.log2(1.0 + p / (1.0 + qd / 4.0))
-    elif qd <= 4.0 * (p + 1.0):
-        value = 0.5 * math.log2((p + 1.0 + qd / 4.0) / math.sqrt(qd))
-    else:
-        value = 0.25 * math.log2(1.0 + p)
-    return RateBound(value, "lower", "dithered-superposition")
+    return RateBound(lower_bound(p, qd / 2.0).value, "lower", "dithered-superposition")
 
 
 def high_sinr_gap_beta(p: float, qd: float, q: float | None = None) -> float:

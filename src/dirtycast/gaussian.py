@@ -2,11 +2,12 @@
 Y_k = X + S_k + Z_k with transmitter-known interference.
 
 P is the SNR, Q the INR, noise power normalized to 1, logs base 2.  The two
-closed-form upper bounds carry an internal noise-correlation parameter rho
-that the closed forms fix at their branch-optimal value; the *_at_rho
-variants expose the raw objectives so numeric minimizers can cross-check
-the closed forms.  The achievable side is superposition dirty-paper coding
-over the split S_k = A +/- D, with a covariance-based oracle that
+upper bounds are each written once, as a raw objective in the receivers'
+noise correlation rho (`upper_i_at_rho`, `upper_ii_at_rho`); the closed
+forms `upper_i` and `upper_ii` are those objectives at the branch rho
+(`rho_upper_i`, `rho_upper_ii`), and numeric minimizers over rho
+cross-check that choice.  The achievable side is superposition dirty-paper
+coding over the split S_k = A +/- D, with a covariance-based oracle that
 reproduces the two codebook rates from first principles.
 """
 
@@ -20,14 +21,15 @@ import numpy as np
 from .core import GaussianCov, RateBound, ScalarInterval, gaussian_mi, minimize_scalar
 
 __all__ = [
-    "GaussianChannelSpec",
     "PowerSplit",
     "awgn_capacity",
     "rate_timeshare",
     "rate_interference_as_noise",
     "upper_i_at_rho",
+    "rho_upper_i",
     "upper_i",
     "upper_ii_at_rho",
+    "rho_upper_ii",
     "upper_ii",
     "upper_envelope",
     "rate_of_split",
@@ -45,26 +47,6 @@ __all__ = [
     "high_sinr_asymptote",
     "feedback_bounds",
 ]
-
-
-@dataclass(frozen=True)
-class GaussianChannelSpec:
-    """SNR/INR operating point, user count and optional fixed noise correlation."""
-
-    p: float
-    q: float
-    k: int = 2
-    rho: float | None = None
-
-    def __post_init__(self):
-        if not (math.isfinite(self.p) and math.isfinite(self.q)):
-            raise ValueError("P and Q must be finite")
-        if self.p < 0 or self.q < 0:
-            raise ValueError("P and Q must be nonnegative")
-        if self.k < 2:
-            raise ValueError("user count must be >= 2")
-        if self.rho is not None and not -1.0 <= self.rho <= 1.0:
-            raise ValueError("noise correlation must lie in [-1, 1]")
 
 
 @dataclass(frozen=True)
@@ -102,6 +84,12 @@ def rate_interference_as_noise(p: float, q: float) -> RateBound:
     return RateBound(0.5 * math.log2(1.0 + p / (q + 1.0)), "lower", "interference-as-noise")
 
 
+def _received_power(p: float, q: float) -> float:
+    """P + Q + 1 + 2 sqrt(PQ): the power of X + S_k + Z_k when the input is
+    fully aligned with the interference."""
+    return p + q + 1.0 + 2.0 * math.sqrt(p * q)
+
+
 def upper_i_at_rho(p: float, q: float, rho: float) -> float:
     """Genie-argument upper bound at a fixed noise correlation rho.
 
@@ -111,21 +99,21 @@ def upper_i_at_rho(p: float, q: float, rho: float) -> float:
     d2 = q / 2.0 + 1.0 - rho
     if d1 <= 0.0 or d2 <= 0.0:
         return math.inf
-    big = p + q + 1.0 + 2.0 * math.sqrt(p * q)
-    return 0.25 * math.log2((1.0 + p) / d1) + 0.25 * math.log2(big / d2)
+    return 0.25 * math.log2((1.0 + p) / d1) + 0.25 * math.log2(_received_power(p, q) / d2)
+
+
+def rho_upper_i(q: float) -> float:
+    """Noise correlation minimizing the genie bound: min(Q/4, 1)."""
+    return min(q / 4.0, 1.0)
 
 
 def upper_i(p: float, q: float) -> RateBound:
-    """Closed form of the rho-minimized genie bound (branch split at Q=4)."""
+    """The genie bound minimized over rho: its objective at rho_upper_i(Q).
+
+    For Q >= 4 this is log2(1+P)/4 + log2((P+Q+1+2 sqrt(PQ))/Q)/4."""
     if p < 0 or q < 0:
         raise ValueError("P and Q must be nonnegative")
-    big = p + q + 1.0 + 2.0 * math.sqrt(p * q)
-    if q >= 4.0:
-        value = 0.25 * math.log2(1.0 + p) + 0.25 * math.log2(big / q)
-    else:
-        den = q / 4.0 + 1.0
-        value = 0.25 * math.log2((1.0 + p) / den) + 0.25 * math.log2(big / den)
-    return RateBound(value, "upper", "upper-I")
+    return RateBound(upper_i_at_rho(p, q, rho_upper_i(q)), "upper", "upper-I")
 
 
 def upper_ii_at_rho(p: float, q: float, rho: float) -> float:
@@ -136,32 +124,31 @@ def upper_ii_at_rho(p: float, q: float, rho: float) -> float:
     prod = (1.0 + rho) * (q + 1.0 - rho)
     if prod <= 0.0:
         return math.inf
-    big = p + q + 2.0 * math.sqrt(p * q) + 1.0
-    main = 0.5 * math.log2(big / math.sqrt(prod))
+    main = 0.5 * math.log2(_received_power(p, q) / math.sqrt(prod))
     penalty = 0.0
     if q > 0.0:
         penalty = max(0.0, 0.25 * math.log2(q / (2.0 * p + 1.0 + rho)))
     return main - penalty
 
 
-def upper_ii(p: float, q: float) -> RateBound:
-    """Closed form of the joint-output bound (branch split at Q=2).
+def rho_upper_ii(q: float) -> float:
+    """Noise correlation minimizing the leading term of the joint-output
+    bound: min(Q/2, 1)."""
+    return min(q / 2.0, 1.0)
 
-    Uses the branch-optimal rho = min(Q/2, 1) of the leading term; when the
-    [.]^+ correction is active at small P the exact minimum over rho of the
-    raw objective can sit strictly below this closed form, which stays a
-    valid upper bound either way (see minimize_upper_ii_rho).
+
+def upper_ii(p: float, q: float) -> RateBound:
+    """The joint-output bound at the branch rho: its objective at
+    rho_upper_ii(Q).
+
+    rho_upper_ii minimizes the leading term; when the [.]^+ correction is
+    active at small P the exact minimum over rho of the raw objective can
+    sit strictly below this value, which stays a valid upper bound either
+    way (see minimize_upper_ii_rho).
     """
     if p < 0 or q < 0:
         raise ValueError("P and Q must be nonnegative")
-    big = p + q + 2.0 * math.sqrt(p * q) + 1.0
-    if q <= 2.0:
-        value = 0.5 * math.log2(big / (1.0 + q / 2.0))
-    else:
-        value = 0.5 * math.log2(big / math.sqrt(2.0 * q)) - max(
-            0.0, 0.25 * math.log2(q / (2.0 * p + 2.0))
-        )
-    return RateBound(value, "upper", "upper-II")
+    return RateBound(upper_ii_at_rho(p, q, rho_upper_ii(q)), "upper", "upper-II")
 
 
 def upper_envelope(p: float, q: float) -> RateBound:
@@ -170,15 +157,18 @@ def upper_envelope(p: float, q: float) -> RateBound:
     return RateBound(value, "upper", "envelope")
 
 
+def _split_rate(p_a, p_d, q):
+    """log2(1 + P_A/(P_D+Q/2+1))/2 + log2(1+P_D)/4, on floats or arrays."""
+    return 0.5 * np.log2(1.0 + p_a / (p_d + q / 2.0 + 1.0)) + 0.25 * np.log2(1.0 + p_d)
+
+
 def rate_of_split(split: PowerSplit, q: float) -> float:
     """Rate of the superposition scheme at a power split:
 
     log2(1 + P_A/(P_D+Q/2+1))/2 + log2(1+P_D)/4."""
     if q < 0:
         raise ValueError("Q must be nonnegative")
-    common = 0.5 * math.log2(1.0 + split.p_a / (split.p_d + q / 2.0 + 1.0))
-    private = 0.25 * math.log2(1.0 + split.p_d)
-    return common + private
+    return float(_split_rate(split.p_a, split.p_d, q))
 
 
 def lower_bound(p: float, q: float) -> RateBound:
@@ -225,8 +215,7 @@ def maximize_power_split(p: float, q: float, points: int = 200, refinements: int
         pd = np.linspace(lo_d, hi_d, points)
         a, d = np.meshgrid(pa, pd, indexing="ij")
         feasible = a + d <= p + 1e-12
-        rate = 0.5 * np.log2(1.0 + a / (d + q / 2.0 + 1.0)) + 0.25 * np.log2(1.0 + d)
-        rate = np.where(feasible, rate, -np.inf)
+        rate = np.where(feasible, _split_rate(a, d, q), -np.inf)
         i, j = np.unravel_index(int(np.argmax(rate)), rate.shape)
         if rate[i, j] > best[2]:
             best = (float(a[i, j]), float(d[i, j]), float(rate[i, j]))
@@ -321,9 +310,8 @@ def upper_k_raw(p: float, q: float, k: int) -> float:
         raise ValueError("P and Q must be nonnegative")
     if q == 0.0:
         return math.inf
-    big = p + q + 1.0 + 2.0 * math.sqrt(p * q)
     value = (
-        0.5 * math.log2(big)
+        0.5 * math.log2(_received_power(p, q))
         - (k - 1) / (2.0 * k) * math.log2(q)
         - math.log2(k) / (2.0 * k)
         - max(0.0, math.log2(q / (k * (p + 1.0))) / (2.0 * k))

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from dirtycast import gaussian
+from dirtycast import gaussian, verify
 from dirtycast.core import (
     GaussianCov,
     InvalidDistributionError,
@@ -19,6 +19,7 @@ from dirtycast.core import (
     minimize_scalar,
     pmf_entropy,
 )
+from dirtycast.verify import RHO_MAP_P, RHO_MAP_Q
 
 
 class TestBinaryEntropy:
@@ -186,38 +187,18 @@ class TestMinimizeScalar:
             ScalarInterval(0.0, math.inf)
 
 
-RHO_GRID_P = (0.1, 1.0, 10.0, 100.0, 2000.0)
-RHO_GRID_Q = (0.1, 0.5, 1.0, 2.0, 4.0, 8.0, 100.0)
-
-# At these (P, Q) pairs the [.]^+ correction of the second upper bound is
-# active near the optimum and drags the true minimizer into the interior,
-# strictly below the two-branch rho choice; everywhere else on the grid the
-# branch choice min(Q/2,1) resp. min(Q/4,1) is the exact argmin.
-UPPER_II_CORNER = {(0.1, 2.0), (0.1, 4.0), (0.1, 8.0)}
-
-
 class TestRhoMaps:
-    @pytest.mark.parametrize("p", RHO_GRID_P)
-    @pytest.mark.parametrize("q", RHO_GRID_Q)
-    def test_upper_i_map(self, p, q):
-        rho_star = q / 4.0 if q <= 4.0 else 1.0
-        rho, _ = gaussian.minimize_upper_i_rho(p, q)
-        assert rho == pytest.approx(rho_star, abs=1e-4)
+    """Each grid point of the rho-map checks as its own item."""
 
-    @pytest.mark.parametrize("p", RHO_GRID_P)
-    @pytest.mark.parametrize("q", RHO_GRID_Q)
+    @pytest.mark.parametrize("p", RHO_MAP_P)
+    @pytest.mark.parametrize("q", RHO_MAP_Q)
+    def test_upper_i_map(self, p, q):
+        verify.rho_map_i_at(p, q)
+
+    @pytest.mark.parametrize("p", RHO_MAP_P)
+    @pytest.mark.parametrize("q", RHO_MAP_Q)
     def test_upper_ii_map(self, p, q):
-        rho_star = q / 2.0 if q <= 2.0 else 1.0
-        rho, value = gaussian.minimize_upper_ii_rho(p, q)
-        closed = gaussian.upper_ii(p, q).value
-        if (p, q) in UPPER_II_CORNER:
-            assert value < closed - 1e-3
-            assert abs(rho - rho_star) > 1e-2
-        else:
-            assert rho == pytest.approx(rho_star, abs=1e-4)
-            assert value == pytest.approx(closed, abs=1e-9)
-        # in either case the closed form stays a valid (>=) bound
-        assert closed >= value - 1e-9
+        verify.rho_map_ii_at(p, q)
 
 
 class TestRateBound:

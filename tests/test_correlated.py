@@ -10,12 +10,10 @@ from dirtycast.correlated import (
     CorrelatedSpec,
     high_sinr_gap_beta,
     lower_beta,
-    rate_beta_split,
-    scaled_halves,
     t_of_qd,
     upper_correlated,
 )
-from dirtycast.gaussian import PowerSplit
+from dirtycast.gaussian import PowerSplit, rate_of_split
 
 P_GRID = tuple(float(p) for p in np.logspace(-1.0, 4.0, 12))
 QD_GRID = (0.0, 0.5, 2.0, 4.0, 8.0, 40.0, 1.0e4)
@@ -36,12 +34,6 @@ class TestSpecValidation:
             q0 = float(10.0 ** rng.uniform(-1, 2))
             spec = CorrelatedSpec.from_scaled(10.0, b1, b2, q0)
             assert spec.q1 == pytest.approx(b1 * b1 * q0, abs=1e-12 * max(1, spec.q1))
-            assert spec.qd == pytest.approx(
-                (b1 - b2) ** 2 * q0, abs=1e-12 * max(1, spec.qd)
-            )
-            ba, bd = scaled_halves(b1, b2)
-            assert ba + bd == pytest.approx(b1, abs=1e-12)
-            assert ba - bd == pytest.approx(b2, abs=1e-12)
 
 
 class TestLossTerm:
@@ -50,7 +42,6 @@ class TestLossTerm:
         assert t_of_qd(16.0) == pytest.approx(1.0, abs=1e-15)
 
     def test_continuity_at_four(self):
-        assert 0.25 * math.log2(4.0) == pytest.approx(0.5 * math.log2(2.0), abs=1e-15)
         assert t_of_qd(4.0) == pytest.approx(0.5, abs=1e-15)
         assert t_of_qd(4.0 + 1e-12) == pytest.approx(0.5, abs=1e-9)
 
@@ -89,19 +80,12 @@ class TestUpperCorrelated:
 
 class TestLowerBeta:
     def test_split_rate_examples(self):
-        assert rate_beta_split(PowerSplit(3.0, 0.0), 0.0) == pytest.approx(
-            0.5 * math.log2(4.0), abs=1e-15
-        )
-        assert rate_beta_split(PowerSplit(0.0, 3.0), 7.0) == pytest.approx(
-            0.25 * math.log2(4.0), abs=1e-15
-        )
-        # equals the independent-interference split rate under Q = Qd/2
-        assert rate_beta_split(PowerSplit(4.0, 2.0), 4.0) == pytest.approx(
-            gaussian.rate_of_split(PowerSplit(4.0, 2.0), 2.0), abs=1e-15
-        )
-        assert rate_beta_split(PowerSplit(4.0, 2.0), 4.0) == pytest.approx(
-            0.896240625180289, abs=1e-12
-        )
+        # the dithered scheme's split rate is the independent one at Q = Qd/2
+        def split_rate(p_a, p_d, qd):
+            return rate_of_split(PowerSplit(p_a, p_d), qd / 2.0)
+
+        assert split_rate(3.0, 0.0, 0.0) == pytest.approx(1.0, abs=1e-15)
+        assert split_rate(0.0, 3.0, 7.0) == pytest.approx(0.5, abs=1e-15)
 
     def test_branch_values(self):
         assert lower_beta(9.0, 44.0).value == pytest.approx(0.25 * math.log2(10.0), abs=1e-15)
@@ -112,18 +96,20 @@ class TestLowerBeta:
         assert lower_beta(10.0, 16.0).value == pytest.approx(0.9534452978042592, abs=1e-12)
 
     def test_bridge_to_independent_bound(self):
-        for p in P_GRID:
-            for qd in QD_GRID:
-                assert abs(
-                    lower_beta(p, qd).value - gaussian.lower_bound(p, qd / 2.0).value
-                ) <= 1e-12
+        for qd in QD_GRID:
+            bound = lower_beta(10.0, qd)
+            assert (bound.kind, bound.method) == ("lower", "dithered-superposition")
+            assert bound.value == gaussian.lower_bound(10.0, qd / 2.0).value
+        with pytest.raises(ValueError, match="Qd"):
+            lower_beta(1.0, -1.0)
 
     def test_matches_grid_maximization(self):
         for p in (0.5, 10.0, 263.0):
             for qd in (0.0, 2.0, 16.0, 100.0):
                 best = -1.0
                 for p_d in np.linspace(0.0, p, 400):
-                    best = max(best, rate_beta_split(PowerSplit(p - p_d, float(p_d)), qd))
+                    split = PowerSplit(p - p_d, float(p_d))
+                    best = max(best, rate_of_split(split, qd / 2.0))
                 assert lower_beta(p, qd).value >= best - 1e-5
                 assert lower_beta(p, qd).value <= best + 1e-3
 

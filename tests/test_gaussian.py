@@ -8,7 +8,6 @@ import pytest
 
 from dirtycast.core import GaussianCov, gaussian_mi
 from dirtycast.gaussian import (
-    GaussianChannelSpec,
     PowerSplit,
     awgn_capacity,
     dpc_scheme_oracle,
@@ -32,10 +31,6 @@ from dirtycast.gaussian import (
     upper_k_raw,
     z_sum_difference_cov,
 )
-
-P_GRID = tuple(float(p) for p in np.logspace(math.log10(0.1), 4.0, 20))
-Q_GRID_LINEAR = tuple(float(q) for q in np.linspace(0.0, 1.0e4, 21))
-Q_GRID_LOG = (0.0,) + tuple(float(q) for q in np.logspace(-2.0, 4.0, 20))
 
 
 class TestBaselines:
@@ -79,31 +74,9 @@ class TestUpperBounds:
 
     def test_branch_seams(self):
         for p in (0.3, 2.0, 40.0, 1995.26):
-            big4 = p + 5.0 + 2.0 * math.sqrt(4.0 * p)
-            low = 0.25 * math.log2((1 + p) / 2.0) + 0.25 * math.log2(big4 / 2.0)
-            high = 0.25 * math.log2(1 + p) + 0.25 * math.log2(big4 / 4.0)
-            assert low == pytest.approx(high, abs=1e-9)
-            assert upper_i(p, 4.0).value == pytest.approx(high, abs=1e-12)
-
-            big2 = p + 3.0 + 2.0 * math.sqrt(2.0 * p)
-            assert upper_ii(p, 2.0).value == pytest.approx(0.5 * math.log2(big2 / 2.0), abs=1e-12)
-            # the [.]^+ term vanishes at the seam since Q=2 <= 2P+2
-            seam_gap = max(0.0, 0.25 * math.log2(2.0 / (2.0 * p + 2.0)))
-            assert seam_gap == 0.0
-
-    def test_closed_forms_match_rho_minimization_on_grid(self):
-        for p in P_GRID:
-            for q in Q_GRID_LINEAR:
-                _, val_i = minimize_upper_i_rho(p, q)
-                assert abs(val_i - upper_i(p, q).value) < 1e-5
-                _, val_ii = minimize_upper_ii_rho(p, q)
-                assert abs(val_ii - upper_ii(p, q).value) < 1e-5
-
-    def test_closed_upper_ii_never_below_its_minimum(self):
-        for p in P_GRID:
-            for q in Q_GRID_LOG:
-                _, val = minimize_upper_ii_rho(p, q)
-                assert upper_ii(p, q).value >= val - 1e-9
+            for bound, seam in ((upper_i, 4.0), (upper_ii, 2.0)):
+                left, right = bound(p, seam - 1e-10).value, bound(p, seam + 1e-10).value
+                assert left == pytest.approx(right, abs=1e-9)
 
     def test_envelope(self):
         assert upper_envelope(4.0, 0.0).value == pytest.approx(awgn_capacity(4.0), abs=1e-12)
@@ -144,12 +117,9 @@ class TestLowerBound:
 
     def test_branch_seams(self):
         for p in (0.5, 4.0, 321.0):
-            dpc_arm = 0.5 * math.log2(1.0 + p / 2.0)
-            mixed_arm = 0.5 * math.log2((p + 2.0) / 2.0) + 0.25 * math.log2(1.0)
-            assert dpc_arm == pytest.approx(mixed_arm, abs=1e-9)
-            q = 2.0 * (p + 1.0)
-            mixed = 0.5 * math.log2((p + q / 2.0 + 1.0) / q) + 0.25 * math.log2(q / 2.0)
-            assert mixed == pytest.approx(0.25 * math.log2(1.0 + p), abs=1e-9)
+            for seam in (2.0, 2.0 * (p + 1.0)):
+                left = lower_bound(p, seam - 1e-10).value
+                assert left == pytest.approx(lower_bound(p, seam + 1e-10).value, abs=1e-9)
 
     def test_rate_of_split_examples(self):
         assert rate_of_split(PowerSplit(6.0, 0.0), 4.0) == pytest.approx(
@@ -168,17 +138,6 @@ class TestLowerBound:
                 _, numeric = maximize_power_split(p, q)
                 assert abs(lower_bound(p, q).value - numeric) < 1e-6
 
-    def test_ordering_against_baselines_and_uppers(self):
-        for q_grid in (Q_GRID_LINEAR, Q_GRID_LOG):
-            for p in P_GRID:
-                for q in q_grid:
-                    base = max(
-                        rate_timeshare(p).value, rate_interference_as_noise(p, q).value
-                    )
-                    lo = lower_bound(p, q).value
-                    assert base <= lo + 1e-12
-                    assert lo <= upper_envelope(p, q).value + 1e-9
-
 
 class TestDpcOracle:
     def test_frozen_point(self):
@@ -193,16 +152,6 @@ class TestDpcOracle:
         r_a, r_d = dpc_scheme_oracle(PowerSplit(4.0, 0.0), 2.0)
         assert r_a == pytest.approx(0.5 * math.log2(3.0), abs=1e-9)
         assert r_d == 0.0
-
-    def test_random_triples_match_closed_forms(self):
-        rng = np.random.default_rng(12345)
-        for _ in range(100):
-            p_a, p_d, q = (float(10.0 ** rng.uniform(-2, 3)) for _ in range(3))
-            r_a, r_d = dpc_scheme_oracle(PowerSplit(p_a, p_d), q)
-            assert r_a == pytest.approx(
-                0.5 * math.log2(1.0 + p_a / (p_d + q / 2.0 + 1.0)), abs=1e-9
-            )
-            assert r_d == pytest.approx(0.5 * math.log2(1.0 + p_d), abs=1e-9)
 
     def test_scheme_rate_is_achieved_at_the_optimal_split(self):
         p, q = 10.0, 4.0
@@ -294,8 +243,6 @@ class TestGapAnalysis:
         assert sweep <= regional + 1e-9
 
     def test_grid_supremum_approaches_constant_from_below(self):
-        sup = max(gap(p, q) for p in P_GRID for q in Q_GRID_LINEAR)
-        assert 0.74 <= sup <= universal_gap() + 1e-9
         # along Q = 2(P+1) the gap climbs toward the universal constant
         ridge = [gap(p, 2.0 * (p + 1.0)) for p in (1e2, 1e4, 1e6, 1e8)]
         assert all(ridge[i] < ridge[i + 1] for i in range(len(ridge) - 1))
@@ -342,13 +289,11 @@ class TestAsymptotesAndFeedback:
 
 class TestSpecType:
     def test_validation(self):
-        GaussianChannelSpec(1.0, 2.0, k=3, rho=0.5)
+        assert PowerSplit(1.0, 2.0).total == 3.0
         with pytest.raises(ValueError):
-            GaussianChannelSpec(-1.0, 2.0)
+            PowerSplit(-1.0, 2.0)
         with pytest.raises(ValueError):
-            GaussianChannelSpec(1.0, 2.0, k=1)
-        with pytest.raises(ValueError):
-            GaussianChannelSpec(1.0, 2.0, rho=1.5)
+            PowerSplit(1.0, -1e-9)
 
     def test_at_rho_guards(self):
         assert upper_i_at_rho(1.0, 0.0, 1.0) == math.inf
