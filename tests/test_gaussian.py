@@ -31,6 +31,7 @@ from dirtycast.gaussian import (
     upper_k_raw,
     z_sum_difference_cov,
 )
+from dirtycast.verify import P_GRID, Q_GRID_LINEAR, Q_GRID_LOG
 
 
 class TestBaselines:
@@ -77,6 +78,20 @@ class TestUpperBounds:
             for bound, seam in ((upper_i, 4.0), (upper_ii, 2.0)):
                 left, right = bound(p, seam - 1e-10).value, bound(p, seam + 1e-10).value
                 assert left == pytest.approx(right, abs=1e-9)
+
+    def test_closed_forms_match_rho_minimization_on_grid(self):
+        for p in P_GRID:
+            for q in Q_GRID_LINEAR:
+                _, val_i = minimize_upper_i_rho(p, q)
+                assert abs(val_i - upper_i(p, q).value) < 1e-5
+                _, val_ii = minimize_upper_ii_rho(p, q)
+                assert abs(val_ii - upper_ii(p, q).value) < 1e-5
+
+    def test_closed_upper_ii_never_below_its_minimum(self):
+        for p in P_GRID:
+            for q in Q_GRID_LOG:
+                _, val = minimize_upper_ii_rho(p, q)
+                assert upper_ii(p, q).value >= val - 1e-9
 
     def test_envelope(self):
         assert upper_envelope(4.0, 0.0).value == pytest.approx(awgn_capacity(4.0), abs=1e-12)
