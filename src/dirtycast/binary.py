@@ -17,12 +17,10 @@ from dataclasses import dataclass
 from .core import InvalidDistributionError, JointPmf, RateBound, binary_entropy
 
 __all__ = [
-    "IidInterference",
-    "PairJointInterference",
-    "FullyCorrelatedInterference",
     "BinaryChannelSpec",
     "xor_convolve",
     "xor_entropy",
+    "precancellation_rate",
     "capacity_two_user",
     "rate_timeshare",
     "rate_ignore_side_info",
@@ -36,70 +34,52 @@ __all__ = [
     "capacity_achieving_joint",
 ]
 
-
-@dataclass(frozen=True)
-class IidInterference:
-    """All K interference bits i.i.d. Bernoulli(q)."""
-
-    q: float
-
-
-@dataclass(frozen=True)
-class PairJointInterference:
-    """General joint law of (S1, S2) on {0,1}^2; two users only."""
-
-    pmf: JointPmf
-
-
-@dataclass(frozen=True)
-class FullyCorrelatedInterference:
-    """S1 ~ Bernoulli(q) with S2 = S1 (flip=False) or S2 = 1 - S1."""
-
-    q: float
-    flip: bool = False
-
-
 @dataclass(frozen=True)
 class BinaryChannelSpec:
     """Interference statistics for the binary channel Y_k = X xor S_k (xor Z_k).
 
-    noise_q, when present, is the crossover probability of the i.i.d.
-    channel noise bits Z_1, Z_2.
+    pair is the joint law of (S1, S2): derived from q for i.i.d. Bernoulli(q)
+    interference (any K), else given (K = 2).  noise_q, when present, is the
+    crossover probability of the i.i.d. channel noise bits Z_1, Z_2.
     """
 
     k: int
-    model: object
+    pair: JointPmf | None = None
     noise_q: float | None = None
+    q: float | None = None
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("user count must be >= 1")
-        if isinstance(self.model, (IidInterference, FullyCorrelatedInterference)):
-            if not 0.0 <= self.model.q <= 1.0:
+        if (self.q is None) == (self.pair is None):
+            raise ValueError("give exactly one of q (i.i.d. interference) and a pair law")
+        if self.q is not None:
+            if not 0.0 <= self.q <= 1.0:
                 raise ValueError("interference probability must lie in [0, 1]")
-        if isinstance(self.model, (PairJointInterference, FullyCorrelatedInterference)):
-            if self.k != 2:
-                raise ValueError("this interference model is defined for K=2 only")
-        if isinstance(self.model, PairJointInterference):
-            pmf = self.model.pmf
-            if pmf.arity != 2 or any(s not in ((0, 0), (0, 1), (1, 0), (1, 1)) for s, _ in pmf.atoms()):
-                raise ValueError("pair model needs a JointPmf over {0,1}^2")
+            q, r = self.q, 1.0 - self.q
+            law = {(0, 0): r * r, (0, 1): r * q, (1, 0): q * r, (1, 1): q * q}
+            object.__setattr__(self, "pair", JointPmf._of_valid(law))
+        elif self.k != 2 or set(self.pair.prob) - {(0, 0), (0, 1), (1, 0), (1, 1)}:
+            raise ValueError("a pair law is a JointPmf over {0,1}^2 for K=2")
         if self.noise_q is not None and not 0.0 <= self.noise_q <= 1.0:
             raise ValueError("noise crossover must lie in [0, 1]")
 
     @classmethod
     def iid(cls, q: float, k: int = 2, noise_q: float | None = None) -> "BinaryChannelSpec":
-        return cls(k, IidInterference(q), noise_q)
+        return cls(k, noise_q=noise_q, q=q)
 
     @classmethod
     def pair_joint(cls, pmf: JointPmf, noise_q: float | None = None) -> "BinaryChannelSpec":
-        return cls(2, PairJointInterference(pmf), noise_q)
+        return cls(2, pmf, noise_q)
 
     @classmethod
     def fully_correlated(
         cls, q: float, flip: bool = False, noise_q: float | None = None
     ) -> "BinaryChannelSpec":
-        return cls(2, FullyCorrelatedInterference(q, flip), noise_q)
+        """S1 ~ Bernoulli(q) with S2 = S1, or S2 = 1 - S1 when flip is set."""
+        if not 0.0 <= q <= 1.0:
+            raise ValueError("interference probability must lie in [0, 1]")
+        return cls(2, JointPmf({(0, int(flip)): 1.0 - q, (1, int(not flip)): q}), noise_q)
 
     @property
     def noiseless(self) -> bool:
@@ -107,48 +87,14 @@ class BinaryChannelSpec:
 
     def marginal_one_probabilities(self) -> tuple:
         """P(S_k = 1) for each user."""
-        m = self.model
-        if isinstance(m, IidInterference):
-            return (m.q,) * self.k
-        if isinstance(m, FullyCorrelatedInterference):
-            return (m.q, 1.0 - m.q if m.flip else m.q)
-        p = dict(m.pmf.atoms())
-        p1 = p.get((1, 0), 0.0) + p.get((1, 1), 0.0)
-        p2 = p.get((0, 1), 0.0) + p.get((1, 1), 0.0)
-        return (p1, p2)
-
-    def pair_pmf(self) -> JointPmf:
-        """Joint law of (S1, S2); defined for K=2 models."""
-        if self.k != 2:
-            raise ValueError("pair law requires K=2")
-        m = self.model
-        if isinstance(m, IidInterference):
-            q = m.q
-            return JointPmf(
-                {
-                    (0, 0): (1 - q) * (1 - q),
-                    (0, 1): (1 - q) * q,
-                    (1, 0): q * (1 - q),
-                    (1, 1): q * q,
-                }
-            )
-        if isinstance(m, FullyCorrelatedInterference):
-            q = m.q
-            if m.flip:
-                return JointPmf({(0, 1): 1 - q, (1, 0): q})
-            return JointPmf({(0, 0): 1 - q, (1, 1): q})
-        return m.pmf
+        if self.q is not None:
+            return (self.q,) * self.k
+        return tuple(self.pair.marginal((i,)).prob.get((1,), 0.0) for i in (0, 1))
 
     @property
     def xor_probability(self) -> float:
         """q' = P(S1 xor S2 = 1), the crossover seen on the precancelled half."""
-        m = self.model
-        if isinstance(m, IidInterference):
-            return 2.0 * m.q * (1.0 - m.q)
-        if isinstance(m, FullyCorrelatedInterference):
-            return 1.0 if m.flip else 0.0
-        p = dict(m.pmf.atoms())
-        return p.get((0, 1), 0.0) + p.get((1, 0), 0.0)
+        return self.pair.prob.get((0, 1), 0.0) + self.pair.prob.get((1, 0), 0.0)
 
 
 def xor_convolve(a: float, b: float) -> float:
@@ -163,13 +109,19 @@ def xor_entropy(spec: BinaryChannelSpec) -> float:
     return binary_entropy(spec.xor_probability)
 
 
+def precancellation_rate(crossover: float, noise_q: float = 0.0) -> float:
+    """1 - H(crossover)/2 - H(noise_q)/2: the rate of a user who sees a
+    BSC(noise_q) on the half precancelled for it and a BSC(crossover) on the other."""
+    return 1.0 - 0.5 * binary_entropy(crossover) - 0.5 * binary_entropy(noise_q)
+
+
 def capacity_two_user(spec: BinaryChannelSpec) -> RateBound:
     """Exact two-user noiseless capacity 1 - H(S1 xor S2)/2."""
     if spec.k != 2:
         raise ValueError("two-user capacity requires K=2")
     if not spec.noiseless:
         raise ValueError("exact capacity is only known for the noiseless channel")
-    return RateBound(1.0 - 0.5 * xor_entropy(spec), "exact", "xor-capacity")
+    return RateBound(precancellation_rate(spec.xor_probability), "exact", "xor-capacity")
 
 
 def rate_timeshare(k: int) -> RateBound:
@@ -227,25 +179,24 @@ def joint_xor_entropy_brute(k: int, q: float) -> float:
 
 def upper_bound_k(spec: BinaryChannelSpec) -> RateBound:
     """K-user upper bound 1 - H(S1^S2, ..., S1^SK)/K for i.i.d. interference."""
-    if not isinstance(spec.model, IidInterference):
+    if spec.q is None:
         raise ValueError("the K-user bound is stated for i.i.d. interference")
     if spec.k < 2:
         raise ValueError("need at least two users")
     if spec.k > 64:
         raise ValueError("K > 64 would overflow the weight enumeration")
-    h = joint_xor_entropy(spec.k, spec.model.q)
+    h = joint_xor_entropy(spec.k, spec.q)
     return RateBound(1.0 - h / spec.k, "upper", "joint-xor-converse")
 
 
 def lower_bound_k(spec: BinaryChannelSpec) -> RateBound:
     """K-user achievable rate max{1 - H(S1), 1 - (1 - 1/K) H(S1 xor S2)}."""
-    if not isinstance(spec.model, IidInterference):
+    if spec.q is None:
         raise ValueError("the K-user bound is stated for i.i.d. interference")
     if spec.k < 2:
         raise ValueError("need at least two users")
-    q = spec.model.q
-    arm_ignore = 1.0 - binary_entropy(q)
-    arm_blocks = 1.0 - (1.0 - 1.0 / spec.k) * binary_entropy(2.0 * q * (1.0 - q))
+    arm_ignore = 1.0 - binary_entropy(spec.q)
+    arm_blocks = 1.0 - (1.0 - 1.0 / spec.k) * binary_entropy(spec.xor_probability)
     return RateBound(max(arm_ignore, arm_blocks), "lower", "block-precancellation")
 
 
@@ -261,11 +212,9 @@ def noisy_two_user_bounds(spec: BinaryChannelSpec) -> tuple:
         raise ValueError("noisy bounds need a noise crossover probability")
     p = spec.noise_q
     qx = spec.xor_probability
-    lower = 1.0 - 0.5 * binary_entropy(xor_convolve(qx, p)) - 0.5 * binary_entropy(p)
-    upper = 1.0 - 0.5 * binary_entropy(qx) - 0.5 * binary_entropy(p)
     return (
-        RateBound(lower, "lower", "noisy-precancellation"),
-        RateBound(upper, "upper", "noisy-converse"),
+        RateBound(precancellation_rate(xor_convolve(qx, p), p), "lower", "noisy-precancellation"),
+        RateBound(precancellation_rate(qx, p), "upper", "noisy-converse"),
     )
 
 
@@ -325,9 +274,10 @@ def capacity_achieving_joint(spec: BinaryChannelSpec) -> JointPmf:
     together with the bit X xor S_A-side, i.e. U in {0,1,2,3} encodes
     (A=1, X^S1=1), (A=1, X^S1=0), (A=0, X^S2=1), (A=0, X^S2=0).
     """
-    pair = spec.pair_pmf()
+    if spec.k != 2:
+        raise ValueError("the construction is for K=2")
     atoms: dict = {}
-    for (s1, s2), ps in pair.atoms():
+    for (s1, s2), ps in spec.pair.atoms():
         for a in (0, 1):
             for x in (0, 1):
                 if a == 1:

@@ -14,11 +14,8 @@ import sys
 
 from . import __version__, binary, correlated, figures, gaussian, verify
 from .core import db_to_linear
+from .figures import format_number as _fmt
 from .simulate import SchemeRun, simulate_scheme
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".9g")
 
 
 def _resolve_db_pair(parser, linear, in_db, name, default=None):
@@ -163,8 +160,9 @@ def _cmd_simulate(parser, args) -> int:
         f"interfered-half crossover: {_fmt(report.empirical_crossover)} "
         f"(expected {_fmt(binary.xor_convolve(spec.xor_probability, spec.noise_q or 0.0))}, "
         f"{report.interfered_samples} samples)",
-        f"plug-in MI estimate: {_fmt(report.empirical_mi_per_symbol)} bits/use "
-        f"(single-letter value {_fmt(report.predicted_mi_per_symbol)})",
+        f"precancellation rate at the measured crossover: "
+        f"{_fmt(report.empirical_mi_per_symbol)} bits/use "
+        f"(at the expected crossover {_fmt(report.predicted_mi_per_symbol)})",
     ]
     if report.frame_error_rate is not None:
         lines.insert(1, f"codebook: {report.codewords} codewords ({run.codebook})")

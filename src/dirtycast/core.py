@@ -114,8 +114,21 @@ class JointPmf:
         atoms = list(atoms)
         return cls({a: 1.0 / len(atoms) for a in atoms})
 
+    @classmethod
+    def _of_valid(cls, prob: dict) -> "JointPmf":
+        """Wrap prob unchecked: for laws the library builds valid and sorted."""
+        pmf = cls.__new__(cls)
+        pmf.arity, pmf.prob = len(next(iter(prob))), prob
+        return pmf
+
     def atoms(self):
         return self.prob.items()
+
+    def __eq__(self, other):
+        return isinstance(other, JointPmf) and self.prob == other.prob
+
+    def __hash__(self):
+        return hash(tuple(self.prob.items()))
 
     def marginal(self, axes) -> "JointPmf":
         """Marginal distribution over the given axis indices (in order)."""
@@ -240,13 +253,15 @@ def gaussian_mi(cov: GaussianCov, block_a, block_b) -> float:
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_GRID_POINTS = 2001
+_XTOL = 1e-10
 
 
-def minimize_scalar(f, domain, grid_points: int = 2001, xtol: float = 1e-10):
+def minimize_scalar(f, domain):
     """Minimize a scalar function on a closed interval.
 
-    Coarse scan on a uniform grid (default 2001 points) followed by
-    golden-section refinement on the best bracket; derivative-free, so
+    Coarse scan on a uniform grid of 2001 points followed by golden-section
+    refinement of the best bracket down to width 1e-10; derivative-free, so
     kinked objectives are fine.  For a unimodal f the returned argmin is
     within 1e-6 of the global minimizer.  Returns (argmin, minimum).
     """
@@ -254,17 +269,17 @@ def minimize_scalar(f, domain, grid_points: int = 2001, xtol: float = 1e-10):
         domain = ScalarInterval(*domain)
     if domain.width == 0.0:
         return domain.lo, f(domain.lo)
-    xs = np.linspace(domain.lo, domain.hi, grid_points)
+    xs = np.linspace(domain.lo, domain.hi, _GRID_POINTS)
     vals = [f(float(x)) for x in xs]
     i = int(np.argmin(vals))
     best_x, best_v = float(xs[i]), float(vals[i])
 
     a = float(xs[max(i - 1, 0)])
-    b = float(xs[min(i + 1, grid_points - 1)])
+    b = float(xs[min(i + 1, _GRID_POINTS - 1)])
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > xtol:
+    while b - a > _XTOL:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _INV_PHI * (b - a)

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .core import RateBound
-from .gaussian import _received_power, lower_bound
+from .gaussian import _check_nonnegative, _received_power, lower_bound
 
 __all__ = [
     "CorrelatedSpec",
@@ -39,9 +39,7 @@ class CorrelatedSpec:
     qd: float
 
     def __post_init__(self):
-        for name, v in (("P", self.p), ("Q1", self.q1), ("Q2", self.q2), ("Qd", self.qd)):
-            if not math.isfinite(v) or v < 0:
-                raise ValueError(f"{name} must be finite and nonnegative")
+        _check_nonnegative("P", self.p, "Q1", self.q1, "Q2", self.q2, "Qd", self.qd)
         cap = (math.sqrt(self.q1) + math.sqrt(self.q2)) ** 2
         if self.qd > cap * (1.0 + 1e-9) + 1e-12:
             raise ValueError(
@@ -51,8 +49,7 @@ class CorrelatedSpec:
     @classmethod
     def from_scaled(cls, p: float, beta1: float, beta2: float, q0: float) -> "CorrelatedSpec":
         """Interferences beta1*S0 and beta2*S0 with S0 of power q0."""
-        if q0 < 0:
-            raise ValueError("Q0 must be nonnegative")
+        _check_nonnegative("Q0", q0)
         return cls(p, beta1**2 * q0, beta2**2 * q0, (beta1 - beta2) ** 2 * q0)
 
     @classmethod
@@ -64,8 +61,7 @@ def t_of_qd(qd: float) -> float:
     """Rate loss charged for interference spread Qd:
 
     log2(Qd)/4 for Qd > 4, else log2(1 + Qd/4)/2."""
-    if qd < 0:
-        raise ValueError("Qd must be nonnegative")
+    _check_nonnegative("Qd", qd)
     if qd > 4.0:
         return 0.25 * math.log2(qd)
     return 0.5 * math.log2(1.0 + qd / 4.0)
@@ -85,8 +81,7 @@ def lower_beta(p: float, qd: float) -> RateBound:
     The scheme feels half the spread on each branch, so this is the
     independent-interference lower bound at Q = Qd/2: DPC regime for
     Qd < 4, mixed for 4 <= Qd < 4(P+1), pure time-sharing beyond."""
-    if p < 0 or qd < 0:
-        raise ValueError("P and Qd must be nonnegative")
+    _check_nonnegative("P", p, "Qd", qd)
     return RateBound(lower_bound(p, qd / 2.0).value, "lower", "dithered-superposition")
 
 
@@ -96,7 +91,8 @@ def high_sinr_gap_beta(p: float, qd: float, q: float | None = None) -> float:
     q is the common marginal interference power Q1 = Q2; the default Qd/4
     is the smallest symmetric value compatible with the spread.  The gap
     tends to 0 as P grows at fixed (q, Qd)."""
-    if p <= 0:
+    _check_nonnegative("P", p, "Qd", qd)
+    if p == 0.0:
         raise ValueError("P must be positive")
     if q is None:
         q = qd / 4.0

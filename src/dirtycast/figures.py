@@ -114,17 +114,13 @@ def write_csv(path, header, rows):
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
 
 
-def write_svg(path, header, rows, x_log: bool = False, title: str | None = None):
+def write_svg(path, header, rows, title: str | None = None):
     """Minimal polyline plot of every column against the first one."""
     import math
 
     width, height = 720, 480
     ml, mr, mt, mb = 64, 16, 28, 44
     xs = [float(r[0]) for r in rows]
-    if x_log:
-        if min(xs) <= 0:
-            raise ValueError("log-scale x needs positive values")
-        xs = [math.log10(v) for v in xs]
     series = list(zip(*[[float(v) for v in r[1:]] for r in rows]))
     ys = [v for s in series for v in s if math.isfinite(v)]
     x0, x1 = min(xs), max(xs)
@@ -157,14 +153,13 @@ def write_svg(path, header, rows, x_log: bool = False, title: str | None = None)
     for k in range(5):
         gx = x0 + k * (x1 - x0) / 4
         gy = y0 + k * (y1 - y0) / 4
-        label = f"1e{gx:.2g}" if x_log else f"{gx:.3g}"
         parts.append(
             f'<line x1="{px(gx):.1f}" y1="{height-mb}" x2="{px(gx):.1f}" '
             f'y2="{height-mb+4}" stroke="#444"/>'
         )
         parts.append(
             f'<text x="{px(gx):.1f}" y="{height-mb+16}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{label}</text>'
+            f'font-family="sans-serif" font-size="11">{gx:.3g}</text>'
         )
         parts.append(
             f'<line x1="{ml-4}" y1="{py(gy):.1f}" x2="{ml}" y2="{py(gy):.1f}" stroke="#444"/>'

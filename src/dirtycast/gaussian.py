@@ -48,6 +48,18 @@ __all__ = [
     "feedback_bounds",
 ]
 
+_SPLIT_POINTS = 200  # grid side of the power-split oracle
+_SPLIT_REFINEMENTS = 3  # local re-gridding rounds after the first sweep
+
+
+def _check_nonnegative(name: str, value: float, *more) -> None:
+    """Raise ValueError naming the first of the (name, value) pairs whose
+    value is negative, NaN or infinite."""
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+    if more:
+        _check_nonnegative(*more)
+
 
 @dataclass(frozen=True)
 class PowerSplit:
@@ -57,8 +69,7 @@ class PowerSplit:
     p_d: float
 
     def __post_init__(self):
-        if self.p_a < 0 or self.p_d < 0:
-            raise ValueError("powers must be nonnegative")
+        _check_nonnegative("P_A", self.p_a, "P_D", self.p_d)
 
     @property
     def total(self) -> float:
@@ -72,15 +83,13 @@ def awgn_capacity(p: float) -> float:
 
 def rate_timeshare(p: float) -> RateBound:
     """Serve each user on half the uses with full precancellation: log(1+P)/4."""
-    if p < 0:
-        raise ValueError("P must be nonnegative")
+    _check_nonnegative("P", p)
     return RateBound(0.25 * math.log2(1.0 + p), "lower", "time-sharing")
 
 
 def rate_interference_as_noise(p: float, q: float) -> RateBound:
     """Fold the interference into the noise: log2(1 + P/(Q+1))/2."""
-    if p < 0 or q < 0:
-        raise ValueError("P and Q must be nonnegative")
+    _check_nonnegative("P", p, "Q", q)
     return RateBound(0.5 * math.log2(1.0 + p / (q + 1.0)), "lower", "interference-as-noise")
 
 
@@ -111,8 +120,7 @@ def upper_i(p: float, q: float) -> RateBound:
     """The genie bound minimized over rho: its objective at rho_upper_i(Q).
 
     For Q >= 4 this is log2(1+P)/4 + log2((P+Q+1+2 sqrt(PQ))/Q)/4."""
-    if p < 0 or q < 0:
-        raise ValueError("P and Q must be nonnegative")
+    _check_nonnegative("P", p, "Q", q)
     return RateBound(upper_i_at_rho(p, q, rho_upper_i(q)), "upper", "upper-I")
 
 
@@ -146,8 +154,7 @@ def upper_ii(p: float, q: float) -> RateBound:
     sit strictly below this value, which stays a valid upper bound either
     way (see minimize_upper_ii_rho).
     """
-    if p < 0 or q < 0:
-        raise ValueError("P and Q must be nonnegative")
+    _check_nonnegative("P", p, "Q", q)
     return RateBound(upper_ii_at_rho(p, q, rho_upper_ii(q)), "upper", "upper-II")
 
 
@@ -159,34 +166,28 @@ def upper_envelope(p: float, q: float) -> RateBound:
 
 def _split_rate(p_a, p_d, q):
     """log2(1 + P_A/(P_D+Q/2+1))/2 + log2(1+P_D)/4, on floats or arrays."""
-    return 0.5 * np.log2(1.0 + p_a / (p_d + q / 2.0 + 1.0)) + 0.25 * np.log2(1.0 + p_d)
+    log2 = np.log2 if isinstance(p_a, np.ndarray) else math.log2
+    return 0.5 * log2(1.0 + p_a / (p_d + q / 2.0 + 1.0)) + 0.25 * log2(1.0 + p_d)
 
 
 def rate_of_split(split: PowerSplit, q: float) -> float:
     """Rate of the superposition scheme at a power split:
 
     log2(1 + P_A/(P_D+Q/2+1))/2 + log2(1+P_D)/4."""
-    if q < 0:
-        raise ValueError("Q must be nonnegative")
+    _check_nonnegative("Q", q)
     return float(_split_rate(split.p_a, split.p_d, q))
 
 
 def lower_bound(p: float, q: float) -> RateBound:
-    """Best superposition-DPC rate over all power splits, in closed form.
+    """Best superposition-DPC rate over all power splits: the split rate at
+    the optimal P_D = min(max(Q/2 - 1, 0), P).
 
-    Three regimes: pure DPC against the common interference part (Q/2 < 1),
-    a mixed split (1 <= Q/2 < P+1), and pure time-sharing (Q/2 >= P+1).
+    That is pure DPC against the common interference part (Q/2 < 1), a
+    mixed split (1 <= Q/2 < P+1), and pure time-sharing (Q/2 >= P+1).
     """
-    if p < 0 or q < 0:
-        raise ValueError("P and Q must be nonnegative")
-    half_q = q / 2.0
-    if half_q < 1.0:
-        value = 0.5 * math.log2(1.0 + p / (half_q + 1.0))
-    elif half_q < p + 1.0:
-        value = 0.5 * math.log2((p + half_q + 1.0) / q) + 0.25 * math.log2(half_q)
-    else:
-        value = 0.25 * math.log2(1.0 + p)
-    return RateBound(value, "lower", "superposition-dpc")
+    _check_nonnegative("P", p, "Q", q)
+    p_d = min(max(q / 2.0 - 1.0, 0.0), p)
+    return RateBound(_split_rate(p - p_d, p_d, q), "lower", "superposition-dpc")
 
 
 def minimize_upper_i_rho(p: float, q: float):
@@ -199,28 +200,27 @@ def minimize_upper_ii_rho(p: float, q: float):
     return minimize_scalar(lambda r: upper_ii_at_rho(p, q, r), ScalarInterval(-1.0, 1.0))
 
 
-def maximize_power_split(p: float, q: float, points: int = 200, refinements: int = 3):
-    """Grid oracle for the best power split: a points x points sweep of the
-    simplex {P_A, P_D >= 0, P_A+P_D <= P} followed by local re-gridding
-    around the incumbent.  Returns (PowerSplit, bits)."""
-    if p < 0 or q < 0:
-        raise ValueError("P and Q must be nonnegative")
+def maximize_power_split(p: float, q: float):
+    """Grid oracle for the best power split: a 200 x 200 sweep of the
+    simplex {P_A, P_D >= 0, P_A+P_D <= P} followed by three rounds of local
+    re-gridding around the incumbent.  Returns (PowerSplit, bits)."""
+    _check_nonnegative("P", p, "Q", q)
     if p == 0.0:
         return PowerSplit(0.0, 0.0), 0.0
 
     lo_a, hi_a, lo_d, hi_d = 0.0, p, 0.0, p
     best = (0.0, 0.0, -math.inf)
-    for _ in range(1 + refinements):
-        pa = np.linspace(lo_a, hi_a, points)
-        pd = np.linspace(lo_d, hi_d, points)
+    for _ in range(1 + _SPLIT_REFINEMENTS):
+        pa = np.linspace(lo_a, hi_a, _SPLIT_POINTS)
+        pd = np.linspace(lo_d, hi_d, _SPLIT_POINTS)
         a, d = np.meshgrid(pa, pd, indexing="ij")
         feasible = a + d <= p + 1e-12
         rate = np.where(feasible, _split_rate(a, d, q), -np.inf)
         i, j = np.unravel_index(int(np.argmax(rate)), rate.shape)
         if rate[i, j] > best[2]:
             best = (float(a[i, j]), float(d[i, j]), float(rate[i, j]))
-        step_a = (hi_a - lo_a) / (points - 1)
-        step_d = (hi_d - lo_d) / (points - 1)
+        step_a = (hi_a - lo_a) / (_SPLIT_POINTS - 1)
+        step_d = (hi_d - lo_d) / (_SPLIT_POINTS - 1)
         lo_a, hi_a = max(0.0, best[0] - step_a), min(p, best[0] + step_a)
         lo_d, hi_d = max(0.0, best[1] - step_d), min(p, best[1] + step_d)
     split = PowerSplit(best[0], best[1])
@@ -239,8 +239,7 @@ def dpc_covariance(split: PowerSplit, q: float):
     U_D = X_D + alpha_D((1-alpha_A)A + D) with alpha_D = P_D/(P_D+1).
     Returns (GaussianCov, name->index map).
     """
-    if q < 0:
-        raise ValueError("Q must be nonnegative")
+    _check_nonnegative("Q", q)
     p = split.total
     alpha_a = split.p_a / (p + q / 2.0 + 1.0)
     alpha_d = split.p_d / (split.p_d + 1.0)
@@ -306,8 +305,7 @@ def upper_k_raw(p: float, q: float, k: int) -> float:
       - [log2(Q/(K(P+1)))/(2K)]^+."""
     if k < 2:
         raise ValueError("user count must be >= 2")
-    if p < 0 or q < 0:
-        raise ValueError("P and Q must be nonnegative")
+    _check_nonnegative("P", p, "Q", q)
     if q == 0.0:
         return math.inf
     value = (
@@ -341,10 +339,9 @@ def high_sinr_asymptote(p: float, q: float) -> float:
     """Capacity asymptote for P -> infinity at fixed Q:
 
     log2(P/sqrt(2Q))/2 for Q > 2, log2(P/(1+Q/2))/2 for Q <= 2."""
-    if p <= 0:
+    _check_nonnegative("P", p, "Q", q)
+    if p == 0.0:
         raise ValueError("P must be positive")
-    if q < 0:
-        raise ValueError("Q must be nonnegative")
     if q > 2.0:
         return 0.5 * math.log2(p / math.sqrt(2.0 * q))
     return 0.5 * math.log2(p / (1.0 + q / 2.0))

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binary import BinaryChannelSpec, IidInterference, FullyCorrelatedInterference, xor_convolve
-from .core import binary_entropy
+from .binary import BinaryChannelSpec, precancellation_rate, xor_convolve
 
 __all__ = ["InfeasibleRunError", "SchemeRun", "SchemeReport", "simulate_scheme"]
 
@@ -77,7 +76,9 @@ class SchemeReport:
     """Pooled measurements of a simulation campaign.
 
     empirical_crossover is measured between Y1 and the sent codeword on the
-    half precancelled for user 2; the frame error fields are None for
+    half precancelled for user 2.  The MI fields are binary.precancellation_rate
+    at that crossover (empirical) and at the true one (predicted: the noisy-
+    precancellation lower bound).  The frame error fields are None for
     measurement-only runs.
     """
 
@@ -93,22 +94,6 @@ class SchemeReport:
     fer_user2: float | None
 
 
-def _draw_interference(rng, spec: BinaryChannelSpec, n: int):
-    m = spec.model
-    if isinstance(m, IidInterference):
-        s = (rng.random((2, n)) < m.q).astype(np.uint8)
-        return s[0], s[1]
-    if isinstance(m, FullyCorrelatedInterference):
-        s1 = (rng.random(n) < m.q).astype(np.uint8)
-        return s1, (1 - s1 if m.flip else s1.copy())
-    atom_list = [key for key, _ in m.pmf.atoms()]
-    probs = np.array([p for _, p in m.pmf.atoms()])
-    draw = rng.choice(len(atom_list), size=n, p=probs)
-    table = np.array(atom_list, dtype=np.uint8)
-    pair = table[draw]
-    return pair[:, 0], pair[:, 1]
-
-
 def _half_loglik(disagreements, size, crossover):
     """Log-likelihood of a BSC half given per-codeword disagreement counts."""
     d = disagreements.astype(float)
@@ -119,11 +104,12 @@ def _half_loglik(disagreements, size, crossover):
     return d * math.log(crossover) + (size - d) * math.log(1.0 - crossover)
 
 
-def _run_trial(rng, spec: BinaryChannelSpec, run: SchemeRun, cross_noisy: float):
+def _run_trial(rng, run: SchemeRun, s1_one, s2_one_given, noise_q: float, cross_noisy: float):
     n = run.n
-    noise_q = spec.noise_q or 0.0
     mask1 = rng.integers(0, 2, size=n, dtype=np.uint8).astype(bool)  # A_i = 1
-    s1, s2 = _draw_interference(rng, spec, n)
+    u = rng.random((2, n))  # S1 from its marginal, then S2 from its law given S1
+    s1 = (u[0] < s1_one).astype(np.uint8)
+    s2 = (u[1] < s2_one_given[s1]).astype(np.uint8)
 
     if run.rate is None:
         sent = rng.integers(0, 2, size=n, dtype=np.uint8)
@@ -180,13 +166,18 @@ def simulate_scheme(
     if spec.k != 2:
         raise ValueError("the scheme simulation covers two users")
     threads = max(1, int(threads or 1))
-    cross_noisy = xor_convolve(spec.xor_probability, spec.noise_q or 0.0)
+    noise_q = spec.noise_q or 0.0
+    cross_noisy = xor_convolve(spec.xor_probability, noise_q)
+    s1_one = spec.marginal_one_probabilities()[0]
+    law, s1_law = spec.pair.prob, spec.pair.marginal((0,)).prob
+    # P(S2 = 1 | S1 = s) for s = 0, 1; 0 where S1 = s is impossible
+    s2_one_given = np.array([law.get((s, 1), 0.0) / (s1_law.get((s,), 0.0) or 1.0) for s in (0, 1)])
 
     def worker(trial_indices):
         mism = samp = e1 = e2 = eu = 0
         for t in trial_indices:
             rng = np.random.default_rng(np.random.SeedSequence((int(run.seed), int(t))))
-            m, s, (a, b) = _run_trial(rng, spec, run, cross_noisy)
+            m, s, (a, b) = _run_trial(rng, run, s1_one, s2_one_given, noise_q, cross_noisy)
             mism += m
             samp += s
             e1 += a
@@ -216,8 +207,8 @@ def simulate_scheme(
         codewords=run.codewords,
         empirical_crossover=q_hat,
         interfered_samples=samples,
-        empirical_mi_per_symbol=0.5 + 0.5 * (1.0 - binary_entropy(q_hat)),
-        predicted_mi_per_symbol=0.5 + 0.5 * (1.0 - binary_entropy(cross_noisy)),
+        empirical_mi_per_symbol=precancellation_rate(q_hat, noise_q),
+        predicted_mi_per_symbol=precancellation_rate(cross_noisy, noise_q),
         frame_error_rate=eu / run.trials if report_fer else None,
         fer_user1=e1 / run.trials if report_fer else None,
         fer_user2=e2 / run.trials if report_fer else None,

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from dirtycast import binary
 from dirtycast.binary import (
     BinaryChannelSpec,
     capacity_achieving_joint,
@@ -30,14 +29,23 @@ ASYMMETRIC_PAIRS = (
 
 class TestSpecValidation:
     def test_bad_probabilities(self):
-        with pytest.raises(ValueError):
-            BinaryChannelSpec.iid(1.5)
+        for constructor in (BinaryChannelSpec.iid, BinaryChannelSpec.fully_correlated):
+            with pytest.raises(ValueError, match="interference probability"):
+                constructor(1.5)
         with pytest.raises(ValueError):
             BinaryChannelSpec.iid(0.2, noise_q=-0.1)
         with pytest.raises(ValueError):
-            BinaryChannelSpec(3, binary.PairJointInterference(ASYMMETRIC_PAIRS[0]))
+            BinaryChannelSpec(3, ASYMMETRIC_PAIRS[0])
         with pytest.raises(ValueError):
             BinaryChannelSpec.pair_joint(JointPmf({(0, 2): 1.0}))
+
+    def test_pair_law_is_derived_from_q(self):
+        spec = BinaryChannelSpec.iid(0.25, k=3)
+        assert spec.pair == JointPmf({(0, 0): 0.5625, (0, 1): 0.1875, (1, 0): 0.1875, (1, 1): 0.0625})
+        assert spec == BinaryChannelSpec.iid(0.25, k=3) != BinaryChannelSpec.pair_joint(spec.pair)
+        for both_or_neither in ({"pair": spec.pair, "q": 0.25}, {}):
+            with pytest.raises(ValueError, match="exactly one"):
+                BinaryChannelSpec(2, **both_or_neither)
 
     def test_marginals(self):
         spec = BinaryChannelSpec.pair_joint(ASYMMETRIC_PAIRS[0])

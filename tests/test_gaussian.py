@@ -6,10 +6,12 @@ import math
 import numpy as np
 import pytest
 
+from dirtycast import correlated
 from dirtycast.core import GaussianCov, gaussian_mi
 from dirtycast.gaussian import (
     PowerSplit,
     awgn_capacity,
+    dpc_covariance,
     dpc_scheme_oracle,
     feedback_bounds,
     gap,
@@ -313,3 +315,36 @@ class TestSpecType:
     def test_at_rho_guards(self):
         assert upper_i_at_rho(1.0, 0.0, 1.0) == math.inf
         assert upper_ii_at_rho(1.0, 1.0, -1.0) == math.inf
+
+
+GUARDED = {
+    "rate_timeshare": (rate_timeshare, ("P",)),
+    "rate_interference_as_noise": (rate_interference_as_noise, ("P", "Q")),
+    "upper_i": (upper_i, ("P", "Q")),
+    "upper_ii": (upper_ii, ("P", "Q")),
+    "lower_bound": (lower_bound, ("P", "Q")),
+    "maximize_power_split": (maximize_power_split, ("P", "Q")),
+    "rate_of_split": (lambda q: rate_of_split(PowerSplit(1.0, 1.0), q), ("Q",)),
+    "dpc_covariance": (lambda q: dpc_covariance(PowerSplit(1.0, 1.0), q), ("Q",)),
+    "upper_k_raw": (lambda p, q: upper_k_raw(p, q, 3), ("P", "Q")),
+    "high_sinr_asymptote": (high_sinr_asymptote, ("P", "Q")),
+    "PowerSplit": (PowerSplit, ("P_A", "P_D")),
+    "CorrelatedSpec": (correlated.CorrelatedSpec, ("P", "Q1", "Q2", "Qd")),
+    "from_scaled": (lambda q0: correlated.CorrelatedSpec.from_scaled(1.0, 1.0, 1.0, q0), ("Q0",)),
+    "t_of_qd": (correlated.t_of_qd, ("Qd",)),
+    "lower_beta": (correlated.lower_beta, ("P", "Qd")),
+    "high_sinr_gap_beta": (correlated.high_sinr_gap_beta, ("P", "Qd")),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "name, index",
+    [(name, i) for name, (_, args) in GUARDED.items() for i in range(len(args))],
+    ids=[f"{name}-{arg}" for name, (_, args) in GUARDED.items() for arg in args],
+)
+def test_non_finite_arguments_are_rejected_by_name(name, index, bad):
+    func, names = GUARDED[name]
+    args = [bad if i == index else 1.0 for i in range(len(names))]
+    with pytest.raises(ValueError, match=f"^{names[index]} must be finite and nonnegative"):
+        func(*args)

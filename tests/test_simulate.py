@@ -5,7 +5,8 @@ import math
 
 import pytest
 
-from dirtycast.binary import BinaryChannelSpec
+from dirtycast.binary import BinaryChannelSpec, noisy_two_user_bounds, precancellation_rate
+from dirtycast.core import JointPmf
 from dirtycast.simulate import CODEBOOK_CAP, InfeasibleRunError, SchemeRun, simulate_scheme
 
 SPEC_Q25 = BinaryChannelSpec.iid(0.25)
@@ -94,6 +95,15 @@ class TestNoisyScheme:
         sigma = math.sqrt(0.4 * 0.6 / report.interfered_samples)
         assert abs(report.empirical_crossover - 0.4) <= 3.0 * sigma
 
+    def test_rates_charge_the_noise_on_the_clean_half(self):
+        spec = BinaryChannelSpec.iid(0.25, noise_q=0.1)
+        report = simulate_scheme(spec, SchemeRun(n=100_000, rate=None, trials=1, seed=11))
+        lower, upper = noisy_two_user_bounds(spec)
+        assert report.predicted_mi_per_symbol == lower.value
+        empirical = precancellation_rate(report.empirical_crossover, 0.1)
+        assert report.empirical_mi_per_symbol == empirical < upper.value
+        assert abs(empirical - lower.value) <= 0.005
+
     def test_noisy_decoding_runs(self):
         spec = BinaryChannelSpec.iid(0.1, noise_q=0.02)
         report = simulate_scheme(spec, SchemeRun(n=24, rate=0.25, trials=300, seed=5))
@@ -107,8 +117,10 @@ class TestDeterminism:
 
     def test_thread_count_does_not_change_results(self):
         run = SchemeRun(n=24, rate=0.25, trials=500, seed=3)
-        reports = {t: simulate_scheme(SPEC_Q25, run, threads=t) for t in (1, 2, 4, 7)}
-        assert len({repr(r) for r in reports.values()}) == 1
+        pair = BinaryChannelSpec.pair_joint(JointPmf({(0, 0): 0.6, (0, 1): 0.3, (1, 1): 0.1}))
+        for spec in (SPEC_Q25, BinaryChannelSpec.fully_correlated(0.3, flip=True), pair):
+            reports = {t: simulate_scheme(spec, run, threads=t) for t in (1, 2, 4, 7)}
+            assert len({repr(r) for r in reports.values()}) == 1
 
     def test_different_seeds_differ(self):
         a = simulate_scheme(SPEC_Q25, SchemeRun(n=1000, rate=None, trials=1, seed=1))
@@ -124,8 +136,6 @@ class TestPreconditions:
             )
 
     def test_pair_joint_model_supported(self):
-        from dirtycast.core import JointPmf
-
         spec = BinaryChannelSpec.pair_joint(
             JointPmf({(0, 0): 0.7, (0, 1): 0.1, (1, 0): 0.1, (1, 1): 0.1})
         )
