@@ -27,7 +27,6 @@ from .core import (
     GaussianCov,
     JointPmf,
     RateBound,
-    ScalarInterval,
     binary_entropy,
     db_to_linear,
     gaussian_mi,
@@ -57,7 +56,6 @@ __all__ = [
     "JointPmf",
     "PowerSplit",
     "RateBound",
-    "ScalarInterval",
     "SchemeReport",
     "SchemeRun",
     "binary_entropy",

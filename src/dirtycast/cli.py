@@ -13,7 +13,7 @@ import os
 import sys
 
 from . import __version__, binary, correlated, figures, gaussian, verify
-from .core import db_to_linear
+from .core import RateBound, db_to_linear
 from .figures import format_number as _fmt
 from .simulate import SchemeRun, simulate_scheme
 
@@ -31,10 +31,10 @@ def _resolve_db_pair(parser, linear, in_db, name, default=None):
     return value
 
 
-def _print_table(rows):
-    width = max(len(r[0]) for r in rows)
-    for method, kind, value in rows:
-        print(f"{method:<{width}}  {kind:<5}  {_fmt(value)}")
+def _print_table(bounds):
+    width = max(len(b.method) for b in bounds)
+    for b in bounds:
+        print(f"{b.method:<{width}}  {b.kind:<5}  {_fmt(b.value)}")
 
 
 def _cmd_bounds(parser, args) -> int:
@@ -51,45 +51,34 @@ def _cmd_bounds(parser, args) -> int:
         except ValueError as exc:
             parser.error(str(exc))
         if args.k == 2 and spec.noiseless:
-            b = binary.capacity_two_user(spec)
-            rows.append((b.method, b.kind, b.value))
+            rows.append(binary.capacity_two_user(spec))
         if args.k == 2 and not spec.noiseless:
-            lo, hi = binary.noisy_two_user_bounds(spec)
-            rows.append((lo.method, lo.kind, lo.value))
-            rows.append((hi.method, hi.kind, hi.value))
+            rows += binary.noisy_two_user_bounds(spec)
         if args.k > 2:
             if not spec.noiseless:
                 parser.error("K > 2 bounds are noiseless only")
             try:
-                hi = binary.upper_bound_k(spec)
-                lo = binary.lower_bound_k(spec)
+                rows += [binary.upper_bound_k(spec), binary.lower_bound_k(spec)]
             except ValueError as exc:
                 parser.error(str(exc))
-            rows.append((hi.method, hi.kind, hi.value))
-            rows.append((lo.method, lo.kind, lo.value))
-        ts = binary.rate_timeshare(args.k)
-        si = binary.rate_ignore_side_info(spec)
-        rows.append((ts.method, ts.kind, ts.value))
-        rows.append((si.method, si.kind, si.value))
+        rows += [binary.rate_timeshare(args.k), binary.rate_ignore_side_info(spec)]
         print(f"binary multicast, K={args.k}, q={_fmt(args.q)}" +
               (f", noise_q={_fmt(args.noise_q)}" if args.noise_q is not None else ""))
     elif mode == "gaussian":
         p = _resolve_db_pair(parser, args.snr, args.snr_db, "snr")
         q = _resolve_db_pair(parser, args.inr, args.inr_db, "inr")
         print(f"gaussian multicast, K={args.k}, P={_fmt(p)}, Q={_fmt(q)}")
-        for b in (
+        rows += [
             gaussian.upper_envelope(p, q),
             gaussian.upper_i(p, q),
             gaussian.upper_ii(p, q),
             gaussian.lower_bound(p, q),
             gaussian.rate_timeshare(p),
             gaussian.rate_interference_as_noise(p, q),
-        ):
-            rows.append((b.method, b.kind, b.value))
-        rows.append(("trivial-awgn", "upper", gaussian.awgn_capacity(p)))
+            RateBound(gaussian.awgn_capacity(p), "upper", "trivial-awgn"),
+        ]
         if args.k > 2:
-            b = gaussian.upper_k(p, q, args.k)
-            rows.append((b.method, b.kind, b.value))
+            rows.append(gaussian.upper_k(p, q, args.k))
     else:
         p = _resolve_db_pair(parser, args.snr, args.snr_db, "snr")
         if args.qd is None:
@@ -101,12 +90,11 @@ def _cmd_bounds(parser, args) -> int:
         except ValueError as exc:
             parser.error(str(exc))
         print(f"correlated multicast, P={_fmt(p)}, Q1={_fmt(q1)}, Q2={_fmt(q2)}, Qd={_fmt(args.qd)}")
-        for b in (
+        rows += [
             correlated.upper_correlated(spec),
             correlated.lower_beta(p, args.qd),
             gaussian.rate_timeshare(p),
-        ):
-            rows.append((b.method, b.kind, b.value))
+        ]
     _print_table(rows)
     return 0
 

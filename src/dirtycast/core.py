@@ -19,7 +19,6 @@ __all__ = [
     "SingularCovarianceError",
     "InvalidDistributionError",
     "RateBound",
-    "ScalarInterval",
     "JointPmf",
     "GaussianCov",
     "binary_entropy",
@@ -61,24 +60,6 @@ class RateBound:
         if v < -1e-12:
             raise ValueError(f"rate must be nonnegative, got {v}")
         object.__setattr__(self, "value", max(v, 0.0))
-
-
-@dataclass(frozen=True)
-class ScalarInterval:
-    """A closed interval [lo, hi] used as an optimization domain."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ValueError("interval endpoints must be finite")
-        if self.lo > self.hi:
-            raise ValueError(f"need lo <= hi, got [{self.lo}, {self.hi}]")
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
 
 
 class JointPmf:
@@ -258,28 +239,33 @@ _XTOL = 1e-10
 
 
 def minimize_scalar(f, domain):
-    """Minimize a scalar function on a closed interval.
+    """Minimize a scalar function on the closed interval domain = (lo, hi).
 
     Coarse scan on a uniform grid of 2001 points followed by golden-section
-    refinement of the best bracket down to width 1e-10; derivative-free, so
-    kinked objectives are fine.  For a unimodal f the returned argmin is
-    within 1e-6 of the global minimizer.  Returns (argmin, minimum).
+    refinement of the best bracket down to width 1e-10 * max(1, |lo|, |hi|);
+    derivative-free, so kinked objectives are fine.  For a unimodal f the
+    returned argmin is within 1e-6 * max(1, |lo|, |hi|) of the global
+    minimizer.  Returns (argmin, minimum).
     """
-    if not isinstance(domain, ScalarInterval):
-        domain = ScalarInterval(*domain)
-    if domain.width == 0.0:
-        return domain.lo, f(domain.lo)
-    xs = np.linspace(domain.lo, domain.hi, _GRID_POINTS)
+    lo, hi = domain
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("interval endpoints must be finite")
+    if lo > hi:
+        raise ValueError(f"need lo <= hi, got [{lo}, {hi}]")
+    if lo == hi:
+        return lo, f(lo)
+    xs = np.linspace(lo, hi, _GRID_POINTS)
     vals = [f(float(x)) for x in xs]
     i = int(np.argmin(vals))
     best_x, best_v = float(xs[i]), float(vals[i])
 
+    xtol = _XTOL * max(1.0, abs(lo), abs(hi))
     a = float(xs[max(i - 1, 0)])
     b = float(xs[min(i + 1, _GRID_POINTS - 1)])
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > _XTOL:
+    while b - a > xtol:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _INV_PHI * (b - a)

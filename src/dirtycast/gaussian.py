@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GaussianCov, RateBound, ScalarInterval, gaussian_mi, minimize_scalar
+from .core import GaussianCov, RateBound, gaussian_mi, minimize_scalar
 
 __all__ = [
     "PowerSplit",
@@ -48,10 +48,6 @@ __all__ = [
     "feedback_bounds",
 ]
 
-_SPLIT_POINTS = 200  # grid side of the power-split oracle
-_SPLIT_REFINEMENTS = 3  # local re-gridding rounds after the first sweep
-
-
 def _check_nonnegative(name: str, value: float, *more) -> None:
     """Raise ValueError naming the first of the (name, value) pairs whose
     value is negative, NaN or infinite."""
@@ -78,6 +74,7 @@ class PowerSplit:
 
 def awgn_capacity(p: float) -> float:
     """Interference-free point-to-point rate, the trivial upper bound."""
+    _check_nonnegative("P", p)
     return 0.5 * math.log2(1.0 + p)
 
 
@@ -96,7 +93,7 @@ def rate_interference_as_noise(p: float, q: float) -> RateBound:
 def _received_power(p: float, q: float) -> float:
     """P + Q + 1 + 2 sqrt(PQ): the power of X + S_k + Z_k when the input is
     fully aligned with the interference."""
-    return p + q + 1.0 + 2.0 * math.sqrt(p * q)
+    return p + q + 1.0 + 2.0 * math.sqrt(p) * math.sqrt(q)
 
 
 def upper_i_at_rho(p: float, q: float, rho: float) -> float:
@@ -135,7 +132,7 @@ def upper_ii_at_rho(p: float, q: float, rho: float) -> float:
     main = 0.5 * math.log2(_received_power(p, q) / math.sqrt(prod))
     penalty = 0.0
     if q > 0.0:
-        penalty = max(0.0, 0.25 * math.log2(q / (2.0 * p + 1.0 + rho)))
+        penalty = max(0.0, 0.25 * (math.log2(q) - math.log2(2.0 * p + 1.0 + rho)))
     return main - penalty
 
 
@@ -164,10 +161,9 @@ def upper_envelope(p: float, q: float) -> RateBound:
     return RateBound(value, "upper", "envelope")
 
 
-def _split_rate(p_a, p_d, q):
-    """log2(1 + P_A/(P_D+Q/2+1))/2 + log2(1+P_D)/4, on floats or arrays."""
-    log2 = np.log2 if isinstance(p_a, np.ndarray) else math.log2
-    return 0.5 * log2(1.0 + p_a / (p_d + q / 2.0 + 1.0)) + 0.25 * log2(1.0 + p_d)
+def _split_rate(p_a: float, p_d: float, q: float) -> float:
+    """log2(1 + P_A/(P_D+Q/2+1))/2 + log2(1+P_D)/4."""
+    return 0.5 * math.log2(1.0 + p_a / (p_d + q / 2.0 + 1.0)) + 0.25 * math.log2(1.0 + p_d)
 
 
 def rate_of_split(split: PowerSplit, q: float) -> float:
@@ -175,7 +171,7 @@ def rate_of_split(split: PowerSplit, q: float) -> float:
 
     log2(1 + P_A/(P_D+Q/2+1))/2 + log2(1+P_D)/4."""
     _check_nonnegative("Q", q)
-    return float(_split_rate(split.p_a, split.p_d, q))
+    return _split_rate(split.p_a, split.p_d, q)
 
 
 def lower_bound(p: float, q: float) -> RateBound:
@@ -192,38 +188,26 @@ def lower_bound(p: float, q: float) -> RateBound:
 
 def minimize_upper_i_rho(p: float, q: float):
     """Numeric minimizer of the genie bound over rho; returns (rho, bits)."""
-    return minimize_scalar(lambda r: upper_i_at_rho(p, q, r), ScalarInterval(-1.0, 1.0))
+    _check_nonnegative("P", p, "Q", q)
+    return minimize_scalar(lambda r: upper_i_at_rho(p, q, r), (-1.0, 1.0))
 
 
 def minimize_upper_ii_rho(p: float, q: float):
     """Numeric minimizer of the joint-output bound over rho; returns (rho, bits)."""
-    return minimize_scalar(lambda r: upper_ii_at_rho(p, q, r), ScalarInterval(-1.0, 1.0))
+    _check_nonnegative("P", p, "Q", q)
+    return minimize_scalar(lambda r: upper_ii_at_rho(p, q, r), (-1.0, 1.0))
 
 
 def maximize_power_split(p: float, q: float):
-    """Grid oracle for the best power split: a 200 x 200 sweep of the
-    simplex {P_A, P_D >= 0, P_A+P_D <= P} followed by three rounds of local
-    re-gridding around the incumbent.  Returns (PowerSplit, bits)."""
-    _check_nonnegative("P", p, "Q", q)
-    if p == 0.0:
-        return PowerSplit(0.0, 0.0), 0.0
+    """Numeric oracle for the best power split; returns (PowerSplit, bits).
 
-    lo_a, hi_a, lo_d, hi_d = 0.0, p, 0.0, p
-    best = (0.0, 0.0, -math.inf)
-    for _ in range(1 + _SPLIT_REFINEMENTS):
-        pa = np.linspace(lo_a, hi_a, _SPLIT_POINTS)
-        pd = np.linspace(lo_d, hi_d, _SPLIT_POINTS)
-        a, d = np.meshgrid(pa, pd, indexing="ij")
-        feasible = a + d <= p + 1e-12
-        rate = np.where(feasible, _split_rate(a, d, q), -np.inf)
-        i, j = np.unravel_index(int(np.argmax(rate)), rate.shape)
-        if rate[i, j] > best[2]:
-            best = (float(a[i, j]), float(d[i, j]), float(rate[i, j]))
-        step_a = (hi_a - lo_a) / (_SPLIT_POINTS - 1)
-        step_d = (hi_d - lo_d) / (_SPLIT_POINTS - 1)
-        lo_a, hi_a = max(0.0, best[0] - step_a), min(p, best[0] + step_a)
-        lo_d, hi_d = max(0.0, best[1] - step_d), min(p, best[1] + step_d)
-    split = PowerSplit(best[0], best[1])
+    At fixed P_D the split rate rises with P_A, so no optimum leaves power
+    unspent and the search runs on the full-power line P_A + P_D = P.  It
+    minimizes the negated rate over the share t = P_D/P in [0, 1], a domain
+    that does not depend on P; the closed-form optimum is not used."""
+    _check_nonnegative("P", p, "Q", q)
+    t, _ = minimize_scalar(lambda t: -_split_rate(p * (1.0 - t), p * t, q), (0.0, 1.0))
+    split = PowerSplit(p * (1.0 - t), p * t)
     return split, rate_of_split(split, q)
 
 
@@ -312,7 +296,7 @@ def upper_k_raw(p: float, q: float, k: int) -> float:
         0.5 * math.log2(_received_power(p, q))
         - (k - 1) / (2.0 * k) * math.log2(q)
         - math.log2(k) / (2.0 * k)
-        - max(0.0, math.log2(q / (k * (p + 1.0))) / (2.0 * k))
+        - max(0.0, (math.log2(q) - math.log2(k * (p + 1.0))) / (2.0 * k))
     )
     return value
 
@@ -352,6 +336,7 @@ def feedback_bounds(p: float, q: float, rho_actual: float):
 
     With causal feedback the correlation is no longer a free analysis
     parameter, so the bounds hold only at the true rho."""
+    _check_nonnegative("P", p, "Q", q)
     if not -1.0 <= rho_actual <= 1.0:
         raise ValueError("correlation must lie in [-1, 1]")
     return (

@@ -16,7 +16,6 @@ from . import binary, correlated, figures, gaussian
 from .core import (
     GaussianCov,
     JointPmf,
-    ScalarInterval,
     binary_entropy,
     gaussian_mi,
     minimize_scalar,
@@ -136,7 +135,7 @@ def rho_map_ii_at(p: float, q: float) -> bool:
 
 
 def check_minimizer_rho_map_i() -> str:
-    x, v = minimize_scalar(lambda t: t * t, ScalarInterval(-1.0, 1.0))
+    x, v = minimize_scalar(lambda t: t * t, (-1.0, 1.0))
     _require(abs(x) < 1e-6 and v < 1e-12, "quadratic minimum")
     worst = max(rho_map_i_at(p, q) for p in RHO_MAP_P for q in RHO_MAP_Q)
     return f"upper-I rho map reproduced on {len(RHO_MAP_P)}x{len(RHO_MAP_Q)} grid (worst {worst:.2e})"
@@ -268,8 +267,8 @@ def check_lower_bound_vs_grid() -> str:
             _, numeric = gaussian.maximize_power_split(p, q)
             closed = gaussian.lower_bound(p, q).value
             worst = max(worst, abs(closed - numeric))
-    _require(worst < 1e-6, f"closed lower bound vs grid oracle differ by {worst}")
-    return f"closed form equals power-split grid maximization (worst {worst:.2e})"
+    _require(worst < 1e-9, f"closed lower bound vs power-split oracle differ by {worst}")
+    return f"closed form equals numeric power-split maximization (worst {worst:.2e})"
 
 
 def check_upper_bounds_vs_rho_min() -> str:

@@ -115,7 +115,7 @@ def test_criterion_05_optimizer_equivalence():
             worst_lo = max(worst_lo, abs(vlo - gaussian.lower_bound(p, q).value))
     elapsed = time.perf_counter() - t0
     ok = worst_lo <= 1e-5 and elapsed < 30.0
-    _line(5, ok, f"closed lower bound vs power-split grid on 20x21 grid: {worst_lo:.2e}; {elapsed:.1f}s")
+    _line(5, ok, f"closed lower bound vs power-split oracle on 20x21 grid: {worst_lo:.2e}; {elapsed:.1f}s")
     assert worst_lo <= 1e-5
     assert elapsed < 30.0
 

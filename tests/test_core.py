@@ -11,7 +11,6 @@ from dirtycast.core import (
     InvalidDistributionError,
     JointPmf,
     RateBound,
-    ScalarInterval,
     SingularCovarianceError,
     binary_entropy,
     db_to_linear,
@@ -157,7 +156,7 @@ class TestDbToLinear:
 
 class TestMinimizeScalar:
     def test_quadratic(self):
-        x, v = minimize_scalar(lambda t: t * t, ScalarInterval(-1.0, 1.0))
+        x, v = minimize_scalar(lambda t: t * t, (-1.0, 1.0))
         assert abs(x) < 1e-6
         assert v < 1e-12
 
@@ -181,10 +180,24 @@ class TestMinimizeScalar:
             assert abs(x - target) < 1e-6
 
     def test_interval_validation(self):
-        with pytest.raises(ValueError):
-            ScalarInterval(1.0, 0.0)
-        with pytest.raises(ValueError):
-            ScalarInterval(0.0, math.inf)
+        with pytest.raises(ValueError, match="need lo <= hi"):
+            minimize_scalar(lambda t: t, (1.0, 0.0))
+        with pytest.raises(ValueError, match="endpoints must be finite"):
+            minimize_scalar(lambda t: t, (0.0, math.inf))
+
+    def test_wide_domain_terminates(self):
+        # far from 0 an absolute stopping width of 1e-10 is below one ulp,
+        # so the golden-section loop must stop at a width relative to |lo|, |hi|
+        calls = 0
+
+        def f(t):
+            nonlocal calls
+            calls += 1
+            assert calls <= 10_000, "minimizer did not stop"
+            return (t - 3.3e7) ** 2
+
+        x, _ = minimize_scalar(f, (0.0, 1.0e8))
+        assert abs(x - 3.3e7) < 1e-6 * 1.0e8
 
 
 class TestRhoMaps:

@@ -115,6 +115,19 @@ class TestUpperBounds:
         for p in (1.0, 10.0, 1995.2623149688789):
             assert abs(upper_envelope(p, 1.0e12).value - rate_timeshare(p).value) <= 1e-4
 
+    def test_extreme_powers_stay_finite(self):
+        # P + Q + 1 + 2 sqrt(PQ) is finite at Q = 1e300 only if sqrt(PQ) is
+        # taken as sqrt(P) sqrt(Q)
+        p, q = 1.0e10, 1.0e300
+        ts = rate_timeshare(p).value
+        assert upper_i(p, q).value == pytest.approx(ts, abs=1e-12)
+        assert upper_envelope(p, q).value == pytest.approx(ts, abs=1e-12)
+        assert upper_ii(p, q).value >= upper_envelope(p, q).value
+        # Q/(2P+1+rho) underflows to 0 here; the penalty is taken in logs
+        p, q = 1.0e100, 1.0e-300
+        assert upper_envelope(p, q).value == awgn_capacity(p)
+        assert upper_ii(p, q).value == pytest.approx(awgn_capacity(p), abs=1e-12)
+
     def test_domain(self):
         with pytest.raises(ValueError):
             upper_i(-1.0, 1.0)
@@ -152,8 +165,9 @@ class TestLowerBound:
     def test_closed_form_matches_grid_search(self):
         for p in (0.1, 1.0, 12.0, 263.7, 1.0e4):
             for q in (0.0, 0.5, 2.0, 4.0, 31.6, 500.0, 1.0e4):
-                _, numeric = maximize_power_split(p, q)
-                assert abs(lower_bound(p, q).value - numeric) < 1e-6
+                split, numeric = maximize_power_split(p, q)
+                assert abs(lower_bound(p, q).value - numeric) < 1e-9
+                assert split.total == pytest.approx(p, rel=1e-12, abs=0)
 
 
 class TestDpcOracle:
@@ -232,6 +246,11 @@ class TestKUserBound:
         assert upper_k(10.0, 0.0, 3).value == awgn_capacity(10.0)
         assert upper_k(10.0, 1e-9, 5).value == awgn_capacity(10.0)
         assert upper_k_raw(10.0, 0.0, 3) == math.inf
+
+    def test_tiny_interference_does_not_underflow(self):
+        # Q/(K(P+1)) underflows to 0 here; the penalty is taken in logs
+        assert upper_k(1.0e100, 1.0e-300, 3).value == awgn_capacity(1.0e100)
+        assert upper_k_raw(1.0e100, 1.0e-300, 3) > awgn_capacity(1.0e100)
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -318,12 +337,16 @@ class TestSpecType:
 
 
 GUARDED = {
+    "awgn_capacity": (awgn_capacity, ("P",)),
     "rate_timeshare": (rate_timeshare, ("P",)),
     "rate_interference_as_noise": (rate_interference_as_noise, ("P", "Q")),
     "upper_i": (upper_i, ("P", "Q")),
     "upper_ii": (upper_ii, ("P", "Q")),
     "lower_bound": (lower_bound, ("P", "Q")),
     "maximize_power_split": (maximize_power_split, ("P", "Q")),
+    "minimize_upper_i_rho": (minimize_upper_i_rho, ("P", "Q")),
+    "minimize_upper_ii_rho": (minimize_upper_ii_rho, ("P", "Q")),
+    "feedback_bounds": (lambda p, q: feedback_bounds(p, q, 0.0), ("P", "Q")),
     "rate_of_split": (lambda q: rate_of_split(PowerSplit(1.0, 1.0), q), ("Q",)),
     "dpc_covariance": (lambda q: dpc_covariance(PowerSplit(1.0, 1.0), q), ("Q",)),
     "upper_k_raw": (lambda p, q: upper_k_raw(p, q, 3), ("P", "Q")),
