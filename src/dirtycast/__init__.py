@@ -21,7 +21,6 @@ from .binary import (
     noisy_two_user_bounds,
     rate_ignore_side_info,
     upper_bound_k,
-    xor_entropy,
 )
 from .core import (
     GaussianCov,
@@ -46,7 +45,7 @@ from .gaussian import (
     upper_ii,
     upper_k,
 )
-from .simulate import SchemeReport, SchemeRun, simulate_scheme
+from .simulate import SchemeRun, simulate_scheme
 
 __all__ = [
     "__version__",
@@ -56,7 +55,6 @@ __all__ = [
     "JointPmf",
     "PowerSplit",
     "RateBound",
-    "SchemeReport",
     "SchemeRun",
     "binary_entropy",
     "capacity_achieving_joint",
@@ -84,5 +82,4 @@ __all__ = [
     "upper_i",
     "upper_ii",
     "upper_k",
-    "xor_entropy",
 ]

@@ -19,7 +19,6 @@ from .core import InvalidDistributionError, JointPmf, RateBound, binary_entropy
 __all__ = [
     "BinaryChannelSpec",
     "xor_convolve",
-    "xor_entropy",
     "precancellation_rate",
     "capacity_two_user",
     "rate_timeshare",
@@ -100,13 +99,6 @@ class BinaryChannelSpec:
 def xor_convolve(a: float, b: float) -> float:
     """Crossover of the xor of two independent Bernoulli bits."""
     return a * (1.0 - b) + b * (1.0 - a)
-
-
-def xor_entropy(spec: BinaryChannelSpec) -> float:
-    """H(S1 xor S2) in bits; defined for two users."""
-    if spec.k != 2:
-        raise ValueError("xor entropy is defined for K=2")
-    return binary_entropy(spec.xor_probability)
 
 
 def precancellation_rate(crossover: float, noise_q: float = 0.0) -> float:

@@ -120,17 +120,14 @@ class JointPmf:
             out[sub] = out.get(sub, 0.0) + p
         return JointPmf(out)
 
-    def entropy(self) -> float:
-        return pmf_entropy(self)
-
     def mutual_information(self, axes_a, axes_b) -> float:
         """I(A;B) in bits between two disjoint groups of axes."""
         axes_a, axes_b = tuple(axes_a), tuple(axes_b)
         if set(axes_a) & set(axes_b):
             raise ValueError("axis groups must be disjoint")
-        ha = self.marginal(axes_a).entropy()
-        hb = self.marginal(axes_b).entropy()
-        hab = self.marginal(axes_a + axes_b).entropy()
+        ha = pmf_entropy(self.marginal(axes_a))
+        hb = pmf_entropy(self.marginal(axes_b))
+        hab = pmf_entropy(self.marginal(axes_a + axes_b))
         return ha + hb - hab
 
 

@@ -14,7 +14,7 @@ dependency.
 from __future__ import annotations
 
 from . import binary, gaussian
-from .core import binary_entropy, db_to_linear
+from .core import db_to_linear
 
 __all__ = ["FIGURES", "figure_table", "format_number", "render_csv", "write_csv", "write_svg"]
 
@@ -55,7 +55,7 @@ def _fig4():
             ("upper_k3", binary.upper_bound_k(spec).value),
             ("lower_k3", binary.lower_bound_k(spec).value),
             ("timeshare", binary.rate_timeshare(3).value),
-            ("ignore_si", 1.0 - binary_entropy(q)),
+            ("ignore_si", binary.rate_ignore_side_info(spec).value),
         ]
 
     return _binary_rows(cols)

@@ -45,7 +45,6 @@ __all__ = [
     "universal_gap",
     "gap",
     "high_sinr_asymptote",
-    "feedback_bounds",
 ]
 
 def _check_nonnegative(name: str, value: float, *more) -> None:
@@ -203,11 +202,19 @@ def maximize_power_split(p: float, q: float):
 
     At fixed P_D the split rate rises with P_A, so no optimum leaves power
     unspent and the search runs on the full-power line P_A + P_D = P.  It
-    minimizes the negated rate over the share t = P_D/P in [0, 1], a domain
-    that does not depend on P; the closed-form optimum is not used."""
+    minimizes the negated rate over the log share s = log(1+P_D)/log(1+P)
+    in [0, 1], which resolves an optimal P_D many decades below P; the
+    closed-form optimum is not used."""
     _check_nonnegative("P", p, "Q", q)
-    t, _ = minimize_scalar(lambda t: -_split_rate(p * (1.0 - t), p * t, q), (0.0, 1.0))
-    split = PowerSplit(p * (1.0 - t), p * t)
+    log_total = math.log1p(p)
+
+    def negated_rate(s):
+        p_d = min(math.expm1(s * log_total), p)
+        return -_split_rate(p - p_d, p_d, q)
+
+    s, _ = minimize_scalar(negated_rate, (0.0, 1.0))
+    p_d = min(math.expm1(s * log_total), p)
+    split = PowerSplit(p - p_d, p_d)
     return split, rate_of_split(split, q)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .binary import BinaryChannelSpec, precancellation_rate, xor_convolve
 
-__all__ = ["InfeasibleRunError", "SchemeRun", "SchemeReport", "simulate_scheme"]
+__all__ = ["InfeasibleRunError", "SchemeRun", "simulate_scheme"]
 
 CODEBOOK_CAP = 2**20
 

@@ -24,7 +24,6 @@ from .core import (
 from .simulate import SchemeRun, simulate_scheme
 
 __all__ = [
-    "CheckResult",
     "run_checks",
     "CHECKS",
     "P_GRID",
@@ -338,10 +337,17 @@ def check_rate_distortion_floor() -> str:
 
 
 def check_high_p_gap() -> str:
-    vals = {q: gaussian.gap(1.0e8, q) for q in (1.0, 8.0, 100.0)}
-    for q, g in vals.items():
+    for q in (1.0, 8.0, 100.0):
+        g = gaussian.gap(1.0e8, q)
         _require(g <= 0.002, f"gap {g} at P=1e8, Q={q}")
-    return "upper-II minus lower <= 0.002 at P=1e8 for Q in {1, 8, 100}"
+        asymptote = gaussian.high_sinr_asymptote(1.0e8, q)
+        for label, bound in (("lower", gaussian.lower_bound), ("upper-II", gaussian.upper_ii)):
+            off = abs(bound(1.0e8, q).value - asymptote)
+            _require(off <= 0.002, f"{label} {off} from the high-SINR asymptote at P=1e8, Q={q}")
+    return (
+        "upper-II minus lower <= 0.002, and both within 0.002 of the high-SINR "
+        "asymptote, at P=1e8 for Q in {1, 8, 100}"
+    )
 
 
 def check_universal_gap() -> str:

@@ -17,7 +17,6 @@ from dirtycast.binary import (
     upper_bound_k,
     xor_channel,
     xor_convolve,
-    xor_entropy,
 )
 from dirtycast.core import InvalidDistributionError, JointPmf, binary_entropy
 
@@ -54,21 +53,6 @@ class TestSpecValidation:
         assert flip.marginal_one_probabilities() == pytest.approx((0.2, 0.8))
 
 
-class TestXorEntropy:
-    def test_examples(self):
-        assert xor_entropy(BinaryChannelSpec.iid(0.5)) == 1.0
-        assert xor_entropy(BinaryChannelSpec.fully_correlated(0.3)) == 0.0
-        assert xor_entropy(BinaryChannelSpec.fully_correlated(0.3, flip=True)) == 0.0
-        # q' = 2*0.25*0.75 = 0.375
-        assert xor_entropy(BinaryChannelSpec.iid(0.25)) == pytest.approx(
-            0.954434002924965, abs=1e-12
-        )
-
-    def test_requires_two_users(self):
-        with pytest.raises(ValueError):
-            xor_entropy(BinaryChannelSpec.iid(0.2, k=3))
-
-
 class TestCapacityTwoUser:
     def test_examples(self):
         assert capacity_two_user(BinaryChannelSpec.iid(0.5)).value == 0.5
@@ -87,6 +71,10 @@ class TestCapacityTwoUser:
             capacity_two_user(BinaryChannelSpec.iid(0.2, noise_q=0.05))
         # explicit zero noise is still the noiseless channel
         assert capacity_two_user(BinaryChannelSpec.iid(0.2, noise_q=0.0)).value > 0
+
+    def test_requires_two_users(self):
+        with pytest.raises(ValueError, match="requires K=2"):
+            capacity_two_user(BinaryChannelSpec.iid(0.2, k=3))
 
 
 class TestBaselines:

@@ -163,11 +163,19 @@ class TestLowerBound:
         )
 
     def test_closed_form_matches_grid_search(self):
-        for p in (0.1, 1.0, 12.0, 263.7, 1.0e4):
-            for q in (0.0, 0.5, 2.0, 4.0, 31.6, 500.0, 1.0e4):
-                split, numeric = maximize_power_split(p, q)
-                assert abs(lower_bound(p, q).value - numeric) < 1e-9
-                assert split.total == pytest.approx(p, rel=1e-12, abs=0)
+        # the sweep reaches optimal P_D many decades below P, e.g. 5e9 at
+        # (P, Q) = (1e100, 1e10)
+        sweep = (0.0, 1e-300, 1e-3, 1.0, 3.0, 10.0, 1e4, 1e10, 1e100, 1e300)
+        grid = [
+            (p, q)
+            for p in (0.1, 1.0, 12.0, 263.7, 1.0e4)
+            for q in (0.0, 0.5, 2.0, 4.0, 31.6, 500.0, 1.0e4)
+        ]
+        for p, q in grid + [(p, q) for p in sweep for q in sweep]:
+            split, numeric = maximize_power_split(p, q)
+            closed = lower_bound(p, q).value
+            assert abs(closed - numeric) <= 1e-12 * max(1.0, closed), (p, q)
+            assert split.total == pytest.approx(p, rel=1e-12, abs=0)
 
 
 class TestDpcOracle:

@@ -1,8 +1,10 @@
 """The cross-verification suite as pytest items, one per check, and the
 package's export lists."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -29,3 +31,22 @@ def test_every_export_resolves(module):
     mod = importlib.import_module(module)
     missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
     assert not missing, f"{module}.__all__ names missing attributes: {missing}"
+
+
+def _names_used_by_the_package():
+    used = set()
+    for path in Path(dirtycast.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return used
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_export_is_used_by_the_package(module):
+    # an export that no module reads or assigns is public API kept only for tests
+    mod = importlib.import_module(module)
+    unused = set(getattr(mod, "__all__", ())) - _names_used_by_the_package()
+    assert not unused, f"{module}.__all__ names nothing in the package uses: {sorted(unused)}"
