@@ -1,15 +1,14 @@
 """Command-line front end: `dirtycast {bounds|figure|simulate|verify}`.
 
-All output is deterministic for fixed flags and seed; `--threads` (or the
-DIRTYCAST_THREADS environment variable) only changes how Monte Carlo trials
-are batched, never the results.  Exit codes: 0 success, 1 failed verify
-check, 2 invalid flags, 3 I/O failure.
+All output is deterministic for fixed flags and seed; `--threads` only
+changes how Monte Carlo trials are batched, never the results.  Exit codes:
+0 success, 1 failed verify check, 2 invalid flags, 3 I/O failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
+import math
 import sys
 
 from . import __version__, binary, correlated, figures, gaussian, verify
@@ -18,16 +17,17 @@ from .figures import format_number as _fmt
 from .simulate import SchemeRun, simulate_scheme
 
 
-def _resolve_db_pair(parser, linear, in_db, name, default=None):
+def _resolve_db_pair(parser, linear, in_db, name):
     if linear is not None and in_db is not None:
         parser.error(f"specify only one of --{name} and --{name}-db")
     if linear is None and in_db is None:
-        if default is None:
-            parser.error(f"one of --{name} or --{name}-db is required")
-        return default
-    value = linear if linear is not None else db_to_linear(in_db)
-    if value < 0:
-        parser.error(f"--{name} must be nonnegative")
+        parser.error(f"one of --{name} or --{name}-db is required")
+    try:
+        value = linear if linear is not None else db_to_linear(in_db)
+    except ValueError as exc:
+        parser.error(f"--{name}-db: {exc}")
+    if not (math.isfinite(value) and value >= 0):
+        parser.error(f"--{name} must be finite and nonnegative")
     return value
 
 
@@ -118,13 +118,7 @@ def _cmd_figure(parser, args) -> int:
 
 
 def _cmd_simulate(parser, args) -> int:
-    threads = args.threads
-    if threads is None:
-        try:
-            threads = int(os.environ.get("DIRTYCAST_THREADS", "1"))
-        except ValueError:
-            parser.error("DIRTYCAST_THREADS must be an integer")
-    if threads < 1:
+    if args.threads < 1:
         parser.error("--threads must be >= 1")
     try:
         spec = binary.BinaryChannelSpec.iid(args.q, noise_q=args.noise_q)
@@ -140,7 +134,7 @@ def _cmd_simulate(parser, args) -> int:
         )
     except ValueError as exc:
         parser.error(str(exc))
-    report = simulate_scheme(spec, run, threads=threads)
+    report = simulate_scheme(spec, run, threads=args.threads)
 
     lines = [
         f"scheme simulation: q={_fmt(args.q)}, n={report.n}, trials={report.trials}, "
@@ -232,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--trials", type=int, default=None, help="default 1000 (1 with --mi-only)")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--mi-only", action="store_true", help="skip decoding; measure crossover/MI")
-    s.add_argument("--threads", type=int, default=None, help="trial batching (default $DIRTYCAST_THREADS or 1)")
+    s.add_argument("--threads", type=int, default=1, help="trial batching (default 1)")
     s.add_argument("--codebook", choices=("iid", "linear"), default="iid")
     s.add_argument("--csv", default=None, help="also write the report metrics as CSV")
 

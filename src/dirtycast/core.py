@@ -190,7 +190,10 @@ def db_to_linear(x_db: float) -> float:
     x = float(x_db)
     if not math.isfinite(x):
         raise ValueError("dB value must be finite")
-    return 10.0 ** (x / 10.0)
+    try:
+        return 10.0 ** (x / 10.0)
+    except OverflowError:
+        raise ValueError(f"{x:g} dB overflows a float") from None
 
 
 def _logdet_principal(cov: GaussianCov, block) -> float:

@@ -117,10 +117,10 @@ def _run_trial(rng, run: SchemeRun, s1_one, s2_one_given, noise_q: float, cross_
     else:
         m = run.codewords
         if run.codebook == "linear":
-            k = int(math.log2(m))
-            gen = rng.integers(0, 2, size=(k, n), dtype=np.uint8)
-            messages = ((np.arange(m)[:, None] >> np.arange(k)[None, :]) & 1).astype(np.uint8)
-            codebook = (messages @ gen) % 2
+            # row i is the XOR of the generator rows at the set bits of i
+            codebook = np.zeros((1, n), dtype=np.uint8)
+            for g in rng.integers(0, 2, size=(int(math.log2(m)), n), dtype=np.uint8):
+                codebook = np.concatenate((codebook, codebook ^ g))
         else:
             codebook = rng.integers(0, 2, size=(m, n), dtype=np.uint8)
         w = int(rng.integers(0, m))
@@ -137,7 +137,7 @@ def _run_trial(rng, run: SchemeRun, s1_one, s2_one_given, noise_q: float, cross_
     mismatches = int(np.count_nonzero((y1 != sent) & noisy1))
     samples = int(np.count_nonzero(noisy1))
 
-    errs = (0, 0)
+    e1 = e2 = 0
     if codebook is not None:
         decoded = []
         for y, clean in ((y1, mask1), (y2, ~mask1)):
@@ -149,13 +149,11 @@ def _run_trial(rng, run: SchemeRun, s1_one, s2_one_given, noise_q: float, cross_
                 d_noisy, n - n_clean, cross_noisy
             )
             decoded.append(int(np.argmax(score)))  # ties: lowest codeword index
-        errs = (int(decoded[0] != w), int(decoded[1] != w))
-    return mismatches, samples, errs
+        e1, e2 = int(decoded[0] != w), int(decoded[1] != w)
+    return mismatches, samples, e1, e2, e1 | e2
 
 
-def simulate_scheme(
-    spec: BinaryChannelSpec, run: SchemeRun, threads: int | None = None
-) -> SchemeReport:
+def simulate_scheme(spec: BinaryChannelSpec, run: SchemeRun, threads: int = 1) -> SchemeReport:
     """Simulate the precancellation scheme and pool results over all trials.
 
     The decoder knows the coin sequence of each trial and performs exact ML:
@@ -165,7 +163,8 @@ def simulate_scheme(
     """
     if spec.k != 2:
         raise ValueError("the scheme simulation covers two users")
-    threads = max(1, int(threads or 1))
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
     noise_q = spec.noise_q or 0.0
     cross_noisy = xor_convolve(spec.xor_probability, noise_q)
     s1_one = spec.marginal_one_probabilities()[0]
@@ -174,30 +173,16 @@ def simulate_scheme(
     s2_one_given = np.array([law.get((s, 1), 0.0) / (s1_law.get((s,), 0.0) or 1.0) for s in (0, 1)])
 
     def worker(trial_indices):
-        mism = samp = e1 = e2 = eu = 0
+        totals = [0] * 5  # mismatches, samples, user-1, user-2 and union frame errors
         for t in trial_indices:
             rng = np.random.default_rng(np.random.SeedSequence((int(run.seed), int(t))))
-            m, s, (a, b) = _run_trial(rng, run, s1_one, s2_one_given, noise_q, cross_noisy)
-            mism += m
-            samp += s
-            e1 += a
-            e2 += b
-            eu += int(a or b)
-        return mism, samp, e1, e2, eu
+            trial = _run_trial(rng, run, s1_one, s2_one_given, noise_q, cross_noisy)
+            totals = [a + b for a, b in zip(totals, trial)]
+        return totals
 
-    chunks = [range(i, run.trials, threads) for i in range(threads)]
-    chunks = [c for c in chunks if len(c)]
-    if len(chunks) == 1:
-        parts = [worker(chunks[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            parts = list(pool.map(worker, chunks))
-
-    mismatches = sum(p[0] for p in parts)
-    samples = sum(p[1] for p in parts)
-    e1 = sum(p[2] for p in parts)
-    e2 = sum(p[3] for p in parts)
-    eu = sum(p[4] for p in parts)
+    chunks = [range(i, run.trials, threads) for i in range(min(threads, run.trials))]
+    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
+        mismatches, samples, e1, e2, eu = (sum(c) for c in zip(*pool.map(worker, chunks)))
 
     q_hat = mismatches / samples if samples else 0.0
     report_fer = run.rate is not None

@@ -27,8 +27,11 @@ from dirtycast.verify import P_GRID
 from dirtycast.verify import Q_GRID_LINEAR as Q_GRID  # {0,...,1e4}, 21 pts
 
 
-def _line(num: int, ok: bool, detail: str):
-    print(f"ACCEPTANCE {num:02d} {'PASS' if ok else 'FAIL'}: {detail}")
+def _accept(num: int, detail: str, **conditions: bool):
+    """Print the criterion's ACCEPTANCE line and assert every named condition."""
+    failed = [name for name, held in conditions.items() if not held]
+    print(f"ACCEPTANCE {num:02d} {'FAIL' if failed else 'PASS'}: {detail}")
+    assert not failed, f"criterion {num:02d} failed: {', '.join(failed)}"
 
 
 def test_criterion_01_binary_endpoints():
@@ -39,29 +42,27 @@ def test_criterion_01_binary_endpoints():
         ts = binary.rate_timeshare(2).value
         si = binary.rate_ignore_side_info(BinaryChannelSpec.iid(0.5)).value
         elapsed = time.perf_counter() - t0
-    ok = (
-        abs(c0 - 1.0) <= 1e-12
-        and abs(c5 - 0.5) <= 1e-12
-        and abs(ts - 0.5) <= 1e-12
-        and abs(si) <= 1e-12
-        and elapsed < 1e-3
+    _accept(
+        1,
+        f"capacity endpoints exact, evaluated in {elapsed*1e6:.0f} us",
+        capacity_at_0=abs(c0 - 1.0) <= 1e-12,
+        capacity_at_half=abs(c5 - 0.5) <= 1e-12,
+        timeshare=abs(ts - 0.5) <= 1e-12,
+        ignore_side_info=abs(si) <= 1e-12,
+        under_1ms=elapsed < 1e-3,
     )
-    _line(1, ok, f"capacity endpoints exact, evaluated in {elapsed*1e6:.0f} us")
-    assert abs(c0 - 1.0) <= 1e-12
-    assert abs(c5 - 0.5) <= 1e-12
-    assert abs(ts - 0.5) <= 1e-12
-    assert abs(si) <= 1e-12
-    assert elapsed < 1e-3
 
 
 def test_criterion_02_three_user_bounds_meet():
     spec = BinaryChannelSpec.iid(0.5, k=3)
     hi = binary.upper_bound_k(spec).value
     lo = binary.lower_bound_k(spec).value
-    ok = abs(hi - 1.0 / 3.0) <= 1e-12 and abs(lo - 1.0 / 3.0) <= 1e-12
-    _line(2, ok, f"K=3 bounds meet at q=1/2: upper={hi!r}, lower={lo!r}")
-    assert abs(hi - 1.0 / 3.0) <= 1e-12
-    assert abs(lo - 1.0 / 3.0) <= 1e-12
+    _accept(
+        2,
+        f"K=3 bounds meet at q=1/2: upper={hi!r}, lower={lo!r}",
+        upper=abs(hi - 1.0 / 3.0) <= 1e-12,
+        lower=abs(lo - 1.0 / 3.0) <= 1e-12,
+    )
 
 
 def test_criterion_03_binning_rate_oracle():
@@ -73,10 +74,12 @@ def test_criterion_03_binning_rate_oracle():
         rate = binary.gp_rate(binary.capacity_achieving_joint(spec), channels)
         worst = max(worst, abs(rate - binary.capacity_two_user(spec).value))
     elapsed = time.perf_counter() - t0
-    ok = worst <= 1e-9 and elapsed < 1.0
-    _line(3, ok, f"auxiliary construction meets capacity (worst {worst:.2e}, {elapsed:.3f}s)")
-    assert worst <= 1e-9
-    assert elapsed < 1.0
+    _accept(
+        3,
+        f"auxiliary construction meets capacity (worst {worst:.2e}, {elapsed:.3f}s)",
+        meets_capacity=worst <= 1e-9,
+        under_1s=elapsed < 1.0,
+    )
 
 
 def test_criterion_04_monte_carlo_scheme():
@@ -90,18 +93,16 @@ def test_criterion_04_monte_carlo_scheme():
     fer24 = simulate_scheme(spec, SchemeRun(n=24, rate=0.25, trials=2000, seed=7)).frame_error_rate
     fer16 = simulate_scheme(spec, SchemeRun(n=16, rate=0.25, trials=2000, seed=7)).frame_error_rate
     elapsed = time.perf_counter() - t0
-    ok = cross_dev <= 3 * sigma and mi_dev <= 0.01 * mi_target and fer24 < fer16 and elapsed < 5.0
-    _line(
+    _accept(
         4,
-        ok,
         f"crossover dev {cross_dev:.5f} <= 3 sigma {3*sigma:.5f}; MI dev {mi_dev:.5f}; "
         f"FER {fer24:.4f}@n24 < {fer16:.4f}@n16; {elapsed:.2f}s",
+        crossover=cross_dev <= 3 * sigma,
+        mi=mi_dev <= 0.01 * mi_target,
+        mi_target=mi_target == pytest.approx(0.5227829985375174, abs=1e-12),
+        longer_blocks_better=fer24 < fer16,
+        under_5s=elapsed < 5.0,
     )
-    assert cross_dev <= 3 * sigma
-    assert mi_dev <= 0.01 * mi_target
-    assert mi_target == pytest.approx(0.5227829985375174, abs=1e-12)
-    assert fer24 < fer16
-    assert elapsed < 5.0
 
 
 def test_criterion_05_optimizer_equivalence():
@@ -114,10 +115,12 @@ def test_criterion_05_optimizer_equivalence():
             _, vlo = gaussian.maximize_power_split(p, q)
             worst_lo = max(worst_lo, abs(vlo - gaussian.lower_bound(p, q).value))
     elapsed = time.perf_counter() - t0
-    ok = worst_lo <= 1e-5 and elapsed < 30.0
-    _line(5, ok, f"closed lower bound vs power-split oracle on 20x21 grid: {worst_lo:.2e}; {elapsed:.1f}s")
-    assert worst_lo <= 1e-5
-    assert elapsed < 30.0
+    _accept(
+        5,
+        f"closed lower bound vs power-split oracle on 20x21 grid: {worst_lo:.2e}; {elapsed:.1f}s",
+        lower_matches_oracle=worst_lo <= 1e-5,
+        under_30s=elapsed < 30.0,
+    )
 
 
 def test_criterion_06_universal_gap():
@@ -125,16 +128,15 @@ def test_criterion_06_universal_gap():
     const = gaussian.universal_gap()
     p_star = (9.0 - math.sqrt(17.0)) / 4.0
     regional = gaussian.gap(p_star, 2.0)
-    ok = (
-        0.74 <= sup <= 0.7717
-        and abs(const - 0.77163) <= 1e-4
-        and abs(regional - 0.59479) <= 1e-3
+    _accept(
+        6,
+        f"grid sup {sup:.5f}; constant {const:.6f}; regional max {regional:.6f}",
+        grid_sup=0.74 <= sup <= 0.7717,
+        constant=abs(const - 0.77163) <= 1e-4,
+        regional=abs(regional - 0.59479) <= 1e-3,
+        regional_closed_form=regional
+        == pytest.approx(0.5 * math.log2((5.0 + math.sqrt(17.0)) / 4.0), abs=1e-12),
     )
-    _line(6, ok, f"grid sup {sup:.5f}; constant {const:.6f}; regional max {regional:.6f}")
-    assert 0.74 <= sup <= 0.7717
-    assert abs(const - 0.77163) <= 1e-4
-    assert abs(regional - 0.59479) <= 1e-3
-    assert regional == pytest.approx(0.5 * math.log2((5.0 + math.sqrt(17.0)) / 4.0), abs=1e-12)
 
 
 def test_criterion_07_limit_laws():
@@ -156,23 +158,18 @@ def test_criterion_07_limit_laws():
         h = binary_entropy(q)
         got = binary.upper_bound_k(BinaryChannelSpec.iid(q, k=64)).value
         k64_ok = k64_ok and abs(got - (1.0 - h)) <= h / 64.0 + 1e-9
-    # The envelope approaches time-sharing from above at rate O(sqrt(P/Q)).
-    law_ok = all(0.0 <= d <= limits[p] for p, d in envelope_devs.items())
-    # The stated 1e-3 at Q=1e8 is within the law's reach only for P <= 10.
-    tol_ok = all(envelope_devs[p] <= 1e-3 for p in (1.0, 10.0))
-    gap_ok = all(g <= 0.002 for g in gap_vals.values())
-    ok = law_ok and tol_ok and gap_ok and k64_ok
-    _line(
+    _accept(
         7,
-        ok,
         "envelope - TS at Q=1e8 (limit): "
         + ", ".join(f"P={p:g}: {d:.4e} ({limits[p]:.4e})" for p, d in envelope_devs.items())
         + f"; gaps at P=1e8 {max(gap_vals.values()):.2e}; K=64 {'ok' if k64_ok else 'bad'}",
+        # The envelope approaches time-sharing from above at rate O(sqrt(P/Q)).
+        limit_law=all(0.0 <= d <= limits[p] for p, d in envelope_devs.items()),
+        # The stated 1e-3 at Q=1e8 is within the law's reach only for P <= 10.
+        tolerance_at_p_le_10=all(envelope_devs[p] <= 1e-3 for p in (1.0, 10.0)),
+        high_sinr_gap=all(g <= 0.002 for g in gap_vals.values()),
+        k64_limit=k64_ok,
     )
-    assert gap_ok
-    assert k64_ok
-    assert tol_ok, f"envelope residuals {envelope_devs} exceed 1e-3 at P <= 10"
-    assert law_ok, f"envelope residuals {envelope_devs} outside [0, limit] {limits}"
 
 
 def test_criterion_07_limit_law_holds_at_adequate_q():
@@ -196,10 +193,12 @@ def test_criterion_08_dpc_oracle():
         rotation_exact = rotation_exact and (
             m[0, 0] == 1.0 + rho and m[1, 1] == 1.0 - rho and m[0, 1] == 0.0 and m[1, 0] == 0.0
         )
-    ok = worst <= 1e-9 and rotation_exact
-    _line(8, ok, f"100 random splits match closed forms (worst {worst:.2e}); rotation exact")
-    assert worst <= 1e-9
-    assert rotation_exact
+    _accept(
+        8,
+        f"100 random splits match closed forms (worst {worst:.2e}); rotation exact",
+        splits_match=worst <= 1e-9,
+        rotation_exact=rotation_exact,
+    )
 
 
 def test_criterion_09_correlated_module():
@@ -208,10 +207,12 @@ def test_criterion_09_correlated_module():
         correlated.high_sinr_gap_beta(1.0e8, 10.0, q=10.0),
         correlated.high_sinr_gap_beta(1.0e8, 100.0),
     )
-    ok = t_seam <= 1e-12 and all(g <= 0.01 for g in gaps)
-    _line(9, ok, f"T seam {t_seam:.1e}; high-SINR gaps {gaps[0]:.2e}, {gaps[1]:.2e}")
-    assert t_seam <= 1e-12
-    assert all(g <= 0.01 for g in gaps)
+    _accept(
+        9,
+        f"T seam {t_seam:.1e}; high-SINR gaps {gaps[0]:.2e}, {gaps[1]:.2e}",
+        t_seam=t_seam <= 1e-12,
+        high_sinr_gaps=all(g <= 0.01 for g in gaps),
+    )
 
 
 def test_criterion_10_figure_reproduction(tmp_path):
@@ -227,7 +228,9 @@ def test_criterion_10_figure_reproduction(tmp_path):
         max(ts, ian) <= lo + 1e-12 and lo <= min(ui, uii) + 1e-9
         for _, ui, uii, lo, ts, ian in rows
     )
-    ok = identical and ordered
-    _line(10, ok, "all four CSVs byte-identical across regeneration; fig5 rows ordered")
-    assert identical
-    assert ordered
+    _accept(
+        10,
+        "all four CSVs byte-identical across regeneration; fig5 rows ordered",
+        identical=identical,
+        ordered=ordered,
+    )

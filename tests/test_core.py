@@ -152,6 +152,8 @@ class TestDbToLinear:
     def test_domain(self):
         with pytest.raises(ValueError):
             db_to_linear(math.inf)
+        with pytest.raises(ValueError):
+            db_to_linear(4000.0)
 
 
 class TestMinimizeScalar:

@@ -146,6 +146,9 @@ class TestCliBounds:
             ["simulate", "--q", "0.2", "--n", "24"],
             ["simulate", "--q", "1.5", "--n", "24", "--rate", "0.25"],
             ["simulate", "--q", "0.2", "--n", "23", "--rate", "0.25"],
+            ["bounds", "--gaussian", "--snr", "nan", "--inr", "1"],
+            ["bounds", "--gaussian", "--snr", "1e400", "--inr", "1"],
+            ["bounds", "--gaussian", "--snr-db", "4000", "--inr", "1"],
         ],
     )
     def test_invalid_flags_exit_2(self, argv):
@@ -183,16 +186,6 @@ class TestCliSimulate:
         second = capsys.readouterr().out
         assert first == second
         assert "frame error rate" in first
-
-    def test_env_threads_fallback(self, capsys, monkeypatch):
-        argv = ["simulate", "--q", "0.25", "--n", "24", "--rate", "0.25",
-                "--trials", "100", "--seed", "3"]
-        monkeypatch.setenv("DIRTYCAST_THREADS", "3")
-        assert cli.main(argv) == 0
-        first = capsys.readouterr().out
-        monkeypatch.delenv("DIRTYCAST_THREADS")
-        assert cli.main(argv) == 0
-        assert first == capsys.readouterr().out
 
     def test_mi_only(self, capsys):
         argv = ["simulate", "--q", "0.25", "--n", "100000", "--mi-only", "--seed", "7"]

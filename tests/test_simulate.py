@@ -75,7 +75,9 @@ class TestNoiselessScheme:
         noisy = simulate_scheme(
             SPEC_Q25, SchemeRun(n=24, rate=0.25, trials=400, seed=7, codebook="linear")
         )
-        assert 0.0 <= noisy.frame_error_rate < 0.3
+        # pinned: a change of codeword order or generator draw moves these
+        assert (noisy.fer_user1, noisy.fer_user2) == (0.0075, 0.0175)
+        assert noisy.frame_error_rate == 0.025
 
     def test_anticorrelated_interference_decodes_perfectly(self):
         # S2 = 1 - S1: the interfered half is an exact complement (crossover 1),
@@ -116,11 +118,12 @@ class TestDeterminism:
         assert simulate_scheme(SPEC_Q25, run) == simulate_scheme(SPEC_Q25, run)
 
     def test_thread_count_does_not_change_results(self):
-        run = SchemeRun(n=24, rate=0.25, trials=500, seed=3)
         pair = BinaryChannelSpec.pair_joint(JointPmf({(0, 0): 0.6, (0, 1): 0.3, (1, 1): 0.1}))
-        for spec in (SPEC_Q25, BinaryChannelSpec.fully_correlated(0.3, flip=True), pair):
-            reports = {t: simulate_scheme(spec, run, threads=t) for t in (1, 2, 4, 7)}
-            assert len({repr(r) for r in reports.values()}) == 1
+        for trials in (500, 3):  # 3 trials: fewer trials than threads
+            run = SchemeRun(n=24, rate=0.25, trials=trials, seed=3)
+            for spec in (SPEC_Q25, BinaryChannelSpec.fully_correlated(0.3, flip=True), pair):
+                reports = {t: simulate_scheme(spec, run, threads=t) for t in (1, 2, 4, 7)}
+                assert len({repr(r) for r in reports.values()}) == 1
 
     def test_different_seeds_differ(self):
         a = simulate_scheme(SPEC_Q25, SchemeRun(n=1000, rate=None, trials=1, seed=1))
@@ -134,6 +137,12 @@ class TestPreconditions:
             simulate_scheme(
                 BinaryChannelSpec.iid(0.25, k=3), SchemeRun(n=24, rate=0.25, trials=1, seed=0)
             )
+
+    def test_thread_count_must_be_positive(self):
+        run = SchemeRun(n=24, rate=0.25, trials=1, seed=0)
+        for threads in (0, -1):
+            with pytest.raises(ValueError, match="threads"):
+                simulate_scheme(SPEC_Q25, run, threads=threads)
 
     def test_pair_joint_model_supported(self):
         spec = BinaryChannelSpec.pair_joint(
