@@ -177,6 +177,8 @@ def upper_bound_k(spec: BinaryChannelSpec) -> RateBound:
         raise ValueError("need at least two users")
     if spec.k > 64:
         raise ValueError("K > 64 would overflow the weight enumeration")
+    if not spec.noiseless:
+        raise ValueError("the K-user bounds are stated for the noiseless channel")
     h = joint_xor_entropy(spec.k, spec.q)
     return RateBound(1.0 - h / spec.k, "upper", "joint-xor-converse")
 
@@ -187,6 +189,8 @@ def lower_bound_k(spec: BinaryChannelSpec) -> RateBound:
         raise ValueError("the K-user bound is stated for i.i.d. interference")
     if spec.k < 2:
         raise ValueError("need at least two users")
+    if not spec.noiseless:
+        raise ValueError("the K-user bounds are stated for the noiseless channel")
     arm_ignore = 1.0 - binary_entropy(spec.q)
     arm_blocks = 1.0 - (1.0 - 1.0 / spec.k) * binary_entropy(spec.xor_probability)
     return RateBound(max(arm_ignore, arm_blocks), "lower", "block-precancellation")

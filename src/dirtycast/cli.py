@@ -2,13 +2,14 @@
 
 All output is deterministic for fixed flags and seed; `--threads` only
 changes how Monte Carlo trials are batched, never the results.  Exit codes:
-0 success, 1 failed verify check, 2 invalid flags, 3 I/O failure.
+0 success, 1 failed verify check, 2 invalid flags or a value the library
+rejects (the message is the library's, e.g. naming P, Q, Qd or K), 3 I/O
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from . import __version__, binary, correlated, figures, gaussian, verify
@@ -22,53 +23,27 @@ def _resolve_db_pair(parser, linear, in_db, name):
         parser.error(f"specify only one of --{name} and --{name}-db")
     if linear is None and in_db is None:
         parser.error(f"one of --{name} or --{name}-db is required")
-    try:
-        value = linear if linear is not None else db_to_linear(in_db)
-    except ValueError as exc:
-        parser.error(f"--{name}-db: {exc}")
-    if not (math.isfinite(value) and value >= 0):
-        parser.error(f"--{name} must be finite and nonnegative")
-    return value
-
-
-def _print_table(bounds):
-    width = max(len(b.method) for b in bounds)
-    for b in bounds:
-        print(f"{b.method:<{width}}  {b.kind:<5}  {_fmt(b.value)}")
+    return linear if linear is not None else db_to_linear(in_db)
 
 
 def _cmd_bounds(parser, args) -> int:
-    modes = [m for m in ("binary", "gaussian", "correlated") if getattr(args, m)]
-    if len(modes) != 1:
-        parser.error("choose exactly one of --binary, --gaussian, --correlated")
-    mode = modes[0]
-    rows = []
-    if mode == "binary":
+    if args.mode == "binary":
         if args.q is None:
             parser.error("--binary requires --q")
-        try:
-            spec = binary.BinaryChannelSpec.iid(args.q, k=args.k, noise_q=args.noise_q)
-        except ValueError as exc:
-            parser.error(str(exc))
-        if args.k == 2 and spec.noiseless:
-            rows.append(binary.capacity_two_user(spec))
-        if args.k == 2 and not spec.noiseless:
-            rows += binary.noisy_two_user_bounds(spec)
-        if args.k > 2:
-            if not spec.noiseless:
-                parser.error("K > 2 bounds are noiseless only")
-            try:
-                rows += [binary.upper_bound_k(spec), binary.lower_bound_k(spec)]
-            except ValueError as exc:
-                parser.error(str(exc))
+        spec = binary.BinaryChannelSpec.iid(args.q, k=args.k, noise_q=args.noise_q)
+        if args.k != 2:
+            rows = [binary.upper_bound_k(spec), binary.lower_bound_k(spec)]
+        elif spec.noiseless:
+            rows = [binary.capacity_two_user(spec)]
+        else:
+            rows = list(binary.noisy_two_user_bounds(spec))
         rows += [binary.rate_timeshare(args.k), binary.rate_ignore_side_info(spec)]
-        print(f"binary multicast, K={args.k}, q={_fmt(args.q)}" +
-              (f", noise_q={_fmt(args.noise_q)}" if args.noise_q is not None else ""))
-    elif mode == "gaussian":
+        title = f"binary multicast, K={args.k}, q={_fmt(args.q)}" + (
+            f", noise_q={_fmt(args.noise_q)}" if args.noise_q is not None else "")
+    elif args.mode == "gaussian":
         p = _resolve_db_pair(parser, args.snr, args.snr_db, "snr")
         q = _resolve_db_pair(parser, args.inr, args.inr_db, "inr")
-        print(f"gaussian multicast, K={args.k}, P={_fmt(p)}, Q={_fmt(q)}")
-        rows += [
+        rows = [
             gaussian.upper_envelope(p, q),
             gaussian.upper_i(p, q),
             gaussian.upper_ii(p, q),
@@ -77,63 +52,46 @@ def _cmd_bounds(parser, args) -> int:
             gaussian.rate_interference_as_noise(p, q),
             RateBound(gaussian.awgn_capacity(p), "upper", "trivial-awgn"),
         ]
-        if args.k > 2:
+        if args.k != 2:
             rows.append(gaussian.upper_k(p, q, args.k))
+        title = f"gaussian multicast, K={args.k}, P={_fmt(p)}, Q={_fmt(q)}"
     else:
         p = _resolve_db_pair(parser, args.snr, args.snr_db, "snr")
         if args.qd is None:
             parser.error("--correlated requires --qd")
         q1 = args.q1 if args.q1 is not None else args.qd / 4.0
         q2 = args.q2 if args.q2 is not None else q1
-        try:
-            spec = correlated.CorrelatedSpec(p, q1, q2, args.qd)
-        except ValueError as exc:
-            parser.error(str(exc))
-        print(f"correlated multicast, P={_fmt(p)}, Q1={_fmt(q1)}, Q2={_fmt(q2)}, Qd={_fmt(args.qd)}")
-        rows += [
+        spec = correlated.CorrelatedSpec(p, q1, q2, args.qd)
+        rows = [
             correlated.upper_correlated(spec),
             correlated.lower_beta(p, args.qd),
             gaussian.rate_timeshare(p),
         ]
-    _print_table(rows)
+        title = (f"correlated multicast, P={_fmt(p)}, Q1={_fmt(q1)}, Q2={_fmt(q2)}, "
+                 f"Qd={_fmt(args.qd)}")
+    width = max(len(b.method) for b in rows)
+    print("\n".join([title] + [f"{b.method:<{width}}  {b.kind:<5}  {_fmt(b.value)}" for b in rows]))
     return 0
 
 
-def _cmd_figure(parser, args) -> int:
+def _cmd_figure(_parser, args) -> int:
     out = args.out if args.out is not None else f"{args.name}.csv"
-    try:
-        header, rows = figures.figure_table(args.name)
-    except ValueError as exc:
-        parser.error(str(exc))
-    try:
-        figures.write_csv(out, header, rows)
-        if args.svg is not None:
-            figures.write_svg(args.svg, header, rows, title=args.name)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    header, rows = figures.figure_table(args.name)
+    figures.write_csv(out, header, rows)
+    if args.svg is not None:
+        figures.write_svg(args.svg, header, rows, title=args.name)
     print(f"{args.name}: wrote {len(rows)} rows to {out}" +
           (f" and {args.svg}" if args.svg is not None else ""))
     return 0
 
 
 def _cmd_simulate(parser, args) -> int:
-    if args.threads < 1:
-        parser.error("--threads must be >= 1")
-    try:
-        spec = binary.BinaryChannelSpec.iid(args.q, noise_q=args.noise_q)
-    except ValueError as exc:
-        parser.error(str(exc))
+    spec = binary.BinaryChannelSpec.iid(args.q, noise_q=args.noise_q)
     rate = None if args.mi_only else args.rate
     if rate is None and not args.mi_only:
         parser.error("--rate is required unless --mi-only is given")
     trials = args.trials if args.trials is not None else (1 if args.mi_only else 1000)
-    try:
-        run = SchemeRun(
-            n=args.n, rate=rate, trials=trials, seed=args.seed, codebook=args.codebook
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
+    run = SchemeRun(n=args.n, rate=rate, trials=trials, seed=args.seed, codebook=args.codebook)
     report = simulate_scheme(spec, run, threads=args.threads)
 
     lines = [
@@ -152,8 +110,7 @@ def _cmd_simulate(parser, args) -> int:
             f"frame error rate: user1 {_fmt(report.fer_user1)}, user2 {_fmt(report.fer_user2)}, "
             f"union {_fmt(report.frame_error_rate)}"
         )
-    text = "\n".join(lines)
-    print(text)
+    print("\n".join(lines))
     if args.csv is not None:
         pairs = [
             ("empirical_crossover", report.empirical_crossover),
@@ -167,14 +124,10 @@ def _cmd_simulate(parser, args) -> int:
                 ("fer_user2", report.fer_user2),
                 ("fer_union", report.frame_error_rate),
             ]
-        try:
-            with open(args.csv, "w", encoding="ascii", newline="\n") as fh:
-                fh.write("metric,value\n")
-                for k, v in pairs:
-                    fh.write(f"{k},{_fmt(v)}\n")
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
+        with open(args.csv, "w", encoding="ascii", newline="\n") as fh:
+            fh.write("metric,value\n")
+            for k, v in pairs:
+                fh.write(f"{k},{_fmt(v)}\n")
     return 0
 
 
@@ -199,9 +152,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("bounds", help="print every applicable bound at one operating point")
-    b.add_argument("--binary", action="store_true")
-    b.add_argument("--gaussian", action="store_true")
-    b.add_argument("--correlated", action="store_true")
+    mode = b.add_mutually_exclusive_group(required=True)
+    for name in ("binary", "gaussian", "correlated"):
+        mode.add_argument(f"--{name}", dest="mode", action="store_const", const=name)
     b.add_argument("--q", type=float, help="binary interference probability")
     b.add_argument("--k", type=int, default=2, help="number of receivers")
     b.add_argument("--noise-q", type=float, default=None, help="binary noise crossover")
@@ -226,12 +179,12 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--trials", type=int, default=None, help="default 1000 (1 with --mi-only)")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--mi-only", action="store_true", help="skip decoding; measure crossover/MI")
-    s.add_argument("--threads", type=int, default=1, help="trial batching (default 1)")
+    s.add_argument("--threads", type=int, default=1,
+                   help="trial batching (default 1, capped at the CPU count)")
     s.add_argument("--codebook", choices=("iid", "linear"), default="iid")
     s.add_argument("--csv", default=None, help="also write the report metrics as CSV")
 
-    v = sub.add_parser("verify", help="run the full cross-verification suite")
-    v.set_defaults()
+    sub.add_parser("verify", help="run the full cross-verification suite")
     return parser
 
 
@@ -246,7 +199,13 @@ _HANDLERS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return _HANDLERS[args.command](parser, args)
+    try:
+        return _HANDLERS[args.command](parser, args)
+    except ValueError as exc:  # every value rule lives in the library
+        parser.error(str(exc))
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 def console_entry():

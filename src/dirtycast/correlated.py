@@ -39,7 +39,8 @@ class CorrelatedSpec:
     qd: float
 
     def __post_init__(self):
-        _check_nonnegative("P", self.p, "Q1", self.q1, "Q2", self.q2, "Qd", self.qd)
+        # Qd first: callers default Q1 to Qd/4, so a bad Qd must be named as Qd
+        _check_nonnegative("Qd", self.qd, "P", self.p, "Q1", self.q1, "Q2", self.q2)
         cap = (math.sqrt(self.q1) + math.sqrt(self.q2)) ** 2
         if self.qd > cap * (1.0 + 1e-9) + 1e-12:
             raise ValueError(

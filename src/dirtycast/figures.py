@@ -18,85 +18,69 @@ from .core import db_to_linear
 
 __all__ = ["FIGURES", "figure_table", "format_number", "render_csv", "write_csv", "write_svg"]
 
-FIGURES = ("fig2", "fig4", "fig5", "fig6")
-
 
 def format_number(x: float) -> str:
     return format(float(x), ".9g")
 
 
-def _binary_rows(columns_for):
-    header, rows = None, []
-    for i in range(101):
-        q = i * 0.005
-        name_vals = columns_for(q)
-        if header is None:
-            header = ["q"] + [n for n, _ in name_vals]
-        rows.append([q] + [v for _, v in name_vals])
-    return header, rows
+def _binary_two_user(q):
+    spec = binary.BinaryChannelSpec.iid(q)
+    return {
+        "capacity": binary.capacity_two_user(spec),
+        "timeshare": binary.rate_timeshare(2),
+        "ignore_si": binary.rate_ignore_side_info(spec),
+    }
 
 
-def _fig2():
-    def cols(q):
-        spec = binary.BinaryChannelSpec.iid(q)
-        return [
-            ("capacity", binary.capacity_two_user(spec).value),
-            ("timeshare", binary.rate_timeshare(2).value),
-            ("ignore_si", binary.rate_ignore_side_info(spec).value),
-        ]
-
-    return _binary_rows(cols)
+def _binary_three_user(q):
+    spec = binary.BinaryChannelSpec.iid(q, k=3)
+    return {
+        "upper_k3": binary.upper_bound_k(spec),
+        "lower_k3": binary.lower_bound_k(spec),
+        "timeshare": binary.rate_timeshare(3),
+        "ignore_si": binary.rate_ignore_side_info(spec),
+    }
 
 
-def _fig4():
-    def cols(q):
-        spec = binary.BinaryChannelSpec.iid(q, k=3)
-        return [
-            ("upper_k3", binary.upper_bound_k(spec).value),
-            ("lower_k3", binary.lower_bound_k(spec).value),
-            ("timeshare", binary.rate_timeshare(3).value),
-            ("ignore_si", binary.rate_ignore_side_info(spec).value),
-        ]
-
-    return _binary_rows(cols)
+def _gaussian(p, q):
+    return {
+        "upper_i": gaussian.upper_i(p, q),
+        "upper_ii": gaussian.upper_ii(p, q),
+        "lower": gaussian.lower_bound(p, q),
+        "timeshare": gaussian.rate_timeshare(p),
+        "interference_as_noise": gaussian.rate_interference_as_noise(p, q),
+    }
 
 
-def _gaussian_rows(x_name, x_values, p_of, q_of):
-    header = [x_name, "upper_i", "upper_ii", "lower", "timeshare", "interference_as_noise"]
-    rows = []
-    for x in x_values:
-        p, q = p_of(x), q_of(x)
-        rows.append(
-            [
-                x,
-                gaussian.upper_i(p, q).value,
-                gaussian.upper_ii(p, q).value,
-                gaussian.lower_bound(p, q).value,
-                gaussian.rate_timeshare(p).value,
-                gaussian.rate_interference_as_noise(p, q).value,
-            ]
-        )
-    return header, rows
+_FIG5_SNR = db_to_linear(33.0)
+_FIG6_INR = db_to_linear(15.0)
 
-
-def _fig5():
-    p = db_to_linear(33.0)
-    xs = [-10.0 + 60.0 * i / 120 for i in range(121)]
-    return _gaussian_rows("inr_db", xs, lambda x: p, lambda x: db_to_linear(x))
-
-
-def _fig6():
-    q = db_to_linear(15.0)
-    xs = [50.0 * i / 120 for i in range(121)]
-    return _gaussian_rows("snr_db", xs, lambda x: db_to_linear(x), lambda x: q)
+# name: (x column, x values, {column: RateBound} at x)
+_SWEEPS = {
+    "fig2": ("q", [i * 0.005 for i in range(101)], _binary_two_user),
+    "fig4": ("q", [i * 0.005 for i in range(101)], _binary_three_user),
+    "fig5": (
+        "inr_db",
+        [-10.0 + 60.0 * i / 120 for i in range(121)],
+        lambda x: _gaussian(_FIG5_SNR, db_to_linear(x)),
+    ),
+    "fig6": (
+        "snr_db",
+        [50.0 * i / 120 for i in range(121)],
+        lambda x: _gaussian(db_to_linear(x), _FIG6_INR),
+    ),
+}
+FIGURES = tuple(_SWEEPS)
 
 
 def figure_table(name: str):
     """(header, rows) for one of the four figures."""
-    builders = {"fig2": _fig2, "fig4": _fig4, "fig5": _fig5, "fig6": _fig6}
-    if name not in builders:
+    if name not in _SWEEPS:
         raise ValueError(f"unknown figure {name!r}; choose from {FIGURES}")
-    return builders[name]()
+    x_name, xs, bounds_at = _SWEEPS[name]
+    tables = [bounds_at(x) for x in xs]
+    rows = [[x] + [b.value for b in table.values()] for x, table in zip(xs, tables)]
+    return [x_name, *tables[0]], rows
 
 
 def render_csv(header, rows) -> str:

@@ -10,6 +10,7 @@ results are bit-identical no matter how trials are batched across threads.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -159,7 +160,8 @@ def simulate_scheme(spec: BinaryChannelSpec, run: SchemeRun, threads: int = 1) -
     The decoder knows the coin sequence of each trial and performs exact ML:
     perfect agreement is required on its clean half (up to channel noise)
     and disagreements on the interfered half are weighted by the crossover
-    P(S1 xor S2 = 1) convolved with the noise.
+    P(S1 xor S2 = 1) convolved with the noise.  At most min(threads,
+    os.cpu_count()) trials run at once.
     """
     if spec.k != 2:
         raise ValueError("the scheme simulation covers two users")
@@ -180,8 +182,10 @@ def simulate_scheme(spec: BinaryChannelSpec, run: SchemeRun, threads: int = 1) -
             totals = [a + b for a, b in zip(totals, trial)]
         return totals
 
-    chunks = [range(i, run.trials, threads) for i in range(min(threads, run.trials))]
-    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
+    # a trial at the ML cap holds about 160 MB, so run no more trials at once than cores
+    workers = min(threads, run.trials, os.cpu_count() or 1)
+    chunks = [range(i, run.trials, workers) for i in range(workers)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         mismatches, samples, e1, e2, eu = (sum(c) for c in zip(*pool.map(worker, chunks)))
 
     q_hat = mismatches / samples if samples else 0.0

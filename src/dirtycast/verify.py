@@ -474,7 +474,8 @@ CHECKS = (
 def run_checks(names=None):
     """Run the named checks (default: all) and return their results.
 
-    Raises ValueError naming any check that does not exist."""
+    A check that raises fails with the exception as its detail.  Raises
+    ValueError naming any check that does not exist."""
     if names is not None:
         unknown = sorted(set(names) - {n for n, _ in CHECKS})
         if unknown:
@@ -485,6 +486,7 @@ def run_checks(names=None):
         try:
             detail = func()
             results.append(CheckResult(name, True, detail))
-        except AssertionError as exc:
-            results.append(CheckResult(name, False, str(exc)))
+        except Exception as exc:
+            detail = str(exc) if isinstance(exc, AssertionError) else repr(exc)
+            results.append(CheckResult(name, False, detail))
     return results

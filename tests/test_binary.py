@@ -152,6 +152,10 @@ class TestKUserBounds:
             upper_bound_k(BinaryChannelSpec.pair_joint(ASYMMETRIC_PAIRS[0]))
         with pytest.raises(ValueError):
             lower_bound_k(BinaryChannelSpec.fully_correlated(0.1))
+        noisy = BinaryChannelSpec.iid(0.2, k=3, noise_q=0.1)
+        for bound in (upper_bound_k, lower_bound_k):
+            with pytest.raises(ValueError, match="noiseless"):
+                bound(noisy)
 
 
 class TestNoisyBounds:

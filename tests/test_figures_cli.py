@@ -149,12 +149,23 @@ class TestCliBounds:
             ["bounds", "--gaussian", "--snr", "nan", "--inr", "1"],
             ["bounds", "--gaussian", "--snr", "1e400", "--inr", "1"],
             ["bounds", "--gaussian", "--snr-db", "4000", "--inr", "1"],
+            ["bounds", "--gaussian", "--snr", "1", "--inr", "1", "--k", "0"],
+            ["bounds", "--gaussian", "--snr", "1", "--inr", "1", "--k", "1"],
+            ["simulate", "--q", "0.2", "--n", "24", "--rate", "0.25", "--threads", "0"],
+            ["bounds", "--correlated", "--snr", "10", "--qd", "nan"],
         ],
     )
-    def test_invalid_flags_exit_2(self, argv):
+    def test_invalid_flags_exit_2(self, argv, capsys):
         with pytest.raises(SystemExit) as err:
             cli.main(argv)
         assert err.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_bad_qd_is_reported_as_qd(self, capsys):
+        # Q1 defaults to Qd/4, so the message must name the flag that was given
+        with pytest.raises(SystemExit):
+            cli.main(["bounds", "--correlated", "--snr", "10", "--qd", "nan"])
+        assert "Qd must be finite and nonnegative" in capsys.readouterr().err
 
 
 class TestCliFigure:

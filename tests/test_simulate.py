@@ -2,9 +2,11 @@
 determinism and the reproducible-parallelism contract."""
 
 import math
+import os
 
 import pytest
 
+from dirtycast import simulate
 from dirtycast.binary import BinaryChannelSpec, noisy_two_user_bounds, precancellation_rate
 from dirtycast.core import JointPmf
 from dirtycast.simulate import CODEBOOK_CAP, InfeasibleRunError, SchemeRun, simulate_scheme
@@ -143,6 +145,20 @@ class TestPreconditions:
         for threads in (0, -1):
             with pytest.raises(ValueError, match="threads"):
                 simulate_scheme(SPEC_Q25, run, threads=threads)
+
+    def test_concurrent_trials_capped_at_cpu_count(self, monkeypatch):
+        seen = []
+
+        class Recording(simulate.ThreadPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                seen.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", Recording)
+        run = SchemeRun(n=24, rate=0.25, trials=40, seed=5)
+        many = simulate_scheme(SPEC_Q25, run, threads=os.cpu_count() + 5)
+        assert seen[0] <= os.cpu_count()
+        assert repr(many) == repr(simulate_scheme(SPEC_Q25, run, threads=1))
 
     def test_pair_joint_model_supported(self):
         spec = BinaryChannelSpec.pair_joint(

@@ -9,12 +9,22 @@ from pathlib import Path
 import pytest
 
 import dirtycast
-from dirtycast import verify
+from dirtycast import cli, verify
 
 
 @pytest.mark.parametrize("name, check", verify.CHECKS, ids=[n for n, _ in verify.CHECKS])
 def test_check(name, check):
     check()
+
+
+def test_a_crashing_check_fails(monkeypatch):
+    def crash():
+        raise ValueError("boom")
+
+    monkeypatch.setattr(verify, "CHECKS", (("crash", crash),))
+    [result] = verify.run_checks()
+    assert not result.passed and "boom" in result.detail
+    assert cli.main(["verify"]) == 1
 
 
 def test_unknown_check_names_are_rejected():
@@ -50,3 +60,20 @@ def test_every_export_is_used_by_the_package(module):
     mod = importlib.import_module(module)
     unused = set(getattr(mod, "__all__", ())) - _names_used_by_the_package()
     assert not unused, f"{module}.__all__ names nothing in the package uses: {sorted(unused)}"
+
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_import_is_read(module):
+    # an imported name that the module never reads and does not export is a leftover
+    mod = importlib.import_module(module)
+    tree = ast.parse(Path(mod.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {(a.asname or a.name).partition(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    unread = imported - read - set(getattr(mod, "__all__", ()))
+    assert not unread, f"{module} imports names it never reads: {sorted(unread)}"
