@@ -21,6 +21,7 @@ from .binary import BinaryChannelSpec, precancellation_rate, xor_convolve
 __all__ = ["InfeasibleRunError", "SchemeRun", "simulate_scheme"]
 
 CODEBOOK_CAP = 2**20
+DECODE_BLOCK = 2**14  # codewords scored at once by _ml_decode
 
 
 class InfeasibleRunError(ValueError):
@@ -105,6 +106,23 @@ def _half_loglik(disagreements, size, crossover):
     return d * math.log(crossover) + (size - d) * math.log(1.0 - crossover)
 
 
+def _ml_decode(codebook, y, clean, noise_q: float, cross_noisy: float) -> int:
+    """ML codeword index for y (crossover noise_q where clean, else cross_noisy; ties to
+    the lowest index), scored DECODE_BLOCK rows at a time so no temporary grows with M."""
+    n_clean = int(np.count_nonzero(clean))
+    best, best_score = 0, -math.inf
+    for start in range(0, len(codebook), DECODE_BLOCK):
+        diff = codebook[start : start + DECODE_BLOCK] != y[None, :]
+        d_clean = np.count_nonzero(diff & clean[None, :], axis=1)
+        d_noisy = np.count_nonzero(diff & ~clean[None, :], axis=1)
+        score = _half_loglik(d_clean, n_clean, noise_q)
+        score += _half_loglik(d_noisy, len(y) - n_clean, cross_noisy)
+        i = int(np.argmax(score))
+        if score[i] > best_score:
+            best, best_score = start + i, score[i]
+    return best
+
+
 def _run_trial(rng, run: SchemeRun, s1_one, s2_one_given, noise_q: float, cross_noisy: float):
     n = run.n
     mask1 = rng.integers(0, 2, size=n, dtype=np.uint8).astype(bool)  # A_i = 1
@@ -118,10 +136,11 @@ def _run_trial(rng, run: SchemeRun, s1_one, s2_one_given, noise_q: float, cross_
     else:
         m = run.codewords
         if run.codebook == "linear":
-            # row i is the XOR of the generator rows at the set bits of i
-            codebook = np.zeros((1, n), dtype=np.uint8)
-            for g in rng.integers(0, 2, size=(int(math.log2(m)), n), dtype=np.uint8):
-                codebook = np.concatenate((codebook, codebook ^ g))
+            # row i is the XOR of the generator rows at the set bits of i, doubled in place
+            codebook = np.zeros((m, n), dtype=np.uint8)
+            gens = rng.integers(0, 2, size=(int(math.log2(m)), n), dtype=np.uint8)
+            for j, g in enumerate(gens):
+                np.bitwise_xor(codebook[: 1 << j], g, out=codebook[1 << j : 2 << j])
         else:
             codebook = rng.integers(0, 2, size=(m, n), dtype=np.uint8)
         w = int(rng.integers(0, m))
@@ -140,17 +159,10 @@ def _run_trial(rng, run: SchemeRun, s1_one, s2_one_given, noise_q: float, cross_
 
     e1 = e2 = 0
     if codebook is not None:
-        decoded = []
-        for y, clean in ((y1, mask1), (y2, ~mask1)):
-            diff = codebook != y[None, :]
-            d_clean = np.count_nonzero(diff & clean[None, :], axis=1)
-            d_noisy = np.count_nonzero(diff & ~clean[None, :], axis=1)
-            n_clean = int(np.count_nonzero(clean))
-            score = _half_loglik(d_clean, n_clean, noise_q) + _half_loglik(
-                d_noisy, n - n_clean, cross_noisy
-            )
-            decoded.append(int(np.argmax(score)))  # ties: lowest codeword index
-        e1, e2 = int(decoded[0] != w), int(decoded[1] != w)
+        e1, e2 = (
+            int(_ml_decode(codebook, y, clean, noise_q, cross_noisy) != w)
+            for y, clean in ((y1, mask1), (y2, ~mask1))
+        )
     return mismatches, samples, e1, e2, e1 | e2
 
 
@@ -182,7 +194,7 @@ def simulate_scheme(spec: BinaryChannelSpec, run: SchemeRun, threads: int = 1) -
             totals = [a + b for a, b in zip(totals, trial)]
         return totals
 
-    # a trial at the ML cap holds about 160 MB, so run no more trials at once than cores
+    # a trial at the ML cap holds a 40 MB codebook, so run no more trials at once than cores
     workers = min(threads, run.trials, os.cpu_count() or 1)
     chunks = [range(i, run.trials, workers) for i in range(workers)]
     with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -127,6 +127,23 @@ class TestDeterminism:
                 reports = {t: simulate_scheme(spec, run, threads=t) for t in (1, 2, 4, 7)}
                 assert len({repr(r) for r in reports.values()}) == 1
 
+    def test_decode_block_size_does_not_change_results(self, monkeypatch):
+        # blocks of 1 and 5 rows split the 64 codewords at every index and
+        # mid-block; the anticorrelated spec scores most codewords -inf (ties)
+        specs = (
+            SPEC_Q25,
+            BinaryChannelSpec.iid(0.25, noise_q=0.05),
+            BinaryChannelSpec.fully_correlated(0.4, flip=True),
+        )
+        runs = [
+            SchemeRun(n=24, rate=0.25, trials=60, seed=4, codebook=kind)
+            for kind in ("iid", "linear")
+        ]
+        expected = [repr(simulate_scheme(spec, run)) for spec in specs for run in runs]
+        for block in (1, 5):
+            monkeypatch.setattr(simulate, "DECODE_BLOCK", block)
+            assert [repr(simulate_scheme(spec, run)) for spec in specs for run in runs] == expected
+
     def test_different_seeds_differ(self):
         a = simulate_scheme(SPEC_Q25, SchemeRun(n=1000, rate=None, trials=1, seed=1))
         b = simulate_scheme(SPEC_Q25, SchemeRun(n=1000, rate=None, trials=1, seed=2))
