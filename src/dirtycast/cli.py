@@ -18,12 +18,12 @@ from .figures import format_number as _fmt
 from .simulate import SchemeRun, simulate_scheme
 
 
-def _resolve_db_pair(parser, linear, in_db, name):
+def _resolve_db_pair(parser, linear, in_db, name, quantity):
     if linear is not None and in_db is not None:
         parser.error(f"specify only one of --{name} and --{name}-db")
     if linear is None and in_db is None:
         parser.error(f"one of --{name} or --{name}-db is required")
-    return linear if linear is not None else db_to_linear(in_db)
+    return linear if linear is not None else db_to_linear(in_db, quantity)
 
 
 def _cmd_bounds(parser, args) -> int:
@@ -41,8 +41,8 @@ def _cmd_bounds(parser, args) -> int:
         title = f"binary multicast, K={args.k}, q={_fmt(args.q)}" + (
             f", noise_q={_fmt(args.noise_q)}" if args.noise_q is not None else "")
     elif args.mode == "gaussian":
-        p = _resolve_db_pair(parser, args.snr, args.snr_db, "snr")
-        q = _resolve_db_pair(parser, args.inr, args.inr_db, "inr")
+        p = _resolve_db_pair(parser, args.snr, args.snr_db, "snr", "P")
+        q = _resolve_db_pair(parser, args.inr, args.inr_db, "inr", "Q")
         rows = [
             gaussian.upper_envelope(p, q),
             gaussian.upper_i(p, q),
@@ -56,7 +56,7 @@ def _cmd_bounds(parser, args) -> int:
             rows.append(gaussian.upper_k(p, q, args.k))
         title = f"gaussian multicast, K={args.k}, P={_fmt(p)}, Q={_fmt(q)}"
     else:
-        p = _resolve_db_pair(parser, args.snr, args.snr_db, "snr")
+        p = _resolve_db_pair(parser, args.snr, args.snr_db, "snr", "P")
         if args.qd is None:
             parser.error("--correlated requires --qd")
         q1 = args.q1 if args.q1 is not None else args.qd / 4.0
@@ -185,6 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--csv", default=None, help="also write the report metrics as CSV")
 
     sub.add_parser("verify", help="run the full cross-verification suite")
+    for command in sub.choices.values():  # errors print the failing command's usage
+        command.set_defaults(command_parser=command)
     return parser
 
 
@@ -197,12 +199,11 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](parser, args)
+        return _HANDLERS[args.command](args.command_parser, args)
     except ValueError as exc:  # every value rule lives in the library
-        parser.error(str(exc))
+        args.command_parser.error(str(exc))
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -185,15 +185,16 @@ def pmf_entropy(pmf: JointPmf) -> float:
     return -math.fsum(p * math.log2(p) for _, p in pmf.atoms() if p > 0.0)
 
 
-def db_to_linear(x_db: float) -> float:
-    """Power ratio for a dB figure: 10^(x/10)."""
+def db_to_linear(x_db: float, name: str = "power ratio") -> float:
+    """Power ratio for a dB figure: 10^(x/10).  name is the quantity the
+    figure gives (e.g. "P"), for the error messages."""
     x = float(x_db)
     if not math.isfinite(x):
-        raise ValueError("dB value must be finite")
+        raise ValueError(f"{name} in dB must be finite, got {x!r}")
     try:
         return 10.0 ** (x / 10.0)
     except OverflowError:
-        raise ValueError(f"{x:g} dB overflows a float") from None
+        raise ValueError(f"{name} = {x:g} dB overflows a float") from None
 
 
 def _logdet_principal(cov: GaussianCov, block) -> float:
@@ -241,11 +242,14 @@ _XTOL = 1e-10
 def minimize_scalar(f, domain):
     """Minimize a scalar function on the closed interval domain = (lo, hi).
 
-    Coarse scan on a uniform grid of 2001 points followed by golden-section
-    refinement of the best bracket down to width 1e-10 * max(1, |lo|, |hi|);
-    derivative-free, so kinked objectives are fine.  For a unimodal f the
-    returned argmin is within 1e-6 * max(1, |lo|, |hi|) of the global
-    minimizer.  Returns (argmin, minimum).
+    f must take either a float or a 1-D float array: given an array it
+    returns the array of its values at each element.  The coarse scan is
+    one call f(xs) on a uniform grid of 2001 points; golden-section
+    refinement of the best bracket then calls f on floats only, down to
+    width 1e-10 * max(1, |lo|, |hi|).  Derivative-free, so kinked
+    objectives are fine.  For a unimodal f the returned argmin is within
+    1e-6 * max(1, |lo|, |hi|) of the global minimizer.  Returns
+    (argmin, minimum).
     """
     lo, hi = domain
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -255,7 +259,7 @@ def minimize_scalar(f, domain):
     if lo == hi:
         return lo, f(lo)
     xs = np.linspace(lo, hi, _GRID_POINTS)
-    vals = [f(float(x)) for x in xs]
+    vals = f(xs)
     i = int(np.argmin(vals))
     best_x, best_v = float(xs[i]), float(vals[i])
 

@@ -3,8 +3,9 @@ Y_k = X + S_k + Z_k with transmitter-known interference.
 
 P is the SNR, Q the INR, noise power normalized to 1, logs base 2.  The two
 upper bounds are each written once, as a raw objective in the receivers'
-noise correlation rho (`upper_i_at_rho`, `upper_ii_at_rho`); the closed
-forms `upper_i` and `upper_ii` are those objectives at the branch rho
+noise correlation rho (`upper_i_at_rho`, `upper_ii_at_rho`, which take a
+float or an array of rho, so a minimizer scans a grid in one call); the
+closed forms `upper_i` and `upper_ii` are those objectives at the branch rho
 (`rho_upper_i`, `rho_upper_ii`), and numeric minimizers over rho
 cross-check that choice.  The achievable side is superposition dirty-paper
 coding over the split S_k = A +/- D, with a covariance-based oracle that
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -89,22 +91,48 @@ def rate_interference_as_noise(p: float, q: float) -> RateBound:
     return RateBound(0.5 * math.log2(1.0 + p / (q + 1.0)), "lower", "interference-as-noise")
 
 
+# The operations a rate formula needs, for float arguments: the math module's
+# log2/sqrt/expm1 and the builtin max/min.  numpy supplies the same names for
+# arrays; a float keeps this path, which is faster than numpy on scalars.
+_FLOAT_OPS = SimpleNamespace(
+    log2=math.log2, sqrt=math.sqrt, expm1=math.expm1, maximum=max, minimum=min
+)
+
+
+def _rho_objective(value, p, q, rho, rho_max):
+    """value(ops, p, q, rho) on the open domain -1 < rho < rho_max, where
+    its denominators are positive, and +inf outside it.
+
+    rho is a float or a 1-D array.  Closed array entries are evaluated at
+    rho = 0 and then replaced, so no log or sqrt sees a nonpositive
+    argument and no RuntimeWarning is raised."""
+    if isinstance(rho, np.ndarray):
+        closed = (rho <= -1.0) | (rho >= rho_max)
+        return np.where(closed, math.inf, value(np, p, q, np.where(closed, 0.0, rho)))
+    if rho <= -1.0 or rho >= rho_max:
+        return math.inf
+    return value(_FLOAT_OPS, p, q, rho)
+
+
 def _received_power(p: float, q: float) -> float:
     """P + Q + 1 + 2 sqrt(PQ): the power of X + S_k + Z_k when the input is
     fully aligned with the interference."""
     return p + q + 1.0 + 2.0 * math.sqrt(p) * math.sqrt(q)
 
 
-def upper_i_at_rho(p: float, q: float, rho: float) -> float:
+def _upper_i_value(xp, p, q, rho):
+    """The upper_i_at_rho formula, with the operations xp."""
+    return (0.25 * xp.log2((1.0 + p) / (1.0 + rho))
+            + 0.25 * xp.log2(_received_power(p, q) / (q / 2.0 + 1.0 - rho)))
+
+
+def upper_i_at_rho(p: float, q: float, rho):
     """Genie-argument upper bound at a fixed noise correlation rho.
 
     log2((1+P)/(1+rho))/4 + log2((P+Q+1+2 sqrt(PQ))/(Q/2+1-rho))/4;
-    +inf where a denominator closes (rho at the ends of [-1,1])."""
-    d1 = 1.0 + rho
-    d2 = q / 2.0 + 1.0 - rho
-    if d1 <= 0.0 or d2 <= 0.0:
-        return math.inf
-    return 0.25 * math.log2((1.0 + p) / d1) + 0.25 * math.log2(_received_power(p, q) / d2)
+    +inf where a denominator closes (rho <= -1 or rho >= Q/2+1).  rho is
+    a float or a 1-D array."""
+    return _rho_objective(_upper_i_value, p, q, rho, q / 2.0 + 1.0)
 
 
 def rho_upper_i(q: float) -> float:
@@ -120,19 +148,22 @@ def upper_i(p: float, q: float) -> RateBound:
     return RateBound(upper_i_at_rho(p, q, rho_upper_i(q)), "upper", "upper-I")
 
 
-def upper_ii_at_rho(p: float, q: float, rho: float) -> float:
+def _upper_ii_value(xp, p, q, rho):
+    """The upper_ii_at_rho formula, with the operations xp."""
+    main = 0.5 * xp.log2(_received_power(p, q) / xp.sqrt((1.0 + rho) * (q + 1.0 - rho)))
+    if q > 0.0:
+        main = main - xp.maximum(0.0, 0.25 * (math.log2(q) - xp.log2(2.0 * p + 1.0 + rho)))
+    return main
+
+
+def upper_ii_at_rho(p: float, q: float, rho):
     """Joint-output upper bound at a fixed noise correlation rho.
 
     log2((P+Q+2 sqrt(PQ)+1)/sqrt((1+rho)(Q+1-rho)))/2
-      - [log2(Q/(2P+1+rho))/4]^+."""
-    prod = (1.0 + rho) * (q + 1.0 - rho)
-    if prod <= 0.0:
-        return math.inf
-    main = 0.5 * math.log2(_received_power(p, q) / math.sqrt(prod))
-    penalty = 0.0
-    if q > 0.0:
-        penalty = max(0.0, 0.25 * (math.log2(q) - math.log2(2.0 * p + 1.0 + rho)))
-    return main - penalty
+      - [log2(Q/(2P+1+rho))/4]^+;
+    +inf where (1+rho)(Q+1-rho) closes (rho <= -1 or rho >= Q+1).  rho is
+    a float or a 1-D array."""
+    return _rho_objective(_upper_ii_value, p, q, rho, q + 1.0)
 
 
 def rho_upper_ii(q: float) -> float:
@@ -160,9 +191,10 @@ def upper_envelope(p: float, q: float) -> RateBound:
     return RateBound(value, "upper", "envelope")
 
 
-def _split_rate(p_a: float, p_d: float, q: float) -> float:
-    """log2(1 + P_A/(P_D+Q/2+1))/2 + log2(1+P_D)/4."""
-    return 0.5 * math.log2(1.0 + p_a / (p_d + q / 2.0 + 1.0)) + 0.25 * math.log2(1.0 + p_d)
+def _split_rate(xp, p_a, p_d, q: float):
+    """log2(1 + P_A/(P_D+Q/2+1))/2 + log2(1+P_D)/4, with the operations xp:
+    _FLOAT_OPS for floats, numpy for arrays of P_A and P_D."""
+    return 0.5 * xp.log2(1.0 + p_a / (p_d + q / 2.0 + 1.0)) + 0.25 * xp.log2(1.0 + p_d)
 
 
 def rate_of_split(split: PowerSplit, q: float) -> float:
@@ -170,7 +202,7 @@ def rate_of_split(split: PowerSplit, q: float) -> float:
 
     log2(1 + P_A/(P_D+Q/2+1))/2 + log2(1+P_D)/4."""
     _check_nonnegative("Q", q)
-    return _split_rate(split.p_a, split.p_d, q)
+    return _split_rate(_FLOAT_OPS, split.p_a, split.p_d, q)
 
 
 def lower_bound(p: float, q: float) -> RateBound:
@@ -182,7 +214,7 @@ def lower_bound(p: float, q: float) -> RateBound:
     """
     _check_nonnegative("P", p, "Q", q)
     p_d = min(max(q / 2.0 - 1.0, 0.0), p)
-    return RateBound(_split_rate(p - p_d, p_d, q), "lower", "superposition-dpc")
+    return RateBound(_split_rate(_FLOAT_OPS, p - p_d, p_d, q), "lower", "superposition-dpc")
 
 
 def minimize_upper_i_rho(p: float, q: float):
@@ -208,12 +240,16 @@ def maximize_power_split(p: float, q: float):
     _check_nonnegative("P", p, "Q", q)
     log_total = math.log1p(p)
 
+    def p_d_at(xp, s):
+        return xp.minimum(xp.expm1(s * log_total), p)
+
     def negated_rate(s):
-        p_d = min(math.expm1(s * log_total), p)
-        return -_split_rate(p - p_d, p_d, q)
+        xp = np if isinstance(s, np.ndarray) else _FLOAT_OPS
+        p_d = p_d_at(xp, s)
+        return -_split_rate(xp, p - p_d, p_d, q)
 
     s, _ = minimize_scalar(negated_rate, (0.0, 1.0))
-    p_d = min(math.expm1(s * log_total), p)
+    p_d = p_d_at(_FLOAT_OPS, s)
     split = PowerSplit(p - p_d, p_d)
     return split, rate_of_split(split, q)
 

@@ -187,6 +187,18 @@ class TestMinimizeScalar:
         with pytest.raises(ValueError, match="endpoints must be finite"):
             minimize_scalar(lambda t: t, (0.0, math.inf))
 
+    def test_scan_is_one_array_call(self):
+        args = []
+
+        def f(t):
+            args.append(t)
+            return (t - 0.3) ** 2
+
+        minimize_scalar(f, (-1.0, 1.0))
+        scan, *refinement = args
+        assert isinstance(scan, np.ndarray) and scan.shape == (2001,)
+        assert refinement and all(type(t) is float for t in refinement)
+
     def test_wide_domain_terminates(self):
         # far from 0 an absolute stopping width of 1e-10 is below one ulp,
         # so the golden-section loop must stop at a width relative to |lo|, |hi|

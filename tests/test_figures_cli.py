@@ -161,6 +161,28 @@ class TestCliBounds:
         assert err.value.code == 2
         assert capsys.readouterr().out == ""
 
+    def test_library_error_prints_the_command_usage(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["bounds", "--gaussian", "--snr", "nan", "--inr", "1"])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: dirtycast bounds ")
+        assert "P must be finite and nonnegative" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--snr-db", "4000", "--inr", "1"], "P = 4000 dB overflows a float"),
+            (["--snr", "1", "--inr-db", "4000"], "Q = 4000 dB overflows a float"),
+        ],
+    )
+    def test_db_overflow_names_the_quantity(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["bounds", "--gaussian"] + argv)
+        assert err.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_bad_qd_is_reported_as_qd(self, capsys):
         # Q1 defaults to Qd/4, so the message must name the flag that was given
         with pytest.raises(SystemExit):

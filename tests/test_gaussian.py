@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from dirtycast import correlated
-from dirtycast.core import GaussianCov, gaussian_mi
+from dirtycast import correlated, gaussian
+from dirtycast.core import GaussianCov, gaussian_mi, minimize_scalar
 from dirtycast.gaussian import (
     PowerSplit,
     awgn_capacity,
@@ -342,6 +342,73 @@ class TestSpecType:
     def test_at_rho_guards(self):
         assert upper_i_at_rho(1.0, 0.0, 1.0) == math.inf
         assert upper_ii_at_rho(1.0, 1.0, -1.0) == math.inf
+
+
+ARRAY_POWERS = (0.0, 0.1, 2.0, 1e4, 1e300)
+
+
+def assert_matches_elementwise(values, scalar_at):
+    """values, computed from an array, equal scalar_at(i) for every element
+    to 1e-12 relative; infinities must match exactly."""
+    assert isinstance(values, np.ndarray)
+    for i, value in enumerate(values):
+        expected = scalar_at(i)
+        assert math.isclose(value, expected, rel_tol=1e-12), (i, value, expected)
+
+
+class TestArrayObjectives:
+    """Every objective minimize_scalar scans takes a float or a 1-D array."""
+
+    # [-1, 1], whose ends are closed, plus points outside it: closed ones,
+    # and 5e3, which is open for Q >= 1e4
+    RHOS = np.concatenate([np.linspace(-1.0, 1.0, 2001), [-3.0, 1.5, 5e3]])
+
+    @pytest.mark.parametrize("objective", [upper_i_at_rho, upper_ii_at_rho])
+    def test_rho_objective_array_matches_scalar(self, objective):
+        for p in ARRAY_POWERS:
+            for q in ARRAY_POWERS:
+                with np.errstate(all="raise"):
+                    values = objective(p, q, self.RHOS)
+                assert values[0] == math.inf  # rho = -1 closes 1 + rho
+                assert_matches_elementwise(values, lambda i: objective(p, q, float(self.RHOS[i])))
+        # rho = 1 closes Q/2 + 1 - rho (upper-I) and Q + 1 - rho (upper-II) at Q = 0
+        assert upper_i_at_rho(1.0, 0.0, self.RHOS)[2000] == math.inf
+        assert upper_ii_at_rho(1.0, 0.0, self.RHOS)[2000] == math.inf
+
+    def test_split_rate_array_matches_scalar(self):
+        share = np.linspace(0.0, 1.0, 2001)
+        for p in ARRAY_POWERS:
+            for q in ARRAY_POWERS:
+                p_d = share * p
+                with np.errstate(all="raise"):
+                    values = gaussian._split_rate(np, p - p_d, p_d, q)
+                assert_matches_elementwise(
+                    values,
+                    lambda i: gaussian._split_rate(
+                        gaussian._FLOAT_OPS, float(p - p_d[i]), float(p_d[i]), q
+                    ),
+                )
+
+    def test_power_split_objective_array_matches_scalar(self, monkeypatch):
+        objectives = []
+
+        def spy(f, domain):
+            objectives.append(f)
+            return minimize_scalar(f, domain)
+
+        monkeypatch.setattr(gaussian, "minimize_scalar", spy)
+        shares = np.linspace(0.0, 1.0, 2001)
+        for p in ARRAY_POWERS:
+            for q in ARRAY_POWERS:
+                maximize_power_split(p, q)
+                (negated_rate,) = objectives
+                objectives.clear()
+                # at Q = 1e300 a last-ulp P_A = P - P_D underflows P_A/(P_D+Q/2+1)
+                # to a subnormal, as the float path does; numpy ignores that
+                # by default and the rate is exact
+                with np.errstate(all="raise", under="ignore"):
+                    values = negated_rate(shares)
+                assert_matches_elementwise(values, lambda i: negated_rate(float(shares[i])))
 
 
 GUARDED = {
