@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 from .core import InvalidDistributionError, JointPmf, RateBound, binary_entropy
 
+_LN2 = math.log(2.0)
+
 __all__ = [
     "BinaryChannelSpec",
     "xor_convolve",
@@ -130,23 +132,39 @@ def rate_ignore_side_info(spec: BinaryChannelSpec) -> RateBound:
 
 
 def joint_xor_entropy(k: int, q: float) -> float:
-    """H(S1^S2, S1^S3, ..., S1^SK) in bits for i.i.d. Bernoulli(q) bits.
+    """H(S1^S2, S1^S3, ..., S1^SK) in bits for i.i.d. Bernoulli(q) bits, at any K.
 
-    Conditioning on S1 makes each weight-w pattern of the (K-1)-tuple carry
-    probability (1-q) q^w (1-q)^(K-1-w) + q (1-q)^w q^(K-1-w), so the sum
-    collapses to K weight classes.
+    The xor tuple D and S1 fix all K bits, so H(D) = K H(q) - H(S1 | D).  Given
+    that D has weight w of its m = K-1 entries, the posterior log-odds of S1 = 0
+    are (m+1-2w) log((1-q)/q), a logistic in w, and each of the C(m, w) patterns
+    of weight w has probability (1-q) q^w (1-q)^(m-w) + q (1-q)^w q^(m-w).  The
+    weight-class law is taken in log space, so no K overflows it or underflows
+    it to a wrong value.
     """
     if k < 2:
         raise ValueError("need at least two users")
     if not 0.0 <= q <= 1.0:
         raise ValueError("probability must lie in [0, 1]")
+    if q == 0.0 or q == 1.0:
+        return 0.0
     m = k - 1
-    total = 0.0
+    log_q, log_r = math.log(q), math.log1p(-q)
+    log_comb = 0.0  # log C(m, w), by the recurrence C(m, w) = C(m, w-1) (m-w+1) / w
+    posterior = 0.0  # H(S1 | D) in nats
     for w in range(m + 1):
-        p = (1 - q) * q**w * (1 - q) ** (m - w) + q * (1 - q) ** w * q ** (m - w)
-        if p > 0.0:
-            total -= math.comb(m, w) * p * math.log2(p)
-    return total
+        if w:
+            log_comb += math.log((m - w + 1) / w)
+        # log P(S1 = s, D = d) for one d of weight w, at the likelier s (a) and the other (b)
+        a = (m + 1 - w) * log_r + w * log_q
+        b = (m + 1 - w) * log_q + w * log_r
+        if a < b:
+            a, b = b, a
+        x = a - b
+        tail = math.exp(-x)
+        spread = math.log1p(tail)
+        # C(m, w) e^a (1 + e^-x) is P(weight w); h(1 / (1 + e^x)) is the posterior entropy
+        posterior += math.exp(log_comb + a + spread) * (spread + x * tail / (1.0 + tail))
+    return k * binary_entropy(q) - posterior / _LN2
 
 
 def joint_xor_entropy_brute(k: int, q: float) -> float:
@@ -175,8 +193,6 @@ def upper_bound_k(spec: BinaryChannelSpec) -> RateBound:
         raise ValueError("the K-user bound is stated for i.i.d. interference")
     if spec.k < 2:
         raise ValueError("need at least two users")
-    if spec.k > 64:
-        raise ValueError("K > 64 would overflow the weight enumeration")
     if not spec.noiseless:
         raise ValueError("the K-user bounds are stated for the noiseless channel")
     h = joint_xor_entropy(spec.k, spec.q)

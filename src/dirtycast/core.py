@@ -259,7 +259,13 @@ def minimize_scalar(f, domain):
     if lo == hi:
         return lo, f(lo)
     xs = np.linspace(lo, hi, _GRID_POINTS)
-    vals = f(xs)
+    contract = "f must take a float or a 1-D float array and return one value per element"
+    try:
+        vals = np.asarray(f(xs), float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(contract) from exc
+    if vals.shape != xs.shape:
+        raise ValueError(f"{contract}; got shape {vals.shape} for {xs.shape} points")
     i = int(np.argmin(vals))
     best_x, best_v = float(xs[i]), float(vals[i])
 

@@ -2,9 +2,12 @@
 
 Each trial splits the symbol indices by a fair coin sequence A^n, precancels
 user 1's interference where A_i = 1 and user 2's where A_i = 0, and decodes
-both users by exact maximum likelihood over the whole codebook.  Trial t
-draws all of its randomness from a generator seeded by (master_seed, t), so
-results are bit-identical no matter how trials are batched across threads.
+both users by exact maximum likelihood over the whole codebook.  Codewords
+are stored packed, 64 bits to a uint64 word, and the decoder scores each one
+from the popcounts of its XOR with the channel output under the two halves'
+bit masks.  Trial t draws all of its randomness from a generator seeded by
+(master_seed, t), so results are bit-identical no matter how trials are
+batched across threads.
 """
 
 from __future__ import annotations
@@ -96,9 +99,10 @@ class SchemeReport:
     fer_user2: float | None
 
 
-def _half_loglik(disagreements, size, crossover):
-    """Log-likelihood of a BSC half given per-codeword disagreement counts."""
-    d = disagreements.astype(float)
+def _half_loglik(size, crossover):
+    """Log-likelihood of a BSC(crossover) half of size bits at each disagreement
+    count 0..size."""
+    d = np.arange(size + 1, dtype=float)
     if crossover == 0.0:
         return np.where(d == 0, 0.0, -np.inf)
     if crossover == 1.0:
@@ -106,17 +110,26 @@ def _half_loglik(disagreements, size, crossover):
     return d * math.log(crossover) + (size - d) * math.log(1.0 - crossover)
 
 
-def _ml_decode(codebook, y, clean, noise_q: float, cross_noisy: float) -> int:
-    """ML codeword index for y (crossover noise_q where clean, else cross_noisy; ties to
-    the lowest index), scored DECODE_BLOCK rows at a time so no temporary grows with M."""
-    n_clean = int(np.count_nonzero(clean))
+def _pack(bits):
+    """Pack 0/1 bits along the last axis into uint64 words, bit i in word i // 64
+    (little-endian bit order, the bytes viewed in place), zero past the last bit.
+    np.unpackbits(words.view(np.uint8), count=n, bitorder="little") inverts it."""
+    n = bits.shape[-1]
+    out = np.zeros(bits.shape[:-1] + (-(-n // 64) * 8,), dtype=np.uint8)
+    out[..., : -(-n // 8)] = np.packbits(bits, axis=-1, bitorder="little")
+    return out.view(np.uint64)
+
+
+def _ml_decode(codebook, y, clean, noisy, clean_score, noisy_score) -> int:
+    """ML codeword index for the packed word y, ties to the lowest index.  A codeword
+    at d disagreements with y under the clean mask and d' under the noisy mask scores
+    clean_score[d] + noisy_score[d']; DECODE_BLOCK rows are scored at a time so no
+    temporary grows with the codebook."""
     best, best_score = 0, -math.inf
     for start in range(0, len(codebook), DECODE_BLOCK):
-        diff = codebook[start : start + DECODE_BLOCK] != y[None, :]
-        d_clean = np.count_nonzero(diff & clean[None, :], axis=1)
-        d_noisy = np.count_nonzero(diff & ~clean[None, :], axis=1)
-        score = _half_loglik(d_clean, n_clean, noise_q)
-        score += _half_loglik(d_noisy, len(y) - n_clean, cross_noisy)
+        diff = codebook[start : start + DECODE_BLOCK] ^ y
+        score = clean_score[np.bitwise_count(diff & clean).sum(1)]
+        score += noisy_score[np.bitwise_count(diff & noisy).sum(1)]
         i = int(np.argmax(score))
         if score[i] > best_score:
             best, best_score = start + i, score[i]
@@ -137,14 +150,15 @@ def _run_trial(rng, run: SchemeRun, s1_one, s2_one_given, noise_q: float, cross_
         m = run.codewords
         if run.codebook == "linear":
             # row i is the XOR of the generator rows at the set bits of i, doubled in place
-            codebook = np.zeros((m, n), dtype=np.uint8)
-            gens = rng.integers(0, 2, size=(int(math.log2(m)), n), dtype=np.uint8)
+            gens = _pack(rng.integers(0, 2, size=(int(math.log2(m)), n), dtype=np.uint8))
+            codebook = np.zeros((m, gens.shape[1]), dtype=np.uint64)
             for j, g in enumerate(gens):
                 np.bitwise_xor(codebook[: 1 << j], g, out=codebook[1 << j : 2 << j])
         else:
-            codebook = rng.integers(0, 2, size=(m, n), dtype=np.uint8)
+            # whole random words: the decoder's masks never read the bits past n
+            codebook = rng.integers(0, 2**64, size=(m, -(-n // 64)), dtype=np.uint64)
         w = int(rng.integers(0, m))
-        sent = codebook[w]
+        sent = np.unpackbits(codebook[w].view(np.uint8), count=n, bitorder="little")
 
     x = np.where(mask1, sent ^ s1, sent ^ s2)
     y1 = x ^ s1
@@ -159,9 +173,14 @@ def _run_trial(rng, run: SchemeRun, s1_one, s2_one_given, noise_q: float, cross_
 
     e1 = e2 = 0
     if codebook is not None:
+        # user 1's noisy half is user 2's clean half, and the other way round
+        y1, y2, clean1, clean2 = _pack(np.array((y1, y2, mask1, noisy1), dtype=np.uint8))
         e1, e2 = (
-            int(_ml_decode(codebook, y, clean, noise_q, cross_noisy) != w)
-            for y, clean in ((y1, mask1), (y2, ~mask1))
+            int(_ml_decode(codebook, y, clean, noisy, _half_loglik(size, noise_q),
+                           _half_loglik(n - size, cross_noisy)) != w)
+            for y, clean, noisy, size in (
+                (y1, clean1, clean2, n - samples), (y2, clean2, clean1, samples)
+            )
         )
     return mismatches, samples, e1, e2, e1 | e2
 
@@ -194,11 +213,17 @@ def simulate_scheme(spec: BinaryChannelSpec, run: SchemeRun, threads: int = 1) -
             totals = [a + b for a, b in zip(totals, trial)]
         return totals
 
-    # a trial at the ML cap holds a 40 MB codebook, so run no more trials at once than cores
+    # a trial at the ML cap holds an 8 MB codebook, so run no more trials at once than cores
     workers = min(threads, run.trials, os.cpu_count() or 1)
     chunks = [range(i, run.trials, workers) for i in range(workers)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        mismatches, samples, e1, e2, eu = (sum(c) for c in zip(*pool.map(worker, chunks)))
+    if workers == 1:
+        # in the calling thread: a new thread may get a new malloc arena, which
+        # keeps a freed codebook resident, so peak memory would vary by run
+        totals = [worker(chunks[0])]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            totals = list(pool.map(worker, chunks))
+    mismatches, samples, e1, e2, eu = (sum(c) for c in zip(*totals))
 
     q_hat = mismatches / samples if samples else 0.0
     report_fer = run.rate is not None

@@ -145,9 +145,16 @@ class TestKUserBounds:
                     joint_xor_entropy_brute(k, q), abs=1e-12
                 )
 
+    def test_limit_at_any_k(self):
+        # (K-1) H(q) <= H(S1^S2, ..., S1^SK) <= K H(q), so the bound exceeds
+        # 1 - H(q) by at most H(q)/K; 1e-12 allows for rounding
+        for k in (2, 3, 64, 65, 1200, 3000, 10_000):
+            for q in (1e-300, 0.01, 0.25, 0.5, 0.9):
+                h = binary_entropy(q)
+                gap = upper_bound_k(BinaryChannelSpec.iid(q, k=k)).value - (1.0 - h)
+                assert -1e-12 <= gap <= h / k + 1e-12
+
     def test_preconditions(self):
-        with pytest.raises(ValueError):
-            upper_bound_k(BinaryChannelSpec.iid(0.2, k=65))
         with pytest.raises(ValueError):
             upper_bound_k(BinaryChannelSpec.pair_joint(ASYMMETRIC_PAIRS[0]))
         with pytest.raises(ValueError):

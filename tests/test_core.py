@@ -199,6 +199,13 @@ class TestMinimizeScalar:
         assert isinstance(scan, np.ndarray) and scan.shape == (2001,)
         assert refinement and all(type(t) is float for t in refinement)
 
+    def test_f_that_breaks_the_array_contract(self):
+        with pytest.raises(ValueError, match="float or a 1-D float array") as info:
+            minimize_scalar(lambda t: math.sin(t) ** 2, (0.0, 1.0))
+        assert isinstance(info.value.__cause__, TypeError)
+        with pytest.raises(ValueError, match=r"float or a 1-D float array.*shape \(\)"):
+            minimize_scalar(lambda t: 1.0, (0.0, 1.0))
+
     def test_wide_domain_terminates(self):
         # far from 0 an absolute stopping width of 1e-10 is below one ulp,
         # so the golden-section loop must stop at a width relative to |lo|, |hi|

@@ -137,7 +137,7 @@ class TestCliBounds:
             ["bounds", "--binary", "--gaussian", "--q", "0.2", "--snr", "1", "--inr", "1"],
             ["bounds", "--binary"],
             ["bounds", "--binary", "--q", "1.5"],
-            ["bounds", "--binary", "--q", "0.2", "--k", "65"],
+            ["bounds", "--binary", "--q", "0.2", "--k", "1"],
             ["bounds", "--binary", "--q", "0.2", "--k", "3", "--noise-q", "0.1"],
             ["bounds", "--gaussian", "--snr", "1"],
             ["bounds", "--gaussian", "--snr", "-2", "--inr", "1"],

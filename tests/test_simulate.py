@@ -4,14 +4,59 @@ determinism and the reproducible-parallelism contract."""
 import math
 import os
 
+import numpy as np
 import pytest
 
 from dirtycast import simulate
-from dirtycast.binary import BinaryChannelSpec, noisy_two_user_bounds, precancellation_rate
+from dirtycast.binary import (
+    BinaryChannelSpec,
+    noisy_two_user_bounds,
+    precancellation_rate,
+    xor_convolve,
+)
 from dirtycast.core import JointPmf
 from dirtycast.simulate import CODEBOOK_CAP, InfeasibleRunError, SchemeRun, simulate_scheme
 
 SPEC_Q25 = BinaryChannelSpec.iid(0.25)
+
+
+def _binomial(size, p):
+    return np.array([math.comb(size, d) * p**d * (1 - p) ** (size - d) for d in range(size + 1)])
+
+
+def ensemble_fer(n, m, noise_q, cross_noisy):
+    """Exact per-user frame error rate of i.i.d. uniform codebooks of m codewords
+    under the simulator's ML decoder (ties to the lowest index).
+
+    The coin gives a user n_clean ~ Bin(n, 1/2) clean bits and n_noisy = n - n_clean
+    noisy ones.  A codeword's score depends only on its disagreement counts
+    (d_clean, d_noisy): for the sent word they are Bin(n_clean, noise_q) and
+    Bin(n_noisy, cross_noisy), for any other word Bin(n_clean, 1/2) and
+    Bin(n_noisy, 1/2).  Scores are compared on that integer lattice with the
+    simulator's own tables, so ties are exact.  With a and b the chances that
+    another word scores above or equal to the sent one, and j words below it in
+    index (j uniform on 0..m-1),
+    P(correct) = (1/m) sum_j (1-a-b)^j (1-a)^(m-1-j) = ((1-a)^m - (1-a-b)^m) / (m b),
+    evaluated in log space.  The random-coding union bound of Polyanskiy, Poor and
+    Verdu (IEEE T-IT 2010) bounds this same ensemble error; here it is exact.
+    """
+    correct = 0.0
+    for n_clean in range(n + 1):
+        n_noisy = n - n_clean
+        score = (
+            simulate._half_loglik(n_clean, noise_q)[:, None]
+            + simulate._half_loglik(n_noisy, cross_noisy)[None, :]
+        ).ravel()
+        sent = np.outer(_binomial(n_clean, noise_q), _binomial(n_noisy, cross_noisy)).ravel()
+        rival = np.outer(_binomial(n_clean, 0.5), _binomial(n_noisy, 0.5)).ravel()
+        s = score[sent > 0][:, None]
+        a = np.where(score > s, rival, 0.0).sum(1)
+        b = np.where(score == s, rival, 0.0).sum(1)  # > 0: a rival may equal the sent word
+        with np.errstate(divide="ignore"):  # a + b = 1 makes (1-a-b)^m exactly 0
+            tie_share = -np.expm1(m * np.log1p(-b / (1.0 - a)))
+        p = np.exp(m * np.log1p(-a)) * tie_share / (m * b)
+        correct += math.comb(n, n_clean) / 2.0**n * float(sent[sent > 0] @ p)
+    return 1.0 - correct
 
 
 class TestSchemeRunValidation:
@@ -91,6 +136,25 @@ class TestNoiselessScheme:
         assert report.empirical_mi_per_symbol == 1.0
 
 
+class TestEnsembleFer:
+    def test_iid_fer_matches_the_exact_ensemble_fer(self):
+        # each user's FER must lie within 5 standard errors of the exact value,
+        # i.e. the exact value lies in the z = 5 Wilson interval of the measured one
+        for spec, n, rate in (
+            (SPEC_Q25, 24, 0.25),
+            (BinaryChannelSpec.iid(0.25, noise_q=0.05), 24, 0.25),
+            (SPEC_Q25, 16, 0.5),
+        ):
+            run = SchemeRun(n=n, rate=rate, trials=2000, seed=1)
+            noise_q = spec.noise_q or 0.0
+            exact = ensemble_fer(
+                n, run.codewords, noise_q, xor_convolve(spec.xor_probability, noise_q)
+            )
+            report = simulate_scheme(spec, run)
+            for fer in (report.fer_user1, report.fer_user2):
+                assert abs(fer - exact) <= 5.0 * math.sqrt(exact * (1 - exact) / run.trials)
+
+
 class TestNoisyScheme:
     def test_crossover_includes_noise(self):
         spec = BinaryChannelSpec.iid(0.25, noise_q=0.1)
@@ -121,8 +185,12 @@ class TestDeterminism:
 
     def test_thread_count_does_not_change_results(self):
         pair = BinaryChannelSpec.pair_joint(JointPmf({(0, 0): 0.6, (0, 1): 0.3, (1, 1): 0.1}))
-        for trials in (500, 3):  # 3 trials: fewer trials than threads
-            run = SchemeRun(n=24, rate=0.25, trials=trials, seed=3)
+        runs = [
+            SchemeRun(n=24, rate=0.25, trials=500, seed=3),
+            SchemeRun(n=24, rate=0.25, trials=3, seed=3),  # fewer trials than threads
+            SchemeRun(n=130, rate=0.08, trials=40, seed=3),  # three-word codewords
+        ]
+        for run in runs:
             for spec in (SPEC_Q25, BinaryChannelSpec.fully_correlated(0.3, flip=True), pair):
                 reports = {t: simulate_scheme(spec, run, threads=t) for t in (1, 2, 4, 7)}
                 assert len({repr(r) for r in reports.values()}) == 1
@@ -143,6 +211,37 @@ class TestDeterminism:
         for block in (1, 5):
             monkeypatch.setattr(simulate, "DECODE_BLOCK", block)
             assert [repr(simulate_scheme(spec, run)) for spec in specs for run in runs] == expected
+
+    def test_multiword_linear_reports(self):
+        # pinned: codewords of 70 and 130 bits span two and three packed words
+        specs = (BinaryChannelSpec.iid(0.25, noise_q=0.1), BinaryChannelSpec.iid(0.5, noise_q=0.2))
+        runs = [
+            SchemeRun(n=n, rate=rate, trials=100, seed=7, codebook="linear")
+            for n, rate in ((70, 0.15), (130, 0.08))
+        ]
+        got = [repr(simulate_scheme(spec, run)) for run in runs for spec in specs]
+        assert got == [
+            "SchemeReport(trials=100, n=70, codewords=2048, "
+            "empirical_crossover=0.3988555078683834, interfered_samples=3495, "
+            "empirical_mi_per_symbol=0.28036361756618483, "
+            "predicted_mi_per_symbol=0.2800269059780251, frame_error_rate=0.1, fer_user1=0.06, "
+            "fer_user2=0.04)",
+            "SchemeReport(trials=100, n=70, codewords=2048, "
+            "empirical_crossover=0.4955650929899857, interfered_samples=3495, "
+            "empirical_mi_per_symbol=0.13906432843181038, "
+            "predicted_mi_per_symbol=0.13903595255631884, frame_error_rate=0.74, fer_user1=0.46, "
+            "fer_user2=0.49)",
+            "SchemeReport(trials=100, n=130, codewords=2048, "
+            "empirical_crossover=0.40771349862258954, interfered_samples=6534, "
+            "empirical_mi_per_symbol=0.27786007907638005, "
+            "predicted_mi_per_symbol=0.2800269059780251, frame_error_rate=0.0, fer_user1=0.0, "
+            "fer_user2=0.0)",
+            "SchemeReport(trials=100, n=130, codewords=2048, "
+            "empirical_crossover=0.502448729721457, interfered_samples=6534, "
+            "empirical_mi_per_symbol=0.13904460339035152, "
+            "predicted_mi_per_symbol=0.13903595255631884, frame_error_rate=0.12, fer_user1=0.07, "
+            "fer_user2=0.05)",
+        ]
 
     def test_different_seeds_differ(self):
         a = simulate_scheme(SPEC_Q25, SchemeRun(n=1000, rate=None, trials=1, seed=1))
@@ -174,7 +273,7 @@ class TestPreconditions:
         monkeypatch.setattr(simulate, "ThreadPoolExecutor", Recording)
         run = SchemeRun(n=24, rate=0.25, trials=40, seed=5)
         many = simulate_scheme(SPEC_Q25, run, threads=os.cpu_count() + 5)
-        assert seen[0] <= os.cpu_count()
+        assert max(seen, default=1) <= os.cpu_count()  # no pool when one worker suffices
         assert repr(many) == repr(simulate_scheme(SPEC_Q25, run, threads=1))
 
     def test_pair_joint_model_supported(self):
