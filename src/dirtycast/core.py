@@ -1,7 +1,8 @@
 """Scalar math kernels shared by every bound computation.
 
-Entropies, jointly-Gaussian mutual information, dB conversion and a
-derivative-free scalar minimizer.  All returned rates are bits per channel
+Entropies, jointly-Gaussian mutual information, dB conversion, a
+derivative-free scalar minimizer, and the argument check and received power
+that the Gaussian modules share.  All returned rates are bits per channel
 use (logs base 2); natural-log internals are an implementation detail.
 Every function here is pure, so concurrent use needs no locking.
 """
@@ -168,6 +169,21 @@ class GaussianCov:
         if np.any(v < 0):
             raise ValueError("factor variances must be nonnegative")
         return cls(c.shape[0], (c * v) @ c.T)
+
+
+def _check_nonnegative(name: str, value: float, *more) -> None:
+    """Raise ValueError naming the first of the (name, value) pairs whose
+    value is negative, NaN or infinite."""
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+    if more:
+        _check_nonnegative(*more)
+
+
+def _received_power(p: float, q: float) -> float:
+    """P + Q + 1 + 2 sqrt(PQ): the power of X + S_k + Z_k when the input is
+    fully aligned with the interference."""
+    return p + q + 1.0 + 2.0 * math.sqrt(p) * math.sqrt(q)
 
 
 def binary_entropy(q: float) -> float:

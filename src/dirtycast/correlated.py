@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import RateBound
-from .gaussian import _check_nonnegative, _received_power, lower_bound
+from .core import RateBound, _check_nonnegative, _received_power
+from .gaussian import lower_bound
 
 __all__ = [
     "CorrelatedSpec",

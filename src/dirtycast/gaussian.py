@@ -21,6 +21,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .core import GaussianCov, RateBound, gaussian_mi, minimize_scalar
+from .core import _check_nonnegative, _received_power
 
 __all__ = [
     "PowerSplit",
@@ -48,15 +49,6 @@ __all__ = [
     "gap",
     "high_sinr_asymptote",
 ]
-
-def _check_nonnegative(name: str, value: float, *more) -> None:
-    """Raise ValueError naming the first of the (name, value) pairs whose
-    value is negative, NaN or infinite."""
-    if not 0.0 <= value < math.inf:
-        raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
-    if more:
-        _check_nonnegative(*more)
-
 
 @dataclass(frozen=True)
 class PowerSplit:
@@ -114,16 +106,11 @@ def _rho_objective(value, p, q, rho, rho_max):
     return value(_FLOAT_OPS, p, q, rho)
 
 
-def _received_power(p: float, q: float) -> float:
-    """P + Q + 1 + 2 sqrt(PQ): the power of X + S_k + Z_k when the input is
-    fully aligned with the interference."""
-    return p + q + 1.0 + 2.0 * math.sqrt(p) * math.sqrt(q)
-
-
 def _upper_i_value(xp, p, q, rho):
-    """The upper_i_at_rho formula, with the operations xp."""
+    """The upper_i_at_rho formula, with the operations xp.  The second log
+    is taken as a difference: the ratio overflows at large P and small Q."""
     return (0.25 * xp.log2((1.0 + p) / (1.0 + rho))
-            + 0.25 * xp.log2(_received_power(p, q) / (q / 2.0 + 1.0 - rho)))
+            + 0.25 * (xp.log2(_received_power(p, q)) - xp.log2(q / 2.0 + 1.0 - rho)))
 
 
 def upper_i_at_rho(p: float, q: float, rho):

@@ -352,7 +352,7 @@ def check_high_p_gap() -> str:
 
 def check_universal_gap() -> str:
     const = gaussian.universal_gap()
-    _require(abs(const - 0.77163) <= 1e-3, f"universal constant {const}")
+    _require(abs(const - 0.77163) <= 1e-4, f"universal constant {const}")
     sup, arg = 0.0, None
     for p in P_GRID:
         for q in Q_GRID_LINEAR:
@@ -363,7 +363,7 @@ def check_universal_gap() -> str:
     _require(sup <= const + 1e-9, f"grid supremum {sup} exceeds the constant {const}")
     p_star = (9.0 - math.sqrt(17.0)) / 4.0
     regional = 0.5 * math.log2((5.0 + math.sqrt(17.0)) / 4.0)
-    _require(abs(gaussian.gap(p_star, 2.0) - regional) < 1e-9, "regional maximizer value")
+    _require(abs(gaussian.gap(p_star, 2.0) - regional) < 1e-12, "regional maximizer value")
     _require(abs(regional - 0.59479) <= 1e-3, f"regional constant {regional}")
     low_q_sup = max(
         gaussian.gap(float(p), float(q))

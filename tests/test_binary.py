@@ -100,11 +100,6 @@ class TestBaselines:
 
 
 class TestKUserBounds:
-    def test_meet_at_half(self):
-        spec = BinaryChannelSpec.iid(0.5, k=3)
-        assert upper_bound_k(spec).value == pytest.approx(1.0 / 3.0, abs=1e-12)
-        assert lower_bound_k(spec).value == pytest.approx(1.0 / 3.0, abs=1e-12)
-
     def test_k2_reduces_to_capacity(self):
         for q in np.linspace(0.0, 0.5, 11):
             spec = BinaryChannelSpec.iid(float(q), k=2)
@@ -118,25 +113,6 @@ class TestKUserBounds:
         assert upper_bound_k(spec).value == pytest.approx(0.37325306168528405, abs=1e-12)
         assert lower_bound_k(spec).value == pytest.approx(0.3637106647166899, abs=1e-12)
         assert lower_bound_k(BinaryChannelSpec.iid(0.0, k=3)).value == 1.0
-
-    def test_ordering_and_sandwich(self):
-        for k in range(2, 11):
-            for q in np.arange(0.0, 0.5001, 0.05):
-                q = float(q)
-                spec = BinaryChannelSpec.iid(q, k=k)
-                lo = lower_bound_k(spec).value
-                hi = upper_bound_k(spec).value
-                assert lo <= hi + 1e-12
-                h = binary_entropy(q)
-                mid = joint_xor_entropy(k, q) / k
-                assert (1 - 1 / k) * h - 1e-12 <= mid <= h + 1e-12
-
-    def test_large_k_limit(self):
-        for q in np.arange(0.05, 0.51, 0.05):
-            q = float(q)
-            h = binary_entropy(q)
-            got = upper_bound_k(BinaryChannelSpec.iid(q, k=64)).value
-            assert abs(got - (1.0 - h)) <= h / 64.0 + 1e-9
 
     def test_weight_enumeration_vs_bruteforce(self):
         for k in (2, 3, 4, 7, 10, 12):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dirtycast import correlated, gaussian
-from dirtycast.core import GaussianCov, gaussian_mi, minimize_scalar
+from dirtycast.core import minimize_scalar
 from dirtycast.gaussian import (
     PowerSplit,
     awgn_capacity,
@@ -31,7 +31,6 @@ from dirtycast.gaussian import (
     upper_ii_at_rho,
     upper_k,
     upper_k_raw,
-    z_sum_difference_cov,
 )
 from dirtycast.verify import P_GRID, Q_GRID_LINEAR, Q_GRID_LOG
 
@@ -115,6 +114,7 @@ class TestUpperBounds:
         for p in (1.0, 10.0, 1995.2623149688789):
             assert abs(upper_envelope(p, 1.0e12).value - rate_timeshare(p).value) <= 1e-4
 
+    @pytest.mark.filterwarnings("error")
     def test_extreme_powers_stay_finite(self):
         # P + Q + 1 + 2 sqrt(PQ) is finite at Q = 1e300 only if sqrt(PQ) is
         # taken as sqrt(P) sqrt(Q)
@@ -127,6 +127,12 @@ class TestUpperBounds:
         p, q = 1.0e100, 1.0e-300
         assert upper_envelope(p, q).value == awgn_capacity(p)
         assert upper_ii(p, q).value == pytest.approx(awgn_capacity(p), abs=1e-12)
+        # (P+Q+1+2 sqrt(PQ))/(Q/2+1-rho) overflows here, so upper-I takes the
+        # difference of the two logs; the scan of its minimizer runs at rho = 1
+        p, q = 1.0e300, 1.0e-10
+        assert upper_i_at_rho(p, q, 1.0) == pytest.approx(506.59403447032276, rel=1e-10)
+        _, v = minimize_upper_i_rho(p, q)
+        assert v == pytest.approx(upper_i(p, q).value, abs=1e-9)
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -198,29 +204,6 @@ class TestDpcOracle:
         r_a, r_d = dpc_scheme_oracle(split, q)
         assert r_a + 0.5 * r_d == pytest.approx(lower_bound(p, q).value, abs=1e-5)
 
-    def test_noise_rotation_exact(self):
-        for rho in np.linspace(-1.0, 1.0, 21):
-            rho = float(rho)
-            m = z_sum_difference_cov(rho)
-            assert m[0, 0] == 1.0 + rho
-            assert m[1, 1] == 1.0 - rho
-            assert m[0, 1] == 0.0 and m[1, 0] == 0.0
-
-    def test_rate_distortion_floor(self):
-        rng = np.random.default_rng(99)
-        for _ in range(200):
-            q = float(10.0 ** rng.uniform(-1, 3))
-            p = float(10.0 ** rng.uniform(-1, 3))
-            rho = float(rng.uniform(-1.0, 1.0))
-            c = float(rng.uniform(-1.0, 1.0)) * math.sqrt(p / q)
-            w_var = float(rng.uniform(0.0, 1.0)) * (p - c * c * q)
-            cov = GaussianCov.from_factors(
-                np.array([[1.0, 0.0, 0.0], [math.sqrt(2.0) * c + 1.0, math.sqrt(2.0), 1.0]]),
-                [q, w_var, 1.0 + rho],
-            )
-            floor = max(0.0, 0.5 * math.log2(q / (2.0 * p + 1.0 + rho)))
-            assert gaussian_mi(cov, [0], [1]) >= floor - 1e-9
-
 
 class TestKUserBound:
     def test_k2_reduces_to_rho1_bound(self):
@@ -291,10 +274,6 @@ class TestGapAnalysis:
         ridge = [gap(p, 2.0 * (p + 1.0)) for p in (1e2, 1e4, 1e6, 1e8)]
         assert all(ridge[i] < ridge[i + 1] for i in range(len(ridge) - 1))
         assert universal_gap() - ridge[-1] < 1e-4
-
-    def test_gap_closes_at_high_snr(self):
-        for q in (1.0, 8.0, 100.0):
-            assert gap(1.0e8, q) <= 0.002
 
 
 class TestAsymptotesAndFeedback:

@@ -106,13 +106,6 @@ class TestNoiselessScheme:
         ) <= 0.01 * report.predicted_mi_per_symbol
         assert report.frame_error_rate is None
 
-    def test_longer_blocks_decode_better(self):
-        fer = {}
-        for n in (24, 16):
-            report = simulate_scheme(SPEC_Q25, SchemeRun(n=n, rate=0.25, trials=2000, seed=7))
-            fer[n] = report.frame_error_rate
-        assert fer[24] < fer[16]
-
     def test_linear_codebook(self):
         spec = BinaryChannelSpec.iid(0.0)
         run = SchemeRun(n=24, rate=0.25, trials=100, seed=7, codebook="linear")

@@ -61,13 +61,18 @@ def test_every_export_is_used_by_the_package(module):
     unused = set(getattr(mod, "__all__", ())) - _names_used_by_the_package()
     assert not unused, f"{module}.__all__ names nothing in the package uses: {sorted(unused)}"
 
+TEST_FILES = {p.name: p for p in sorted(Path(__file__).parent.glob("test_*.py"))}
 
 
-@pytest.mark.parametrize("module", MODULES)
-def test_every_import_is_read(module):
-    # an imported name that the module never reads and does not export is a leftover
-    mod = importlib.import_module(module)
-    tree = ast.parse(Path(mod.__file__).read_text(encoding="utf-8"))
+@pytest.mark.parametrize("source", MODULES + list(TEST_FILES))
+def test_every_import_is_read(source):
+    # an imported name that the file never reads and does not export is a leftover
+    if source in TEST_FILES:
+        path, exported = TEST_FILES[source], set()
+    else:
+        mod = importlib.import_module(source)
+        path, exported = Path(mod.__file__), set(getattr(mod, "__all__", ()))
+    tree = ast.parse(path.read_text(encoding="utf-8"))
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -75,5 +80,5 @@ def test_every_import_is_read(module):
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported |= {a.asname or a.name for a in node.names}
     read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
-    unread = imported - read - set(getattr(mod, "__all__", ()))
-    assert not unread, f"{module} imports names it never reads: {sorted(unread)}"
+    unread = imported - read - exported
+    assert not unread, f"{source} imports names it never reads: {sorted(unread)}"
