@@ -4,10 +4,13 @@ Each trial splits the symbol indices by a fair coin sequence A^n, precancels
 user 1's interference where A_i = 1 and user 2's where A_i = 0, and decodes
 both users by exact maximum likelihood over the whole codebook.  Codewords
 are stored packed, 64 bits to a uint64 word, and the decoder scores each one
-from the popcounts of its XOR with the channel output under the two halves'
-bit masks.  Trial t draws all of its randomness from a generator seeded by
-(master_seed, t), so results are bit-identical no matter how trials are
-batched across threads.
+from the popcount of its XOR with the channel output, over all n bits and
+under the clean half's bit mask.  Trial t draws all of its randomness from a
+generator seeded by (master_seed, t).  A worker then runs a batch of
+consecutive trials of its share as one set of array operations; a batch holds
+at most DECODE_BLOCK codeword rows, so a trial at the ML cap is a batch of
+one.  Results are bit-identical no matter how trials are batched or spread
+across threads.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .binary import BinaryChannelSpec, precancellation_rate, xor_convolve
 __all__ = ["InfeasibleRunError", "SchemeRun", "simulate_scheme"]
 
 CODEBOOK_CAP = 2**20
-DECODE_BLOCK = 2**14  # codewords scored at once by _ml_decode
+DECODE_BLOCK = 2**14  # codeword rows a batch of trials scores at once (bits, if none)
 
 
 class InfeasibleRunError(ValueError):
@@ -99,15 +102,18 @@ class SchemeReport:
     fer_user2: float | None
 
 
-def _half_loglik(size, crossover):
-    """Log-likelihood of a BSC(crossover) half of size bits at each disagreement
-    count 0..size."""
-    d = np.arange(size + 1, dtype=float)
+def _half_loglik(size, crossover, d=None):
+    """Log-likelihood of a BSC(crossover) half of size bits at d disagreements,
+    elementwise over broadcast size and d; at every count 0..size when d is None."""
+    if d is None:
+        d = np.arange(size + 1, dtype=float)
     if crossover == 0.0:
         return np.where(d == 0, 0.0, -np.inf)
     if crossover == 1.0:
         return np.where(d == size, 0.0, -np.inf)
-    return d * math.log(crossover) + (size - d) * math.log(1.0 - crossover)
+    out = d * math.log(crossover)
+    out += (size - d) * math.log(1.0 - crossover)
+    return out
 
 
 def _pack(bits):
@@ -120,69 +126,110 @@ def _pack(bits):
     return out.view(np.uint64)
 
 
-def _ml_decode(codebook, y, clean, noisy, clean_score, noisy_score) -> int:
-    """ML codeword index for the packed word y, ties to the lowest index.  A codeword
-    at d disagreements with y under the clean mask and d' under the noisy mask scores
-    clean_score[d] + noisy_score[d']; DECODE_BLOCK rows are scored at a time so no
-    temporary grows with the codebook."""
-    best, best_score = 0, -math.inf
-    for start in range(0, len(codebook), DECODE_BLOCK):
-        diff = codebook[start : start + DECODE_BLOCK] ^ y
-        score = clean_score[np.bitwise_count(diff & clean).sum(1)]
-        score += noisy_score[np.bitwise_count(diff & noisy).sum(1)]
-        i = int(np.argmax(score))
-        if score[i] > best_score:
-            best, best_score = start + i, score[i]
+def _stack(arrays):
+    """Stack per-trial arrays on a new leading batch axis; a batch of one is a view
+    of its only array, so a trial at the ML cap never copies its codebook."""
+    if arrays[0] is None:
+        return None
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+def _ml_decode(codebook, y, clean, clean_size, n, noise_q, cross_noisy):
+    """ML codeword index of each trial b's packed word y[b] in codebook[b], ties to
+    the lowest index.  A codeword at d disagreements with y[b] on the clean half
+    (mask clean[b], clean_size[b] bits) and d' on the other n - clean_size[b] bits
+    scores _half_loglik(clean_size, noise_q, d) + _half_loglik(n - clean_size,
+    cross_noisy, d'); codewords and y are zero past bit n, so d + d' is the popcount
+    of their XOR.  DECODE_BLOCK codeword rows of the batch are scored at a time, so
+    no temporary grows with the codebook."""
+    trials, m, words = codebook.shape
+    rows = max(1, DECODE_BLOCK // trials)
+    clean_size = clean_size[:, None]
+    best = np.zeros(trials, dtype=np.int64)
+    best_score = np.full(trials, -np.inf)
+    for start in range(0, m, rows):
+        diff = codebook[:, start : start + rows] ^ y[:, None]
+        d_all = np.bitwise_count(diff)
+        diff &= clean[:, None]
+        d_clean = np.bitwise_count(diff)
+        del diff  # before the score temporaries, each as large
+        if words == 1:
+            d_clean, d_all = d_clean[..., 0], d_all[..., 0]
+        else:
+            d_clean, d_all = d_clean.sum(-1), d_all.sum(-1)
+        score = _half_loglik(clean_size, noise_q, d_clean)
+        score += _half_loglik(n - clean_size, cross_noisy, d_all - d_clean)
+        i = score.argmax(1)
+        top = np.take_along_axis(score, i[:, None], 1)[:, 0]
+        better = top > best_score
+        best[better] = start + i[better]
+        best_score[better] = top[better]
     return best
 
 
-def _run_trial(rng, run: SchemeRun, s1_one, s2_one_given, noise_q: float, cross_noisy: float):
+def _draw(run: SchemeRun, t, m, noise_q: float):
+    """Trial t's draws from its own generator, seeded by (run.seed, t), in the order
+    that fixes its stream: the coin A^n, the uniforms behind (S1, S2), then the
+    codebook (the generator bits of a linear one) and the sent index, or the sent
+    word of a measurement-only trial, and last the two users' noise uniforms."""
+    rng = np.random.default_rng(np.random.SeedSequence((int(run.seed), int(t))))
     n = run.n
-    mask1 = rng.integers(0, 2, size=n, dtype=np.uint8).astype(bool)  # A_i = 1
-    u = rng.random((2, n))  # S1 from its marginal, then S2 from its law given S1
-    s1 = (u[0] < s1_one).astype(np.uint8)
-    s2 = (u[1] < s2_one_given[s1]).astype(np.uint8)
-
-    if run.rate is None:
-        sent = rng.integers(0, 2, size=n, dtype=np.uint8)
-        codebook, w = None, None
+    coin = rng.integers(0, 2, size=n, dtype=np.uint8)
+    u = rng.random((2, n))
+    if m is None:
+        rng.integers(0, 2, size=n, dtype=np.uint8)  # the sent word: no count depends on it
+        book = w = None
     else:
-        m = run.codewords
         if run.codebook == "linear":
-            # row i is the XOR of the generator rows at the set bits of i, doubled in place
-            gens = _pack(rng.integers(0, 2, size=(int(math.log2(m)), n), dtype=np.uint8))
-            codebook = np.zeros((m, gens.shape[1]), dtype=np.uint64)
-            for j, g in enumerate(gens):
-                np.bitwise_xor(codebook[: 1 << j], g, out=codebook[1 << j : 2 << j])
+            book = rng.integers(0, 2, size=(int(math.log2(m)), n), dtype=np.uint8)
         else:
-            # whole random words: the decoder's masks never read the bits past n
-            codebook = rng.integers(0, 2**64, size=(m, -(-n // 64)), dtype=np.uint64)
-        w = int(rng.integers(0, m))
-        sent = np.unpackbits(codebook[w].view(np.uint8), count=n, bitorder="little")
+            book = rng.integers(0, 2**64, size=(m, -(-n // 64)), dtype=np.uint64)
+        w = rng.integers(0, m)
+    noise = rng.random((2, n)) if noise_q > 0.0 else None
+    return coin, u, book, w, noise
 
-    x = np.where(mask1, sent ^ s1, sent ^ s2)
-    y1 = x ^ s1
-    y2 = x ^ s2
-    if noise_q > 0.0:
-        y1 = y1 ^ (rng.random(n) < noise_q).astype(np.uint8)
-        y2 = y2 ^ (rng.random(n) < noise_q).astype(np.uint8)
 
+def _run_batch(trials, run: SchemeRun, m, s1_one, s2_one_given, noise_q: float,
+               cross_noisy: float):
+    """Interfered-half mismatches, interfered samples, and user-1, user-2 and union
+    frame errors, summed over the given trial indices."""
+    n = run.n
+    # unnamed, the per-trial arrays are freed once stacked
+    coin, u, book, w, noise = map(_stack, zip(*(_draw(run, t, m, noise_q) for t in trials)))
+    mask1 = coin.astype(bool)  # A_i = 1
     noisy1 = ~mask1  # indices where user 1 sees S1 xor S2 (xor Z1)
-    mismatches = int(np.count_nonzero((y1 != sent) & noisy1))
-    samples = int(np.count_nonzero(noisy1))
+    # S1 from its marginal, then S2 from its law given S1
+    s1 = u[:, 0] < s1_one
+    xs = s1 ^ (u[:, 1] < s2_one_given[s1.astype(np.uint8)])
+    del u  # the uniforms are spent: free them before the decode
+    # user k receives the sent word xor the interference it was not precancelled
+    # for (xor its noise): rows 0 and 1 are those flips, rows 2 and 3 the halves
+    bits = np.stack((noisy1 & xs, mask1 & xs, mask1, noisy1), axis=1)
+    if noise_q > 0.0:
+        bits[:, :2] ^= noise < noise_q
+    del noise  # likewise
+    samples = noisy1.sum(1)
+    counts = [int(np.count_nonzero(bits[:, 0] & noisy1)), int(samples.sum()), 0, 0, 0]
+    if m is None:
+        return counts
 
-    e1 = e2 = 0
-    if codebook is not None:
-        # user 1's noisy half is user 2's clean half, and the other way round
-        y1, y2, clean1, clean2 = _pack(np.array((y1, y2, mask1, noisy1), dtype=np.uint8))
-        e1, e2 = (
-            int(_ml_decode(codebook, y, clean, noisy, _half_loglik(size, noise_q),
-                           _half_loglik(n - size, cross_noisy)) != w)
-            for y, clean, noisy, size in (
-                (y1, clean1, clean2, n - samples), (y2, clean2, clean1, samples)
-            )
-        )
-    return mismatches, samples, e1, e2, e1 | e2
+    if run.codebook == "linear":
+        # row i is the XOR of the generator rows at the set bits of i, doubled in place
+        gens = _pack(book)
+        book = np.zeros((len(trials), m, gens.shape[2]), dtype=np.uint64)
+        for j in range(gens.shape[1]):
+            np.bitwise_xor(book[:, : 1 << j], gens[:, j, None], out=book[:, 1 << j : 2 << j])
+    elif n % 64:  # zero the random bits past n, in place, so the decoder need not mask them
+        book[..., -1] &= np.uint64((1 << n % 64) - 1)
+    sent = book[np.arange(len(trials)), w]
+    y1, y2, clean1, clean2 = _pack(bits).transpose(1, 0, 2)
+    # user 1's noisy half is user 2's clean half, and the other way round
+    e1, e2 = (
+        _ml_decode(book, sent ^ y, clean, size, n, noise_q, cross_noisy) != w
+        for y, clean, size in ((y1, clean1, n - samples), (y2, clean2, samples))
+    )
+    counts[2:] = (int(np.count_nonzero(e)) for e in (e1, e2, e1 | e2))
+    return counts
 
 
 def simulate_scheme(spec: BinaryChannelSpec, run: SchemeRun, threads: int = 1) -> SchemeReport:
@@ -192,7 +239,9 @@ def simulate_scheme(spec: BinaryChannelSpec, run: SchemeRun, threads: int = 1) -
     perfect agreement is required on its clean half (up to channel noise)
     and disagreements on the interfered half are weighted by the crossover
     P(S1 xor S2 = 1) convolved with the noise.  At most min(threads,
-    os.cpu_count()) trials run at once.
+    os.cpu_count()) workers run at once, each on one batch of trials at a time:
+    as many as fit DECODE_BLOCK codeword rows (or bits, when nothing is
+    decoded), and one at the ML cap.
     """
     if spec.k != 2:
         raise ValueError("the scheme simulation covers two users")
@@ -205,15 +254,19 @@ def simulate_scheme(spec: BinaryChannelSpec, run: SchemeRun, threads: int = 1) -
     # P(S2 = 1 | S1 = s) for s = 0, 1; 0 where S1 = s is impossible
     s2_one_given = np.array([law.get((s, 1), 0.0) / (s1_law.get((s,), 0.0) or 1.0) for s in (0, 1)])
 
+    m = run.codewords
+    # a trial at the ML cap is a batch of one: its 8 MB codebook is decoded in place
+    batch = max(1, DECODE_BLOCK // max(m or 1, run.n))
+
     def worker(trial_indices):
         totals = [0] * 5  # mismatches, samples, user-1, user-2 and union frame errors
-        for t in trial_indices:
-            rng = np.random.default_rng(np.random.SeedSequence((int(run.seed), int(t))))
-            trial = _run_trial(rng, run, s1_one, s2_one_given, noise_q, cross_noisy)
-            totals = [a + b for a, b in zip(totals, trial)]
+        for start in range(0, len(trial_indices), batch):
+            counts = _run_batch(trial_indices[start : start + batch], run, m, s1_one,
+                                s2_one_given, noise_q, cross_noisy)
+            totals = [a + b for a, b in zip(totals, counts)]
         return totals
 
-    # a trial at the ML cap holds an 8 MB codebook, so run no more trials at once than cores
+    # each worker holds one batch at a time, so run no more workers than cores
     workers = min(threads, run.trials, os.cpu_count() or 1)
     chunks = [range(i, run.trials, workers) for i in range(workers)]
     if workers == 1:
@@ -230,7 +283,7 @@ def simulate_scheme(spec: BinaryChannelSpec, run: SchemeRun, threads: int = 1) -
     return SchemeReport(
         trials=run.trials,
         n=run.n,
-        codewords=run.codewords,
+        codewords=m,
         empirical_crossover=q_hat,
         interfered_samples=samples,
         empirical_mi_per_symbol=precancellation_rate(q_hat, noise_q),

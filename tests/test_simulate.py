@@ -3,6 +3,7 @@ determinism and the reproducible-parallelism contract."""
 
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -190,20 +191,51 @@ class TestDeterminism:
 
     def test_decode_block_size_does_not_change_results(self, monkeypatch):
         # blocks of 1 and 5 rows split the 64 codewords at every index and
-        # mid-block; the anticorrelated spec scores most codewords -inf (ties)
+        # mid-block; blocks of 64, 192 and 448 rows run batches of 1, 3 and 7
+        # trials (2, 8 and 18 when nothing is decoded), the last one short; the
+        # anticorrelated spec scores most codewords -inf (ties)
         specs = (
             SPEC_Q25,
             BinaryChannelSpec.iid(0.25, noise_q=0.05),
             BinaryChannelSpec.fully_correlated(0.4, flip=True),
         )
         runs = [
-            SchemeRun(n=24, rate=0.25, trials=60, seed=4, codebook=kind)
-            for kind in ("iid", "linear")
+            SchemeRun(n=24, rate=rate, trials=60, seed=4, codebook=kind)
+            for rate, kind in ((0.25, "iid"), (0.25, "linear"), (None, "iid"))
         ]
         expected = [repr(simulate_scheme(spec, run)) for spec in specs for run in runs]
-        for block in (1, 5):
+        for block in (1, 5, 64, 192, 448):
             monkeypatch.setattr(simulate, "DECODE_BLOCK", block)
             assert [repr(simulate_scheme(spec, run)) for spec in specs for run in runs] == expected
+
+    def test_iid_report(self):
+        # pinned: a change of draw order, codeword bits or decoder scores moves it
+        spec = BinaryChannelSpec.iid(0.25, noise_q=0.05)
+        report = simulate_scheme(spec, SchemeRun(n=24, rate=0.25, trials=2000, seed=12345))
+        assert repr(report) == repr(simulate.SchemeReport(
+            trials=2000, n=24, codewords=64, empirical_crossover=0.38611929766302766,
+            interfered_samples=24091, empirical_mi_per_symbol=0.37567678337696314,
+            predicted_mi_per_symbol=0.3752178988960803, frame_error_rate=0.18,
+            fer_user1=0.0935, fer_user2=0.0925,
+        ))
+
+    def test_long_blocks_with_few_codewords_stay_small(self):
+        # a trial holds its codebook and a decode block as large; a table over
+        # every pair of half sizes, or a batch of two such trials, takes more
+        codebook_bytes = 1024 * -(-20_000 // 64) * 8
+        spec = BinaryChannelSpec.iid(0.25, noise_q=0.05)
+        for kind, crossover in (("iid", 0.38687340057203073), ("linear", 0.38622108485122186)):
+            run = SchemeRun(n=20_000, rate=5e-4, trials=2, seed=9, codebook=kind)
+            tracemalloc.start()
+            try:
+                report = simulate_scheme(spec, run)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * codebook_bytes
+            assert (report.codewords, report.interfered_samples) == (1024, 19929)
+            assert repr(report.empirical_crossover) == repr(crossover)
+            assert report.frame_error_rate == 0.0
 
     def test_multiword_linear_reports(self):
         # pinned: codewords of 70 and 130 bits span two and three packed words
