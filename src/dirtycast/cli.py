@@ -1,10 +1,10 @@
 """Command-line front end: `dirtycast {bounds|figure|simulate|verify}`.
 
 All output is deterministic for fixed flags and seed; `--threads` only
-changes how Monte Carlo trials are batched, never the results.  Exit codes:
-0 success, 1 failed verify check, 2 invalid flags or a value the library
-rejects (the message is the library's, e.g. naming P, Q, Qd or K), 3 I/O
-failure.
+changes how many batches of Monte Carlo trials run at once, never the
+results.  Exit codes: 0 success, 1 failed verify check, 2 invalid flags or a
+value the library rejects (the message is the library's, e.g. naming P, Q,
+Qd or K), 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -85,13 +85,10 @@ def _cmd_figure(_parser, args) -> int:
     return 0
 
 
-def _cmd_simulate(parser, args) -> int:
+def _cmd_simulate(_parser, args) -> int:
     spec = binary.BinaryChannelSpec.iid(args.q, noise_q=args.noise_q)
-    rate = None if args.mi_only else args.rate
-    if rate is None and not args.mi_only:
-        parser.error("--rate is required unless --mi-only is given")
     trials = args.trials if args.trials is not None else (1 if args.mi_only else 1000)
-    run = SchemeRun(n=args.n, rate=rate, trials=trials, seed=args.seed, codebook=args.codebook)
+    run = SchemeRun(n=args.n, rate=args.rate, trials=trials, seed=args.seed, codebook=args.codebook)
     report = simulate_scheme(spec, run, threads=args.threads)
 
     lines = [
@@ -175,12 +172,14 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--q", type=float, required=True, help="iid interference probability")
     s.add_argument("--noise-q", type=float, default=None)
     s.add_argument("--n", type=int, required=True, help="blocklength (even)")
-    s.add_argument("--rate", type=float, default=None, help="code rate in bits/use")
+    decode = s.add_mutually_exclusive_group(required=True)
+    decode.add_argument("--rate", type=float, default=None, help="code rate in bits/use")
+    decode.add_argument("--mi-only", action="store_true",
+                        help="skip decoding; measure crossover/MI")
     s.add_argument("--trials", type=int, default=None, help="default 1000 (1 with --mi-only)")
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--mi-only", action="store_true", help="skip decoding; measure crossover/MI")
     s.add_argument("--threads", type=int, default=1,
-                   help="trial batching (default 1, capped at the CPU count)")
+                   help="batches of trials run at once (default 1, capped at the CPU count)")
     s.add_argument("--codebook", choices=("iid", "linear"), default="iid")
     s.add_argument("--csv", default=None, help="also write the report metrics as CSV")
 

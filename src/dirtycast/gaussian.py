@@ -359,17 +359,3 @@ def high_sinr_asymptote(p: float, q: float) -> float:
     if q > 2.0:
         return 0.5 * math.log2(p / math.sqrt(2.0 * q))
     return 0.5 * math.log2(p / (1.0 + q / 2.0))
-
-
-def feedback_bounds(p: float, q: float, rho_actual: float):
-    """Both upper bounds evaluated at the channel's actual noise correlation.
-
-    With causal feedback the correlation is no longer a free analysis
-    parameter, so the bounds hold only at the true rho."""
-    _check_nonnegative("P", p, "Q", q)
-    if not -1.0 <= rho_actual <= 1.0:
-        raise ValueError("correlation must lie in [-1, 1]")
-    return (
-        RateBound(upper_i_at_rho(p, q, rho_actual), "upper", "upper-I-feedback"),
-        RateBound(upper_ii_at_rho(p, q, rho_actual), "upper", "upper-II-feedback"),
-    )

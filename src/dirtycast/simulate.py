@@ -6,11 +6,12 @@ both users by exact maximum likelihood over the whole codebook.  Codewords
 are stored packed, 64 bits to a uint64 word, and the decoder scores each one
 from the popcount of its XOR with the channel output, over all n bits and
 under the clean half's bit mask.  Trial t draws all of its randomness from a
-generator seeded by (master_seed, t).  A worker then runs a batch of
-consecutive trials of its share as one set of array operations; a batch holds
+generator seeded by (master_seed, t).  A campaign is split once into batches
+of consecutive trials, each run as one set of array operations; a batch holds
 at most DECODE_BLOCK codeword rows, so a trial at the ML cap is a batch of
-one.  Results are bit-identical no matter how trials are batched or spread
-across threads.
+one, and its decode scores each block of codewords for both users at once.
+At most min(threads, os.cpu_count()) batches run at once.  Results are
+bit-identical no matter how trials are batched or spread across threads.
 """
 
 from __future__ import annotations
@@ -102,11 +103,9 @@ class SchemeReport:
     fer_user2: float | None
 
 
-def _half_loglik(size, crossover, d=None):
+def _half_loglik(size, crossover, d):
     """Log-likelihood of a BSC(crossover) half of size bits at d disagreements,
-    elementwise over broadcast size and d; at every count 0..size when d is None."""
-    if d is None:
-        d = np.arange(size + 1, dtype=float)
+    elementwise over broadcast size and d."""
     if crossover == 0.0:
         return np.where(d == 0, 0.0, -np.inf)
     if crossover == 1.0:
@@ -135,22 +134,23 @@ def _stack(arrays):
 
 
 def _ml_decode(codebook, y, clean, clean_size, n, noise_q, cross_noisy):
-    """ML codeword index of each trial b's packed word y[b] in codebook[b], ties to
-    the lowest index.  A codeword at d disagreements with y[b] on the clean half
-    (mask clean[b], clean_size[b] bits) and d' on the other n - clean_size[b] bits
-    scores _half_loglik(clean_size, noise_q, d) + _half_loglik(n - clean_size,
-    cross_noisy, d'); codewords and y are zero past bit n, so d + d' is the popcount
-    of their XOR.  DECODE_BLOCK codeword rows of the batch are scored at a time, so
-    no temporary grows with the codebook."""
+    """ML codeword index of user k's packed word y[k, b] in trial b's codebook[b],
+    for both users k at once, ties to the lowest index.  A codeword at d
+    disagreements with y[k, b] on the clean half (mask clean[k, b], clean_size[k, b]
+    bits) and d' on the other n - clean_size[k, b] bits scores
+    _half_loglik(clean_size, noise_q, d) + _half_loglik(n - clean_size, cross_noisy,
+    d'); codewords and y are zero past bit n, so d + d' is the popcount of their XOR.
+    Each block of codeword rows is scored for both users in one pass, DECODE_BLOCK
+    scores at a time, so no temporary grows with the codebook."""
     trials, m, words = codebook.shape
-    rows = max(1, DECODE_BLOCK // trials)
-    clean_size = clean_size[:, None]
-    best = np.zeros(trials, dtype=np.int64)
-    best_score = np.full(trials, -np.inf)
+    rows = max(1, DECODE_BLOCK // (2 * trials))
+    clean_size = clean_size[..., None]
+    best = np.zeros((2, trials), dtype=np.int64)
+    best_score = np.full((2, trials), -np.inf)
     for start in range(0, m, rows):
-        diff = codebook[:, start : start + rows] ^ y[:, None]
+        diff = codebook[:, start : start + rows] ^ y[:, :, None]
         d_all = np.bitwise_count(diff)
-        diff &= clean[:, None]
+        diff &= clean[:, :, None]
         d_clean = np.bitwise_count(diff)
         del diff  # before the score temporaries, each as large
         if words == 1:
@@ -159,8 +159,8 @@ def _ml_decode(codebook, y, clean, clean_size, n, noise_q, cross_noisy):
             d_clean, d_all = d_clean.sum(-1), d_all.sum(-1)
         score = _half_loglik(clean_size, noise_q, d_clean)
         score += _half_loglik(n - clean_size, cross_noisy, d_all - d_clean)
-        i = score.argmax(1)
-        top = np.take_along_axis(score, i[:, None], 1)[:, 0]
+        i = score.argmax(-1)
+        top = np.take_along_axis(score, i[..., None], -1)[..., 0]
         better = top > best_score
         best[better] = start + i[better]
         best_score[better] = top[better]
@@ -222,12 +222,10 @@ def _run_batch(trials, run: SchemeRun, m, s1_one, s2_one_given, noise_q: float,
     elif n % 64:  # zero the random bits past n, in place, so the decoder need not mask them
         book[..., -1] &= np.uint64((1 << n % 64) - 1)
     sent = book[np.arange(len(trials)), w]
-    y1, y2, clean1, clean2 = _pack(bits).transpose(1, 0, 2)
+    packed = _pack(bits).transpose(1, 0, 2)
     # user 1's noisy half is user 2's clean half, and the other way round
-    e1, e2 = (
-        _ml_decode(book, sent ^ y, clean, size, n, noise_q, cross_noisy) != w
-        for y, clean, size in ((y1, clean1, n - samples), (y2, clean2, samples))
-    )
+    e1, e2 = _ml_decode(book, packed[:2] ^ sent, packed[2:], np.stack((n - samples, samples)),
+                        n, noise_q, cross_noisy) != w
     counts[2:] = (int(np.count_nonzero(e)) for e in (e1, e2, e1 | e2))
     return counts
 
@@ -239,9 +237,9 @@ def simulate_scheme(spec: BinaryChannelSpec, run: SchemeRun, threads: int = 1) -
     perfect agreement is required on its clean half (up to channel noise)
     and disagreements on the interfered half are weighted by the crossover
     P(S1 xor S2 = 1) convolved with the noise.  At most min(threads,
-    os.cpu_count()) workers run at once, each on one batch of trials at a time:
-    as many as fit DECODE_BLOCK codeword rows (or bits, when nothing is
-    decoded), and one at the ML cap.
+    os.cpu_count()) batches of consecutive trials run at once: as many trials as
+    fit DECODE_BLOCK codeword rows (or bits, when nothing is decoded), and one
+    at the ML cap.
     """
     if spec.k != 2:
         raise ValueError("the scheme simulation covers two users")
@@ -249,33 +247,28 @@ def simulate_scheme(spec: BinaryChannelSpec, run: SchemeRun, threads: int = 1) -
         raise ValueError("threads must be >= 1")
     noise_q = spec.noise_q or 0.0
     cross_noisy = xor_convolve(spec.xor_probability, noise_q)
-    s1_one = spec.marginal_one_probabilities()[0]
     law, s1_law = spec.pair.prob, spec.pair.marginal((0,)).prob
+    s1_one = s1_law.get((1,), 0.0)
     # P(S2 = 1 | S1 = s) for s = 0, 1; 0 where S1 = s is impossible
     s2_one_given = np.array([law.get((s, 1), 0.0) / (s1_law.get((s,), 0.0) or 1.0) for s in (0, 1)])
 
     m = run.codewords
     # a trial at the ML cap is a batch of one: its 8 MB codebook is decoded in place
-    batch = max(1, DECODE_BLOCK // max(m or 1, run.n))
+    size = max(1, DECODE_BLOCK // max(m or 1, run.n))
+    batches = [range(i, min(i + size, run.trials)) for i in range(0, run.trials, size)]
 
-    def worker(trial_indices):
-        totals = [0] * 5  # mismatches, samples, user-1, user-2 and union frame errors
-        for start in range(0, len(trial_indices), batch):
-            counts = _run_batch(trial_indices[start : start + batch], run, m, s1_one,
-                                s2_one_given, noise_q, cross_noisy)
-            totals = [a + b for a, b in zip(totals, counts)]
-        return totals
+    def run_batch(trials):
+        return _run_batch(trials, run, m, s1_one, s2_one_given, noise_q, cross_noisy)
 
     # each worker holds one batch at a time, so run no more workers than cores
-    workers = min(threads, run.trials, os.cpu_count() or 1)
-    chunks = [range(i, run.trials, workers) for i in range(workers)]
+    workers = min(threads, len(batches), os.cpu_count() or 1)
     if workers == 1:
         # in the calling thread: a new thread may get a new malloc arena, which
         # keeps a freed codebook resident, so peak memory would vary by run
-        totals = [worker(chunks[0])]
+        totals = map(run_batch, batches)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            totals = list(pool.map(worker, chunks))
+            totals = list(pool.map(run_batch, batches))
     mismatches, samples, e1, e2, eu = (sum(c) for c in zip(*totals))
 
     q_hat = mismatches / samples if samples else 0.0

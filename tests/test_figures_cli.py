@@ -1,8 +1,19 @@
 """Tests for figure generation, CSV/SVG serialization and the CLI."""
 
+import hashlib
+import os
+
 import pytest
 
-from dirtycast import cli, figures, verify
+from dirtycast import cli, figures, simulate, verify
+
+# the figure CSVs, byte for byte: a change of any digit, row or column moves these
+FIGURE_SHA256 = {
+    "fig2": "c3b74d73b3b7d869f308da8659534b18160e3b5fa6e5f30020f3d61ee93f3347",
+    "fig4": "f768b2f7a8b21401eb25857e37a75d83023efa2960bdc0e38683cba47598a5a1",
+    "fig5": "18f2b919a3a6254ff2e3705878c5ffadb79d1956cf1b37d5eda53d824cc3961c",
+    "fig6": "cfc4edc4944aebb5c80144895ce6aca45a7b62a1ca0b7fe50389cf70ebf813b2",
+}
 
 
 class TestFigureTables:
@@ -72,6 +83,11 @@ class TestCsv:
         figures.write_csv(b, *figures.figure_table("fig6"))
         assert a.read_bytes() == b.read_bytes()
         assert a.read_bytes().decode("ascii") == text
+
+    def test_render_matches_the_pinned_bytes(self):
+        texts = {name: figures.render_csv(*figures.figure_table(name)) for name in figures.FIGURES}
+        digests = {name: hashlib.sha256(text.encode()).hexdigest() for name, text in texts.items()}
+        assert digests == FIGURE_SHA256
 
     def test_svg_writer(self, tmp_path):
         header, rows = figures.figure_table("fig2")
@@ -146,6 +162,7 @@ class TestCliBounds:
             ["bounds", "--gaussian", "--snr", "1", "--inr", "1", "--k", "1"],
             ["simulate", "--q", "0.2", "--n", "24", "--rate", "0.25", "--threads", "0"],
             ["bounds", "--correlated", "--snr", "10", "--qd", "nan"],
+            ["simulate", "--q", "0.25", "--n", "24", "--rate", "0.25", "--mi-only"],
         ],
     )
     def test_invalid_flags_exit_2(self, argv, capsys):
@@ -192,10 +209,9 @@ class TestCliFigure:
         assert out.read_text().splitlines()[0] == "q,upper_k3,lower_k3,timeshare,ignore_si"
 
     def test_reruns_are_byte_identical(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert cli.main(["figure", "fig5", "--out", str(a)]) == 0
-        assert cli.main(["figure", "fig5", "--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
+        for out in (tmp_path / "a.csv", tmp_path / "b.csv"):  # each run writes the pinned bytes
+            assert cli.main(["figure", "fig5", "--out", str(out)]) == 0
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == FIGURE_SHA256["fig5"]
 
     def test_io_error_exit_3(self, tmp_path, capsys):
         target = tmp_path / "missing-dir" / "x.csv"
@@ -203,13 +219,18 @@ class TestCliFigure:
 
 
 class TestCliSimulate:
-    def test_deterministic_across_threads(self, capsys):
+    def test_deterministic_across_threads(self, capsys, monkeypatch):
+        seen, pool = [], simulate.ThreadPoolExecutor
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor",
+                            lambda max_workers: seen.append(max_workers) or pool(max_workers))
+        monkeypatch.setattr(simulate, "DECODE_BLOCK", 640)  # 20 batches of 10 trials
         argv = ["simulate", "--q", "0.25", "--n", "24", "--rate", "0.25",
                 "--trials", "200", "--seed", "7"]
         assert cli.main(argv + ["--threads", "1"]) == 0
         first = capsys.readouterr().out
-        assert cli.main(argv + ["--threads", "4"]) == 0
+        assert cli.main(argv + ["--threads", str(os.cpu_count() + 1)]) == 0
         second = capsys.readouterr().out
+        assert seen == ([os.cpu_count()] if os.cpu_count() > 1 else [])
         assert first == second
         assert "frame error rate" in first
 

@@ -13,7 +13,6 @@ from dirtycast.gaussian import (
     awgn_capacity,
     dpc_covariance,
     dpc_scheme_oracle,
-    feedback_bounds,
     gap,
     high_sinr_asymptote,
     lower_bound,
@@ -288,27 +287,6 @@ class TestAsymptotesAndFeedback:
         assert abs(lower_bound(1.0e6, 8.0).value - high_sinr_asymptote(1.0e6, 8.0)) <= 0.01
         assert abs(lower_bound(1.0e6, 1.0).value - high_sinr_asymptote(1.0e6, 1.0)) <= 0.01
 
-    def test_feedback_at_optimal_rho_matches_closed_forms(self):
-        for p, q in ((10.0, 1.0), (3.0, 8.0), (100.0, 3.0)):
-            rho_i = q / 4.0 if q <= 4.0 else 1.0
-            rho_ii = q / 2.0 if q <= 2.0 else 1.0
-            fb_i, _ = feedback_bounds(p, q, rho_i)
-            _, fb_ii = feedback_bounds(p, q, rho_ii)
-            assert fb_i.value == pytest.approx(upper_i(p, q).value, abs=1e-12)
-            assert fb_ii.value == pytest.approx(upper_ii(p, q).value, abs=1e-12)
-
-    def test_feedback_frozen_point(self):
-        _, fb_ii = feedback_bounds(10.0, 1.0, 0.0)
-        expect = 0.5 * math.log2((12.0 + 2.0 * math.sqrt(10.0)) / math.sqrt(2.0))
-        assert fb_ii.value == pytest.approx(expect, abs=1e-12)
-        assert fb_ii.value == pytest.approx(1.847853141986692, abs=1e-12)
-
-    def test_feedback_never_beats_optimized_bound(self):
-        for rho in np.linspace(-0.99, 1.0, 9):
-            fb_i, fb_ii = feedback_bounds(10.0, 5.0, float(rho))
-            assert fb_i.value >= upper_i(10.0, 5.0).value - 1e-12
-            assert fb_ii.value >= upper_ii(10.0, 5.0).value - 1e-12
-
 
 class TestSpecType:
     def test_validation(self):
@@ -400,7 +378,6 @@ GUARDED = {
     "maximize_power_split": (maximize_power_split, ("P", "Q")),
     "minimize_upper_i_rho": (minimize_upper_i_rho, ("P", "Q")),
     "minimize_upper_ii_rho": (minimize_upper_ii_rho, ("P", "Q")),
-    "feedback_bounds": (lambda p, q: feedback_bounds(p, q, 0.0), ("P", "Q")),
     "rate_of_split": (lambda q: rate_of_split(PowerSplit(1.0, 1.0), q), ("Q",)),
     "dpc_covariance": (lambda q: dpc_covariance(PowerSplit(1.0, 1.0), q), ("Q",)),
     "upper_k_raw": (lambda p, q: upper_k_raw(p, q, 3), ("P", "Q")),

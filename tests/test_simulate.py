@@ -34,7 +34,7 @@ def ensemble_fer(n, m, noise_q, cross_noisy):
     (d_clean, d_noisy): for the sent word they are Bin(n_clean, noise_q) and
     Bin(n_noisy, cross_noisy), for any other word Bin(n_clean, 1/2) and
     Bin(n_noisy, 1/2).  Scores are compared on that integer lattice with the
-    simulator's own tables, so ties are exact.  With a and b the chances that
+    simulator's own score form, so ties are exact.  With a and b the chances that
     another word scores above or equal to the sent one, and j words below it in
     index (j uniform on 0..m-1),
     P(correct) = (1/m) sum_j (1-a-b)^j (1-a)^(m-1-j) = ((1-a)^m - (1-a-b)^m) / (m b),
@@ -45,8 +45,8 @@ def ensemble_fer(n, m, noise_q, cross_noisy):
     for n_clean in range(n + 1):
         n_noisy = n - n_clean
         score = (
-            simulate._half_loglik(n_clean, noise_q)[:, None]
-            + simulate._half_loglik(n_noisy, cross_noisy)[None, :]
+            simulate._half_loglik(n_clean, noise_q, np.arange(n_clean + 1.0))[:, None]
+            + simulate._half_loglik(n_noisy, cross_noisy, np.arange(n_noisy + 1.0))[None, :]
         ).ravel()
         sent = np.outer(_binomial(n_clean, noise_q), _binomial(n_noisy, cross_noisy)).ravel()
         rival = np.outer(_binomial(n_clean, 0.5), _binomial(n_noisy, 0.5)).ravel()
@@ -190,10 +190,10 @@ class TestDeterminism:
                 assert len({repr(r) for r in reports.values()}) == 1
 
     def test_decode_block_size_does_not_change_results(self, monkeypatch):
-        # blocks of 1 and 5 rows split the 64 codewords at every index and
-        # mid-block; blocks of 64, 192 and 448 rows run batches of 1, 3 and 7
-        # trials (2, 8 and 18 when nothing is decoded), the last one short; the
-        # anticorrelated spec scores most codewords -inf (ties)
+        # 2 and 10 score blocks of 1 and 5 rows for both users, which split the
+        # 64 codewords at every index and mid-block; 64, 192 and 448 run batches
+        # of 1, 3 and 7 trials (2, 8 and 18 when nothing is decoded), the last
+        # one short; the anticorrelated spec scores most codewords -inf (ties)
         specs = (
             SPEC_Q25,
             BinaryChannelSpec.iid(0.25, noise_q=0.05),
@@ -204,7 +204,7 @@ class TestDeterminism:
             for rate, kind in ((0.25, "iid"), (0.25, "linear"), (None, "iid"))
         ]
         expected = [repr(simulate_scheme(spec, run)) for spec in specs for run in runs]
-        for block in (1, 5, 64, 192, 448):
+        for block in (2, 10, 64, 192, 448):
             monkeypatch.setattr(simulate, "DECODE_BLOCK", block)
             assert [repr(simulate_scheme(spec, run)) for spec in specs for run in runs] == expected
 
@@ -288,17 +288,14 @@ class TestPreconditions:
                 simulate_scheme(SPEC_Q25, run, threads=threads)
 
     def test_concurrent_trials_capped_at_cpu_count(self, monkeypatch):
-        seen = []
-
-        class Recording(simulate.ThreadPoolExecutor):
-            def __init__(self, max_workers=None, **kwargs):
-                seen.append(max_workers)
-                super().__init__(max_workers=max_workers, **kwargs)
-
-        monkeypatch.setattr(simulate, "ThreadPoolExecutor", Recording)
-        run = SchemeRun(n=24, rate=0.25, trials=40, seed=5)
+        seen, pool = [], simulate.ThreadPoolExecutor
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor",
+                            lambda max_workers: seen.append(max_workers) or pool(max_workers))
+        monkeypatch.setattr(simulate, "DECODE_BLOCK", 64)  # a batch per trial
+        run = SchemeRun(n=24, rate=0.25, trials=max(40, 2 * os.cpu_count()), seed=5)
         many = simulate_scheme(SPEC_Q25, run, threads=os.cpu_count() + 5)
-        assert max(seen, default=1) <= os.cpu_count()  # no pool when one worker suffices
+        # more batches than cores: one worker per core, and no pool on one core
+        assert seen == ([os.cpu_count()] if os.cpu_count() > 1 else [])
         assert repr(many) == repr(simulate_scheme(SPEC_Q25, run, threads=1))
 
     def test_pair_joint_model_supported(self):
