@@ -25,7 +25,6 @@ from .binary import (
 from .core import (
     GaussianCov,
     JointPmf,
-    RateBound,
     binary_entropy,
     db_to_linear,
     gaussian_mi,
@@ -54,7 +53,6 @@ __all__ = [
     "GaussianCov",
     "JointPmf",
     "PowerSplit",
-    "RateBound",
     "SchemeRun",
     "binary_entropy",
     "capacity_achieving_joint",

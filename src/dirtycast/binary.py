@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .core import InvalidDistributionError, JointPmf, RateBound, binary_entropy
+from .core import InvalidDistributionError, JointPmf, _rate, binary_entropy
 
 _LN2 = math.log(2.0)
 
@@ -109,26 +109,26 @@ def precancellation_rate(crossover: float, noise_q: float = 0.0) -> float:
     return 1.0 - 0.5 * binary_entropy(crossover) - 0.5 * binary_entropy(noise_q)
 
 
-def capacity_two_user(spec: BinaryChannelSpec) -> RateBound:
+def capacity_two_user(spec: BinaryChannelSpec) -> float:
     """Exact two-user noiseless capacity 1 - H(S1 xor S2)/2."""
     if spec.k != 2:
         raise ValueError("two-user capacity requires K=2")
     if not spec.noiseless:
         raise ValueError("exact capacity is only known for the noiseless channel")
-    return RateBound(precancellation_rate(spec.xor_probability), "exact", "xor-capacity")
+    return _rate(precancellation_rate(spec.xor_probability))
 
 
-def rate_timeshare(k: int) -> RateBound:
+def rate_timeshare(k: int) -> float:
     """Precancel one user at a time over 1/K of the uses: rate 1/K."""
     if k < 1:
         raise ValueError("user count must be >= 1")
-    return RateBound(1.0 / k, "lower", "time-sharing")
+    return _rate(1.0 / k)
 
 
-def rate_ignore_side_info(spec: BinaryChannelSpec) -> RateBound:
+def rate_ignore_side_info(spec: BinaryChannelSpec) -> float:
     """Transmitter ignores the interference: 1 - max_k H(S_k)."""
     worst = max(binary_entropy(p) for p in spec.marginal_one_probabilities())
-    return RateBound(1.0 - worst, "lower", "ignore-side-info")
+    return _rate(1.0 - worst)
 
 
 def joint_xor_entropy(k: int, q: float) -> float:
@@ -187,29 +187,29 @@ def joint_xor_entropy_brute(k: int, q: float) -> float:
     return total
 
 
-def upper_bound_k(spec: BinaryChannelSpec) -> RateBound:
+def _check_k_user(spec: BinaryChannelSpec) -> None:
+    """The setting both K-user bounds are stated for: i.i.d. interference,
+    K >= 2 and a noiseless channel."""
+    if spec.q is None:
+        raise ValueError("the K-user bound is stated for i.i.d. interference")
+    if spec.k < 2:
+        raise ValueError("need at least two users")
+    if not spec.noiseless:
+        raise ValueError("the K-user bounds are stated for the noiseless channel")
+
+
+def upper_bound_k(spec: BinaryChannelSpec) -> float:
     """K-user upper bound 1 - H(S1^S2, ..., S1^SK)/K for i.i.d. interference."""
-    if spec.q is None:
-        raise ValueError("the K-user bound is stated for i.i.d. interference")
-    if spec.k < 2:
-        raise ValueError("need at least two users")
-    if not spec.noiseless:
-        raise ValueError("the K-user bounds are stated for the noiseless channel")
-    h = joint_xor_entropy(spec.k, spec.q)
-    return RateBound(1.0 - h / spec.k, "upper", "joint-xor-converse")
+    _check_k_user(spec)
+    return _rate(1.0 - joint_xor_entropy(spec.k, spec.q) / spec.k)
 
 
-def lower_bound_k(spec: BinaryChannelSpec) -> RateBound:
+def lower_bound_k(spec: BinaryChannelSpec) -> float:
     """K-user achievable rate max{1 - H(S1), 1 - (1 - 1/K) H(S1 xor S2)}."""
-    if spec.q is None:
-        raise ValueError("the K-user bound is stated for i.i.d. interference")
-    if spec.k < 2:
-        raise ValueError("need at least two users")
-    if not spec.noiseless:
-        raise ValueError("the K-user bounds are stated for the noiseless channel")
+    _check_k_user(spec)
     arm_ignore = 1.0 - binary_entropy(spec.q)
     arm_blocks = 1.0 - (1.0 - 1.0 / spec.k) * binary_entropy(spec.xor_probability)
-    return RateBound(max(arm_ignore, arm_blocks), "lower", "block-precancellation")
+    return _rate(max(arm_ignore, arm_blocks))
 
 
 def noisy_two_user_bounds(spec: BinaryChannelSpec) -> tuple:
@@ -225,8 +225,8 @@ def noisy_two_user_bounds(spec: BinaryChannelSpec) -> tuple:
     p = spec.noise_q
     qx = spec.xor_probability
     return (
-        RateBound(precancellation_rate(xor_convolve(qx, p), p), "lower", "noisy-precancellation"),
-        RateBound(precancellation_rate(qx, p), "upper", "noisy-converse"),
+        _rate(precancellation_rate(xor_convolve(qx, p), p)),
+        _rate(precancellation_rate(qx, p)),
     )
 
 

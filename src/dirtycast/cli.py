@@ -13,7 +13,7 @@ import argparse
 import sys
 
 from . import __version__, binary, correlated, figures, gaussian, verify
-from .core import RateBound, db_to_linear
+from .core import db_to_linear
 from .figures import format_number as _fmt
 from .simulate import SchemeRun, simulate_scheme
 
@@ -32,28 +32,31 @@ def _cmd_bounds(parser, args) -> int:
             parser.error("--binary requires --q")
         spec = binary.BinaryChannelSpec.iid(args.q, k=args.k, noise_q=args.noise_q)
         if args.k != 2:
-            rows = [binary.upper_bound_k(spec), binary.lower_bound_k(spec)]
+            rows = [("joint-xor-converse", "upper", binary.upper_bound_k(spec)),
+                    ("block-precancellation", "lower", binary.lower_bound_k(spec))]
         elif spec.noiseless:
-            rows = [binary.capacity_two_user(spec)]
+            rows = [("xor-capacity", "exact", binary.capacity_two_user(spec))]
         else:
-            rows = list(binary.noisy_two_user_bounds(spec))
-        rows += [binary.rate_timeshare(args.k), binary.rate_ignore_side_info(spec)]
+            lower, upper = binary.noisy_two_user_bounds(spec)
+            rows = [("noisy-precancellation", "lower", lower), ("noisy-converse", "upper", upper)]
+        rows += [("time-sharing", "lower", binary.rate_timeshare(args.k)),
+                 ("ignore-side-info", "lower", binary.rate_ignore_side_info(spec))]
         title = f"binary multicast, K={args.k}, q={_fmt(args.q)}" + (
             f", noise_q={_fmt(args.noise_q)}" if args.noise_q is not None else "")
     elif args.mode == "gaussian":
         p = _resolve_db_pair(parser, args.snr, args.snr_db, "snr", "P")
         q = _resolve_db_pair(parser, args.inr, args.inr_db, "inr", "Q")
         rows = [
-            gaussian.upper_envelope(p, q),
-            gaussian.upper_i(p, q),
-            gaussian.upper_ii(p, q),
-            gaussian.lower_bound(p, q),
-            gaussian.rate_timeshare(p),
-            gaussian.rate_interference_as_noise(p, q),
-            RateBound(gaussian.awgn_capacity(p), "upper", "trivial-awgn"),
+            ("envelope", "upper", gaussian.upper_envelope(p, q)),
+            ("upper-I", "upper", gaussian.upper_i(p, q)),
+            ("upper-II", "upper", gaussian.upper_ii(p, q)),
+            ("superposition-dpc", "lower", gaussian.lower_bound(p, q)),
+            ("time-sharing", "lower", gaussian.rate_timeshare(p)),
+            ("interference-as-noise", "lower", gaussian.rate_interference_as_noise(p, q)),
+            ("trivial-awgn", "upper", gaussian.awgn_capacity(p)),
         ]
         if args.k != 2:
-            rows.append(gaussian.upper_k(p, q, args.k))
+            rows.append((f"upper-K{args.k}", "upper", gaussian.upper_k(p, q, args.k)))
         title = f"gaussian multicast, K={args.k}, P={_fmt(p)}, Q={_fmt(q)}"
     else:
         p = _resolve_db_pair(parser, args.snr, args.snr_db, "snr", "P")
@@ -63,14 +66,14 @@ def _cmd_bounds(parser, args) -> int:
         q2 = args.q2 if args.q2 is not None else q1
         spec = correlated.CorrelatedSpec(p, q1, q2, args.qd)
         rows = [
-            correlated.upper_correlated(spec),
-            correlated.lower_beta(p, args.qd),
-            gaussian.rate_timeshare(p),
+            ("correlated-converse", "upper", correlated.upper_correlated(spec)),
+            ("dithered-superposition", "lower", correlated.lower_beta(p, args.qd)),
+            ("time-sharing", "lower", gaussian.rate_timeshare(p)),
         ]
         title = (f"correlated multicast, P={_fmt(p)}, Q1={_fmt(q1)}, Q2={_fmt(q2)}, "
                  f"Qd={_fmt(args.qd)}")
-    width = max(len(b.method) for b in rows)
-    print("\n".join([title] + [f"{b.method:<{width}}  {b.kind:<5}  {_fmt(b.value)}" for b in rows]))
+    width = max(len(method) for method, _, _ in rows)
+    print("\n".join([title] + [f"{m:<{width}}  {kind:<5}  {_fmt(v)}" for m, kind, v in rows]))
     return 0
 
 

@@ -19,7 +19,6 @@ _LN2 = math.log(2.0)
 __all__ = [
     "SingularCovarianceError",
     "InvalidDistributionError",
-    "RateBound",
     "JointPmf",
     "GaussianCov",
     "binary_entropy",
@@ -38,29 +37,15 @@ class InvalidDistributionError(ValueError):
     """A probability table violates normalization or nonnegativity."""
 
 
-@dataclass(frozen=True)
-class RateBound:
-    """A rate in bits/channel-use tagged with its direction and provenance.
-
-    kind is one of {"lower", "upper", "exact"}; method is a short label of
-    the computation that produced the value.
-    """
-
-    value: float
-    kind: str
-    method: str
-
-    _KINDS = ("lower", "upper", "exact")
-
-    def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise ValueError(f"kind must be one of {self._KINDS}, got {self.kind!r}")
-        v = float(self.value)
-        if not math.isfinite(v):
-            raise ValueError(f"rate must be finite, got {v!r}")
-        if v < -1e-12:
-            raise ValueError(f"rate must be nonnegative, got {v}")
-        object.__setattr__(self, "value", max(v, 0.0))
+def _rate(value: float) -> float:
+    """A rate in bits/channel-use, checked: finite, and nonnegative up to a
+    1e-12 rounding allowance, which is clamped to 0."""
+    v = float(value)
+    if not math.isfinite(v):
+        raise ValueError(f"rate must be finite, got {v!r}")
+    if v < -1e-12:
+        raise ValueError(f"rate must be nonnegative, got {v}")
+    return max(v, 0.0)
 
 
 class JointPmf:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import RateBound, _check_nonnegative, _received_power
+from .core import _check_nonnegative, _rate, _received_power
 from .gaussian import lower_bound
 
 __all__ = [
@@ -68,22 +68,22 @@ def t_of_qd(qd: float) -> float:
     return 0.5 * math.log2(1.0 + qd / 4.0)
 
 
-def upper_correlated(spec: CorrelatedSpec) -> RateBound:
+def upper_correlated(spec: CorrelatedSpec) -> float:
     """Upper bound sum_i log2(P+Q_i+1+2 sqrt(P Q_i))/4 - T(Qd)."""
     total = 0.0
     for qi in (spec.q1, spec.q2):
         total += 0.25 * math.log2(_received_power(spec.p, qi))
-    return RateBound(total - t_of_qd(spec.qd), "upper", "correlated-converse")
+    return _rate(total - t_of_qd(spec.qd))
 
 
-def lower_beta(p: float, qd: float) -> RateBound:
+def lower_beta(p: float, qd: float) -> float:
     """Best dithered-superposition rate over power splits.
 
     The scheme feels half the spread on each branch, so this is the
     independent-interference lower bound at Q = Qd/2: DPC regime for
     Qd < 4, mixed for 4 <= Qd < 4(P+1), pure time-sharing beyond."""
     _check_nonnegative("P", p, "Qd", qd)
-    return RateBound(lower_bound(p, qd / 2.0).value, "lower", "dithered-superposition")
+    return lower_bound(p, qd / 2.0)
 
 
 def high_sinr_gap_beta(p: float, qd: float, q: float | None = None) -> float:
@@ -98,4 +98,4 @@ def high_sinr_gap_beta(p: float, qd: float, q: float | None = None) -> float:
     if q is None:
         q = qd / 4.0
     spec = CorrelatedSpec.symmetric(p, q, qd)
-    return upper_correlated(spec).value - lower_beta(p, qd).value
+    return upper_correlated(spec) - lower_beta(p, qd)

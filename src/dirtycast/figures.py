@@ -55,7 +55,7 @@ def _gaussian(p, q):
 _FIG5_SNR = db_to_linear(33.0)
 _FIG6_INR = db_to_linear(15.0)
 
-# name: (x column, x values, {column: RateBound} at x)
+# name: (x column, x values, {column: rate} at x)
 _SWEEPS = {
     "fig2": ("q", [i * 0.005 for i in range(101)], _binary_two_user),
     "fig4": ("q", [i * 0.005 for i in range(101)], _binary_three_user),
@@ -79,7 +79,7 @@ def figure_table(name: str):
         raise ValueError(f"unknown figure {name!r}; choose from {FIGURES}")
     x_name, xs, bounds_at = _SWEEPS[name]
     tables = [bounds_at(x) for x in xs]
-    rows = [[x] + [b.value for b in table.values()] for x, table in zip(xs, tables)]
+    rows = [[x, *table.values()] for x, table in zip(xs, tables)]
     return [x_name, *tables[0]], rows
 
 

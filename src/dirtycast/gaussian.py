@@ -20,8 +20,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .core import GaussianCov, RateBound, gaussian_mi, minimize_scalar
-from .core import _check_nonnegative, _received_power
+from .core import GaussianCov, gaussian_mi, minimize_scalar
+from .core import _check_nonnegative, _rate, _received_power
 
 __all__ = [
     "PowerSplit",
@@ -71,16 +71,16 @@ def awgn_capacity(p: float) -> float:
     return 0.5 * math.log2(1.0 + p)
 
 
-def rate_timeshare(p: float) -> RateBound:
+def rate_timeshare(p: float) -> float:
     """Serve each user on half the uses with full precancellation: log(1+P)/4."""
     _check_nonnegative("P", p)
-    return RateBound(0.25 * math.log2(1.0 + p), "lower", "time-sharing")
+    return _rate(0.25 * math.log2(1.0 + p))
 
 
-def rate_interference_as_noise(p: float, q: float) -> RateBound:
+def rate_interference_as_noise(p: float, q: float) -> float:
     """Fold the interference into the noise: log2(1 + P/(Q+1))/2."""
     _check_nonnegative("P", p, "Q", q)
-    return RateBound(0.5 * math.log2(1.0 + p / (q + 1.0)), "lower", "interference-as-noise")
+    return _rate(0.5 * math.log2(1.0 + p / (q + 1.0)))
 
 
 # The operations a rate formula needs, for float arguments: the math module's
@@ -127,12 +127,12 @@ def rho_upper_i(q: float) -> float:
     return min(q / 4.0, 1.0)
 
 
-def upper_i(p: float, q: float) -> RateBound:
+def upper_i(p: float, q: float) -> float:
     """The genie bound minimized over rho: its objective at rho_upper_i(Q).
 
     For Q >= 4 this is log2(1+P)/4 + log2((P+Q+1+2 sqrt(PQ))/Q)/4."""
     _check_nonnegative("P", p, "Q", q)
-    return RateBound(upper_i_at_rho(p, q, rho_upper_i(q)), "upper", "upper-I")
+    return _rate(upper_i_at_rho(p, q, rho_upper_i(q)))
 
 
 def _upper_ii_value(xp, p, q, rho):
@@ -159,7 +159,7 @@ def rho_upper_ii(q: float) -> float:
     return min(q / 2.0, 1.0)
 
 
-def upper_ii(p: float, q: float) -> RateBound:
+def upper_ii(p: float, q: float) -> float:
     """The joint-output bound at the branch rho: its objective at
     rho_upper_ii(Q).
 
@@ -169,13 +169,12 @@ def upper_ii(p: float, q: float) -> RateBound:
     way (see minimize_upper_ii_rho).
     """
     _check_nonnegative("P", p, "Q", q)
-    return RateBound(upper_ii_at_rho(p, q, rho_upper_ii(q)), "upper", "upper-II")
+    return _rate(upper_ii_at_rho(p, q, rho_upper_ii(q)))
 
 
-def upper_envelope(p: float, q: float) -> RateBound:
+def upper_envelope(p: float, q: float) -> float:
     """min of the two correlation bounds and the trivial bound log2(1+P)/2."""
-    value = min(upper_i(p, q).value, upper_ii(p, q).value, awgn_capacity(p))
-    return RateBound(value, "upper", "envelope")
+    return min(upper_i(p, q), upper_ii(p, q), awgn_capacity(p))
 
 
 def _split_rate(xp, p_a, p_d, q: float):
@@ -192,7 +191,7 @@ def rate_of_split(split: PowerSplit, q: float) -> float:
     return _split_rate(_FLOAT_OPS, split.p_a, split.p_d, q)
 
 
-def lower_bound(p: float, q: float) -> RateBound:
+def lower_bound(p: float, q: float) -> float:
     """Best superposition-DPC rate over all power splits: the split rate at
     the optimal P_D = min(max(Q/2 - 1, 0), P).
 
@@ -201,7 +200,7 @@ def lower_bound(p: float, q: float) -> RateBound:
     """
     _check_nonnegative("P", p, "Q", q)
     p_d = min(max(q / 2.0 - 1.0, 0.0), p)
-    return RateBound(_split_rate(_FLOAT_OPS, p - p_d, p_d, q), "lower", "superposition-dpc")
+    return _rate(_split_rate(_FLOAT_OPS, p - p_d, p_d, q))
 
 
 def minimize_upper_i_rho(p: float, q: float):
@@ -331,11 +330,10 @@ def upper_k_raw(p: float, q: float, k: int) -> float:
     return value
 
 
-def upper_k(p: float, q: float, k: int) -> RateBound:
+def upper_k(p: float, q: float, k: int) -> float:
     """K-user upper bound, capped by the trivial bound where the converse
     expression is vacuous (small Q)."""
-    value = min(upper_k_raw(p, q, k), awgn_capacity(p))
-    return RateBound(value, "upper", f"upper-K{k}")
+    return _rate(min(upper_k_raw(p, q, k), awgn_capacity(p)))
 
 
 def universal_gap() -> float:
@@ -346,7 +344,7 @@ def universal_gap() -> float:
 
 def gap(p: float, q: float) -> float:
     """upper_ii minus lower_bound at one operating point."""
-    return upper_ii(p, q).value - lower_bound(p, q).value
+    return upper_ii(p, q) - lower_bound(p, q)
 
 
 def high_sinr_asymptote(p: float, q: float) -> float:

@@ -43,7 +43,7 @@ class SchemeRun:
     plug-in mutual-information estimate) without building a codebook, which
     is how blocklengths far beyond the ML cap are exercised.  codebook is
     "iid" (fair-coin codewords) or "linear" (random linear code whose
-    dimension is ceil(n*rate)).
+    dimension is ceil(n*rate)); a measurement-only run must leave it "iid".
     """
 
     n: int
@@ -61,6 +61,8 @@ class SchemeRun:
             raise ValueError("seed must fit in 64 bits")
         if self.codebook not in ("iid", "linear"):
             raise ValueError("codebook must be 'iid' or 'linear'")
+        if self.rate is None and self.codebook != "iid":
+            raise ValueError("codebook must be 'iid' when rate is None: nothing is decoded")
         if self.rate is not None:
             if not 0.0 < self.rate <= 1.0:
                 raise ValueError("rate must lie in (0, 1]")

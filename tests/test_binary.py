@@ -55,22 +55,21 @@ class TestSpecValidation:
 
 class TestCapacityTwoUser:
     def test_examples(self):
-        assert capacity_two_user(BinaryChannelSpec.iid(0.5)).value == 0.5
-        assert capacity_two_user(BinaryChannelSpec.iid(0.0)).value == 1.0
+        assert capacity_two_user(BinaryChannelSpec.iid(0.5)) == 0.5
+        assert capacity_two_user(BinaryChannelSpec.iid(0.0)) == 1.0
         got = capacity_two_user(BinaryChannelSpec.iid(0.25))
-        assert got.value == pytest.approx(0.5227829985375174, abs=1e-12)
-        assert got.kind == "exact"
+        assert got == pytest.approx(0.5227829985375174, abs=1e-12)
 
     def test_fully_dependent_is_clean(self):
         for flip in (False, True):
             spec = BinaryChannelSpec.fully_correlated(0.37, flip=flip)
-            assert capacity_two_user(spec).value == 1.0
+            assert capacity_two_user(spec) == 1.0
 
     def test_noise_rejected(self):
         with pytest.raises(ValueError):
             capacity_two_user(BinaryChannelSpec.iid(0.2, noise_q=0.05))
         # explicit zero noise is still the noiseless channel
-        assert capacity_two_user(BinaryChannelSpec.iid(0.2, noise_q=0.0)).value > 0
+        assert capacity_two_user(BinaryChannelSpec.iid(0.2, noise_q=0.0)) > 0
 
     def test_requires_two_users(self):
         with pytest.raises(ValueError, match="requires K=2"):
@@ -79,40 +78,36 @@ class TestCapacityTwoUser:
 
 class TestBaselines:
     def test_timeshare(self):
-        assert rate_timeshare(1).value == 1.0
-        assert rate_timeshare(2).value == 0.5
-        assert rate_timeshare(3).value == pytest.approx(1.0 / 3.0, abs=1e-15)
+        assert rate_timeshare(1) == 1.0
+        assert rate_timeshare(2) == 0.5
+        assert rate_timeshare(3) == pytest.approx(1.0 / 3.0, abs=1e-15)
         with pytest.raises(ValueError):
             rate_timeshare(0)
 
     def test_ignore_side_info(self):
-        assert rate_ignore_side_info(BinaryChannelSpec.iid(0.0)).value == 1.0
-        assert rate_ignore_side_info(BinaryChannelSpec.iid(0.5)).value == 0.0
-        assert rate_ignore_side_info(BinaryChannelSpec.iid(0.11)).value == pytest.approx(
+        assert rate_ignore_side_info(BinaryChannelSpec.iid(0.0)) == 1.0
+        assert rate_ignore_side_info(BinaryChannelSpec.iid(0.5)) == 0.0
+        assert rate_ignore_side_info(BinaryChannelSpec.iid(0.11)) == pytest.approx(
             0.500084041835472, abs=1e-12
         )
 
     def test_ignore_side_info_uses_worst_marginal(self):
         spec = BinaryChannelSpec.pair_joint(ASYMMETRIC_PAIRS[0])  # marginals 0.3, 0.4
-        assert rate_ignore_side_info(spec).value == pytest.approx(
-            1.0 - binary_entropy(0.4), abs=1e-12
-        )
+        assert rate_ignore_side_info(spec) == pytest.approx(1.0 - binary_entropy(0.4), abs=1e-12)
 
 
 class TestKUserBounds:
     def test_k2_reduces_to_capacity(self):
         for q in np.linspace(0.0, 0.5, 11):
             spec = BinaryChannelSpec.iid(float(q), k=2)
-            assert upper_bound_k(spec).value == pytest.approx(
-                capacity_two_user(spec).value, abs=1e-12
-            )
+            assert upper_bound_k(spec) == pytest.approx(capacity_two_user(spec), abs=1e-12)
 
     def test_frozen_point(self):
         spec = BinaryChannelSpec.iid(0.25, k=3)
         # brute-force four-pattern enumeration gives H = 1.8802408149441479
-        assert upper_bound_k(spec).value == pytest.approx(0.37325306168528405, abs=1e-12)
-        assert lower_bound_k(spec).value == pytest.approx(0.3637106647166899, abs=1e-12)
-        assert lower_bound_k(BinaryChannelSpec.iid(0.0, k=3)).value == 1.0
+        assert upper_bound_k(spec) == pytest.approx(0.37325306168528405, abs=1e-12)
+        assert lower_bound_k(spec) == pytest.approx(0.3637106647166899, abs=1e-12)
+        assert lower_bound_k(BinaryChannelSpec.iid(0.0, k=3)) == 1.0
 
     def test_weight_enumeration_vs_bruteforce(self):
         for k in (2, 3, 4, 7, 10, 12):
@@ -127,7 +122,7 @@ class TestKUserBounds:
         for k in (2, 3, 64, 65, 1200, 3000, 10_000):
             for q in (1e-300, 0.01, 0.25, 0.5, 0.9):
                 h = binary_entropy(q)
-                gap = upper_bound_k(BinaryChannelSpec.iid(q, k=k)).value - (1.0 - h)
+                gap = upper_bound_k(BinaryChannelSpec.iid(q, k=k)) - (1.0 - h)
                 assert -1e-12 <= gap <= h / k + 1e-12
 
     def test_preconditions(self):
@@ -146,23 +141,23 @@ class TestNoisyBounds:
         for p in (0.0, 0.05, 0.2, 0.5):
             lo, hi = noisy_two_user_bounds(BinaryChannelSpec.iid(0.5, noise_q=p))
             expect = 0.5 * (1.0 - binary_entropy(p))
-            assert lo.value == pytest.approx(expect, abs=1e-12)
-            assert hi.value == pytest.approx(expect, abs=1e-12)
+            assert lo == pytest.approx(expect, abs=1e-12)
+            assert hi == pytest.approx(expect, abs=1e-12)
 
     def test_zero_noise_reduces_to_capacity(self):
         spec = BinaryChannelSpec.iid(0.25, noise_q=0.0)
         lo, hi = noisy_two_user_bounds(spec)
-        cap = capacity_two_user(spec).value
-        assert lo.value == pytest.approx(cap, abs=1e-12)
-        assert hi.value == pytest.approx(cap, abs=1e-12)
+        cap = capacity_two_user(spec)
+        assert lo == pytest.approx(cap, abs=1e-12)
+        assert hi == pytest.approx(cap, abs=1e-12)
 
     def test_frozen_point(self):
         # q' * p convolution: 0.375 (*) 0.1 = 0.4
         assert xor_convolve(0.375, 0.1) == pytest.approx(0.4, abs=1e-15)
         lo, hi = noisy_two_user_bounds(BinaryChannelSpec.iid(0.25, noise_q=0.1))
-        assert lo.value == pytest.approx(0.2800269059780251, abs=1e-12)
-        assert hi.value == pytest.approx(0.2882852017428768, abs=1e-12)
-        assert lo.value <= hi.value
+        assert lo == pytest.approx(0.2800269059780251, abs=1e-12)
+        assert hi == pytest.approx(0.2882852017428768, abs=1e-12)
+        assert lo <= hi
 
     def test_requires_noise(self):
         with pytest.raises(ValueError):
@@ -190,13 +185,13 @@ class TestGpRate:
     def test_construction_achieves_capacity_iid(self, q):
         spec = BinaryChannelSpec.iid(q)
         rate = gp_rate(capacity_achieving_joint(spec), self.CHANNELS)
-        assert rate == pytest.approx(capacity_two_user(spec).value, abs=1e-9)
+        assert rate == pytest.approx(capacity_two_user(spec), abs=1e-9)
 
     @pytest.mark.parametrize("pair", ASYMMETRIC_PAIRS)
     def test_construction_achieves_capacity_asymmetric(self, pair):
         spec = BinaryChannelSpec.pair_joint(pair)
         rate = gp_rate(capacity_achieving_joint(spec), self.CHANNELS)
-        assert rate == pytest.approx(capacity_two_user(spec).value, abs=1e-9)
+        assert rate == pytest.approx(capacity_two_user(spec), abs=1e-9)
 
     def test_auxiliary_is_independent_of_state(self):
         joint = capacity_achieving_joint(BinaryChannelSpec.iid(0.25))

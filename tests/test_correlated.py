@@ -59,7 +59,7 @@ class TestUpperCorrelated:
         # Qd = 0: single-user-like bound log2(P+Q+1+2 sqrt(PQ))/2
         spec = CorrelatedSpec(10.0, 4.0, 4.0, 0.0)
         expect = 0.5 * math.log2(10.0 + 4.0 + 1.0 + 2.0 * math.sqrt(40.0))
-        assert upper_correlated(spec).value == pytest.approx(expect, abs=1e-12)
+        assert upper_correlated(spec) == pytest.approx(expect, abs=1e-12)
 
     def test_frozen_point(self):
         spec = CorrelatedSpec(10.0, 4.0, 9.0, 1.0)
@@ -68,14 +68,14 @@ class TestUpperCorrelated:
             + 0.25 * math.log2(20.0 + 2.0 * math.sqrt(90.0))
             - 0.5 * math.log2(1.25)
         )
-        assert upper_correlated(spec).value == pytest.approx(expect, abs=1e-12)
-        assert upper_correlated(spec).value == pytest.approx(2.357433179248185, abs=1e-12)
+        assert upper_correlated(spec) == pytest.approx(expect, abs=1e-12)
+        assert upper_correlated(spec) == pytest.approx(2.357433179248185, abs=1e-12)
 
     def test_high_sinr_form(self):
         # fixed (Q1, Q2, Qd), P -> inf: bound approaches log2(P)/2 - T(Qd)
         spec = CorrelatedSpec(1.0e6, 10.0, 10.0, 10.0)
         target = 0.5 * math.log2(1.0e6) - t_of_qd(10.0)
-        assert upper_correlated(spec).value == pytest.approx(target, abs=0.01)
+        assert upper_correlated(spec) == pytest.approx(target, abs=0.01)
 
 
 class TestLowerBeta:
@@ -88,18 +88,14 @@ class TestLowerBeta:
         assert split_rate(0.0, 3.0, 7.0) == pytest.approx(0.5, abs=1e-15)
 
     def test_branch_values(self):
-        assert lower_beta(9.0, 44.0).value == pytest.approx(0.25 * math.log2(10.0), abs=1e-15)
-        assert lower_beta(9.0, 0.0).value == pytest.approx(0.5 * math.log2(10.0), abs=1e-15)
-        assert lower_beta(10.0, 16.0).value == pytest.approx(
-            0.5 * math.log2(15.0 / 4.0), abs=1e-12
-        )
-        assert lower_beta(10.0, 16.0).value == pytest.approx(0.9534452978042592, abs=1e-12)
+        assert lower_beta(9.0, 44.0) == pytest.approx(0.25 * math.log2(10.0), abs=1e-15)
+        assert lower_beta(9.0, 0.0) == pytest.approx(0.5 * math.log2(10.0), abs=1e-15)
+        assert lower_beta(10.0, 16.0) == pytest.approx(0.5 * math.log2(15.0 / 4.0), abs=1e-12)
+        assert lower_beta(10.0, 16.0) == pytest.approx(0.9534452978042592, abs=1e-12)
 
     def test_bridge_to_independent_bound(self):
         for qd in QD_GRID:
-            bound = lower_beta(10.0, qd)
-            assert (bound.kind, bound.method) == ("lower", "dithered-superposition")
-            assert bound.value == gaussian.lower_bound(10.0, qd / 2.0).value
+            assert lower_beta(10.0, qd) == gaussian.lower_bound(10.0, qd / 2.0)
         with pytest.raises(ValueError, match="Qd"):
             lower_beta(1.0, -1.0)
 
@@ -107,14 +103,14 @@ class TestLowerBeta:
         for p in (0.5, 10.0, 263.0):
             for qd in (0.0, 2.0, 16.0, 100.0):
                 _, best = gaussian.maximize_power_split(p, qd / 2.0)
-                assert lower_beta(p, qd).value >= best - 1e-5
-                assert lower_beta(p, qd).value <= best + 1e-3
+                assert lower_beta(p, qd) >= best - 1e-5
+                assert lower_beta(p, qd) <= best + 1e-3
 
     def test_ordered_below_upper_bound(self):
         for p in P_GRID:
             for beta2 in np.linspace(-1.0, 1.0, 9):
                 spec = CorrelatedSpec.from_scaled(p, 1.0, float(beta2), 5.0)
-                assert lower_beta(p, spec.qd).value <= upper_correlated(spec).value + 1e-12
+                assert lower_beta(p, spec.qd) <= upper_correlated(spec) + 1e-12
 
 
 class TestHighSinrGap:

