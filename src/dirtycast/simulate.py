@@ -5,13 +5,13 @@ user 1's interference where A_i = 1 and user 2's where A_i = 0, and decodes
 both users by exact maximum likelihood over the whole codebook.  Codewords
 are stored packed, 64 bits to a uint64 word, and the decoder scores each one
 from the popcount of its XOR with the channel output, over all n bits and
-under the clean half's bit mask.  Trial t draws all of its randomness from a
-generator seeded by (master_seed, t).  A campaign is split once into batches
-of consecutive trials, each run as one set of array operations; a batch holds
-at most DECODE_BLOCK codeword rows, so a trial at the ML cap is a batch of
-one, and its decode scores each block of codewords for both users at once.
-At most min(threads, os.cpu_count()) batches run at once.  Results are
-bit-identical no matter how trials are batched or spread across threads.
+under the clean half's bit mask.  Trial t's random words are addressed by
+(seed, t) alone: a counter-based hash makes a whole batch's short blocks in one
+array pass, and a PCG64 keyed by the same hash makes each long one.  A campaign
+is split once into batches of consecutive trials, each run as one set of array
+operations; a batch holds at most DECODE_BLOCK codeword rows, so a trial at the
+ML cap is a batch of one.  At most min(threads, os.cpu_count()) batches run at
+once.  Results are bit-identical however trials are batched or threaded.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -29,6 +30,8 @@ __all__ = ["InfeasibleRunError", "SchemeRun", "simulate_scheme"]
 
 CODEBOOK_CAP = 2**20
 DECODE_BLOCK = 2**14  # codeword rows a batch of trials scores at once (bits, if none)
+_HASH_WORDS = 2**12  # a trial of this many random words or more draws them from a PCG64
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)  # the golden-ratio increment of SplitMix64
 
 
 class InfeasibleRunError(ValueError):
@@ -127,12 +130,10 @@ def _pack(bits):
     return out.view(np.uint64)
 
 
-def _stack(arrays):
-    """Stack per-trial arrays on a new leading batch axis; a batch of one is a view
-    of its only array, so a trial at the ML cap never copies its codebook."""
-    if arrays[0] is None:
-        return None
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+def _popcount(words):
+    """Set bits of each packed row: the popcounts of its words, summed."""
+    count = np.bitwise_count(words)
+    return count[..., 0] if count.shape[-1] == 1 else count.sum(-1)
 
 
 def _ml_decode(codebook, y, clean, clean_size, n, noise_q, cross_noisy):
@@ -144,21 +145,17 @@ def _ml_decode(codebook, y, clean, clean_size, n, noise_q, cross_noisy):
     d'); codewords and y are zero past bit n, so d + d' is the popcount of their XOR.
     Each block of codeword rows is scored for both users in one pass, DECODE_BLOCK
     scores at a time, so no temporary grows with the codebook."""
-    trials, m, words = codebook.shape
+    trials, m = codebook.shape[:2]
     rows = max(1, DECODE_BLOCK // (2 * trials))
     clean_size = clean_size[..., None]
     best = np.zeros((2, trials), dtype=np.int64)
     best_score = np.full((2, trials), -np.inf)
     for start in range(0, m, rows):
         diff = codebook[:, start : start + rows] ^ y[:, :, None]
-        d_all = np.bitwise_count(diff)
+        d_all = _popcount(diff)
         diff &= clean[:, :, None]
-        d_clean = np.bitwise_count(diff)
+        d_clean = _popcount(diff)
         del diff  # before the score temporaries, each as large
-        if words == 1:
-            d_clean, d_all = d_clean[..., 0], d_all[..., 0]
-        else:
-            d_clean, d_all = d_clean.sum(-1), d_all.sum(-1)
         score = _half_loglik(clean_size, noise_q, d_clean)
         score += _half_loglik(n - clean_size, cross_noisy, d_all - d_clean)
         i = score.argmax(-1)
@@ -169,61 +166,69 @@ def _ml_decode(codebook, y, clean, clean_size, n, noise_q, cross_noisy):
     return best
 
 
-def _draw(run: SchemeRun, t, m, noise_q: float):
-    """Trial t's draws from its own generator, seeded by (run.seed, t), in the order
-    that fixes its stream: the coin A^n, the uniforms behind (S1, S2), then the
-    codebook (the generator bits of a linear one) and the sent index, or the sent
-    word of a measurement-only trial, and last the two users' noise uniforms."""
-    rng = np.random.default_rng(np.random.SeedSequence((int(run.seed), int(t))))
-    n = run.n
-    coin = rng.integers(0, 2, size=n, dtype=np.uint8)
-    u = rng.random((2, n))
-    if m is None:
-        rng.integers(0, 2, size=n, dtype=np.uint8)  # the sent word: no count depends on it
-        book = w = None
-    else:
-        if run.codebook == "linear":
-            book = rng.integers(0, 2, size=(int(math.log2(m)), n), dtype=np.uint8)
-        else:
-            book = rng.integers(0, 2**64, size=(m, -(-n // 64)), dtype=np.uint64)
-        w = rng.integers(0, m)
-    noise = rng.random((2, n)) if noise_q > 0.0 else None
-    return coin, u, book, w, noise
+def _mix(z):
+    """The SplitMix64 finalizer (Steele, Lea and Flood, OOPSLA 2014), in place on
+    a uint64 array, whose arithmetic wraps without a warning."""
+    z ^= z >> 30
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> 27
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> 31
+    return z
 
 
-def _run_batch(trials, run: SchemeRun, m, s1_one, s2_one_given, noise_q: float,
-               cross_noisy: float):
+def _words(seed, trials, width):
+    """Row t - trials.start holds trial t's width words, a function of (seed, t) only
+    (Salmon et al., SC 2011): with key_t = mix(mix(seed) + t*gamma), word j is
+    mix(key_t + j*gamma), hashed for the whole batch at once, or, for rows of
+    _HASH_WORDS or more, where a generator is cheaper per word, the output of a
+    PCG64 seeded by key_t.  A batch of one is a view of its row, never a copy."""
+    t = np.arange(trials.start, trials.stop, dtype=np.uint64)
+    keys = _mix(_mix(np.array([seed], dtype=np.uint64)) + t * _GAMMA)
+    if width < _HASH_WORDS:
+        return _mix(keys[:, None] + np.arange(width, dtype=np.uint64) * _GAMMA)
+    rows = [np.random.PCG64(int(k)).random_raw(width) for k in keys]
+    return rows[0][None] if len(rows) == 1 else np.stack(rows)
+
+
+def _run_batch(run: SchemeRun, m, below, noise_q: float, cross_noisy: float, trials):
     """Interfered-half mismatches, interfered samples, and user-1, user-2 and union
-    frame errors, summed over the given trial indices."""
-    n = run.n
-    # unnamed, the per-trial arrays are freed once stacked
-    coin, u, book, w, noise = map(_stack, zip(*(_draw(run, t, m, noise_q) for t in trials)))
-    mask1 = coin.astype(bool)  # A_i = 1
+    frame errors, summed over the given trial indices.  A trial's words hold, in
+    order, its coin A^n, packed; the uniforms behind (S1, S2) and any noise; and,
+    when decoding, the sent index (word mod m) and the packed i.i.d. codebook or
+    linear generator rows."""
+    n, size, cw = run.n, len(trials), -(-run.n // 64)
+    uniforms = 4 * n if noise_q > 0.0 else 2 * n
+    rows = 0 if m is None else m.bit_length() - 1 if run.codebook == "linear" else m
+    words = _words(run.seed, trials, cw + uniforms + (0 if m is None else 1 + rows * cw))
+    mask1 = np.unpackbits(words[:, :cw].view(np.uint8), -1, n, bitorder="little").view(bool)
     noisy1 = ~mask1  # indices where user 1 sees S1 xor S2 (xor Z1)
+    u = words[:, cw : cw + uniforms].reshape(size, -1, n)
+    u >>= 11  # (word >> 11) * 2^-53 < p exactly when word >> 11 < ceil(p * 2^53)
     # S1 from its marginal, then S2 from its law given S1
-    s1 = u[:, 0] < s1_one
-    xs = s1 ^ (u[:, 1] < s2_one_given[s1.astype(np.uint8)])
-    del u  # the uniforms are spent: free them before the decode
+    s1 = u[:, 0] < below[0]
+    xs = s1 ^ (u[:, 1] < below[1:3][s1.view(np.uint8)])
     # user k receives the sent word xor the interference it was not precancelled
     # for (xor its noise): rows 0 and 1 are those flips, rows 2 and 3 the halves
     bits = np.stack((noisy1 & xs, mask1 & xs, mask1, noisy1), axis=1)
     if noise_q > 0.0:
-        bits[:, :2] ^= noise < noise_q
-    del noise  # likewise
+        bits[:, :2] ^= u[:, 2:] < below[3]
     samples = noisy1.sum(1)
     counts = [int(np.count_nonzero(bits[:, 0] & noisy1)), int(samples.sum()), 0, 0, 0]
     if m is None:
         return counts
 
+    at = cw + uniforms
+    w = (words[:, at] % np.uint64(m)).astype(np.int64)
+    book = words[:, at + 1 :].reshape(size, rows, cw)  # a view: the cap codebook is not copied
+    if n % 64:  # zero the random bits past n, in place, so the decoder need not mask them
+        book[..., -1] &= np.uint64((1 << n % 64) - 1)
     if run.codebook == "linear":
         # row i is the XOR of the generator rows at the set bits of i, doubled in place
-        gens = _pack(book)
-        book = np.zeros((len(trials), m, gens.shape[2]), dtype=np.uint64)
-        for j in range(gens.shape[1]):
+        gens, book = book, np.zeros((size, m, cw), dtype=np.uint64)
+        for j in range(rows):
             np.bitwise_xor(book[:, : 1 << j], gens[:, j, None], out=book[:, 1 << j : 2 << j])
-    elif n % 64:  # zero the random bits past n, in place, so the decoder need not mask them
-        book[..., -1] &= np.uint64((1 << n % 64) - 1)
-    sent = book[np.arange(len(trials)), w]
+    sent = book[np.arange(size), w]
     packed = _pack(bits).transpose(1, 0, 2)
     # user 1's noisy half is user 2's clean half, and the other way round
     e1, e2 = _ml_decode(book, packed[:2] ^ sent, packed[2:], np.stack((n - samples, samples)),
@@ -250,17 +255,17 @@ def simulate_scheme(spec: BinaryChannelSpec, run: SchemeRun, threads: int = 1) -
     noise_q = spec.noise_q or 0.0
     cross_noisy = xor_convolve(spec.xor_probability, noise_q)
     law, s1_law = spec.pair.prob, spec.pair.marginal((0,)).prob
-    s1_one = s1_law.get((1,), 0.0)
-    # P(S2 = 1 | S1 = s) for s = 0, 1; 0 where S1 = s is impossible
-    s2_one_given = np.array([law.get((s, 1), 0.0) / (s1_law.get((s,), 0.0) or 1.0) for s in (0, 1)])
+    # P(S1 = 1), P(S2 = 1 | S1 = s) for s = 0, 1 (0 where S1 = s is impossible) and
+    # the noise, as thresholds on the 53-bit numerators of the uniforms
+    probs = [s1_law.get((1,), 0.0), *(law.get((s, 1), 0.0) / (s1_law.get((s,), 0.0) or 1.0)
+                                      for s in (0, 1)), noise_q]
+    below = np.ceil(np.array(probs) * 2.0**53).astype(np.uint64)
 
     m = run.codewords
     # a trial at the ML cap is a batch of one: its 8 MB codebook is decoded in place
     size = max(1, DECODE_BLOCK // max(m or 1, run.n))
     batches = [range(i, min(i + size, run.trials)) for i in range(0, run.trials, size)]
-
-    def run_batch(trials):
-        return _run_batch(trials, run, m, s1_one, s2_one_given, noise_q, cross_noisy)
+    run_batch = partial(_run_batch, run, m, below, noise_q, cross_noisy)
 
     # each worker holds one batch at a time, so run no more workers than cores
     workers = min(threads, len(batches), os.cpu_count() or 1)
@@ -274,16 +279,11 @@ def simulate_scheme(spec: BinaryChannelSpec, run: SchemeRun, threads: int = 1) -
     mismatches, samples, e1, e2, eu = (sum(c) for c in zip(*totals))
 
     q_hat = mismatches / samples if samples else 0.0
-    report_fer = run.rate is not None
+    fer = [e / run.trials if run.rate is not None else None for e in (eu, e1, e2)]
     return SchemeReport(
-        trials=run.trials,
-        n=run.n,
-        codewords=m,
-        empirical_crossover=q_hat,
+        trials=run.trials, n=run.n, codewords=m, empirical_crossover=q_hat,
         interfered_samples=samples,
         empirical_mi_per_symbol=precancellation_rate(q_hat, noise_q),
         predicted_mi_per_symbol=precancellation_rate(cross_noisy, noise_q),
-        frame_error_rate=eu / run.trials if report_fer else None,
-        fer_user1=e1 / run.trials if report_fer else None,
-        fer_user2=e2 / run.trials if report_fer else None,
+        frame_error_rate=fer[0], fer_user1=fer[1], fer_user2=fer[2],
     )

@@ -416,7 +416,13 @@ def check_correlated_t_and_bridge() -> str:
         t = correlated.t_of_qd(float(qd))
         _require(t >= prev - 1e-12, f"T not nondecreasing at Qd={qd}")
         prev = t
-    return "T(Qd) = 1/2 at the seam Qd=4, continuous and nondecreasing"
+    # the bridge: the beta scheme feels half the spread, so it is the independent bound at Qd/2
+    for p in (0.5, 10.0, 263.0):
+        for qd in (0.0, 0.5, 2.0, 4.0, 8.0, 40.0, 1.0e4):
+            _require(correlated.lower_beta(p, qd) == gaussian.lower_bound(p, qd / 2.0),
+                     f"lower_beta({p}, {qd}) != lower_bound({p}, {qd / 2.0})")
+    return ("T(Qd) = 1/2 at the seam Qd=4, continuous and nondecreasing; "
+            "lower_beta(P, Qd) = lower_bound(P, Qd/2) exactly")
 
 
 def check_correlated_scaled_and_gaps() -> str:

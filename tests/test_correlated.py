@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from dirtycast import gaussian
 from dirtycast.correlated import (
     CorrelatedSpec,
     high_sinr_gap_beta,
@@ -16,7 +15,6 @@ from dirtycast.correlated import (
 from dirtycast.gaussian import PowerSplit, rate_of_split
 
 P_GRID = tuple(float(p) for p in np.logspace(-1.0, 4.0, 12))
-QD_GRID = (0.0, 0.5, 2.0, 4.0, 8.0, 40.0, 1.0e4)
 
 
 class TestSpecValidation:
@@ -70,11 +68,6 @@ class TestLowerBeta:
         assert lower_beta(9.0, 0.0) == pytest.approx(0.5 * math.log2(10.0), abs=1e-15)
         assert lower_beta(10.0, 16.0) == pytest.approx(0.5 * math.log2(15.0 / 4.0), abs=1e-12)
         assert lower_beta(10.0, 16.0) == pytest.approx(0.9534452978042592, abs=1e-12)
-
-    def test_bridge_to_independent_bound(self):
-        for p in (0.5, 10.0, 263.0):
-            for qd in QD_GRID:
-                assert lower_beta(p, qd) == gaussian.lower_bound(p, qd / 2.0)
 
     def test_ordered_below_upper_bound(self):
         for p in P_GRID:
