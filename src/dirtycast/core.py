@@ -1,10 +1,11 @@
 """Scalar math kernels shared by every bound computation.
 
 Entropies, jointly-Gaussian mutual information, dB conversion, a
-derivative-free scalar minimizer, and the argument check and received power
-that the Gaussian modules share.  All returned rates are bits per channel
-use (logs base 2); natural-log internals are an implementation detail.
-Every function here is pure, so concurrent use needs no locking.
+derivative-free scalar minimizer that solves a batch of problems per call,
+and the argument check and received power that the Gaussian modules share.
+All returned rates are bits per channel use (logs base 2); natural-log
+internals are an implementation detail.  Every function here is pure, so
+concurrent use needs no locking.
 """
 
 from __future__ import annotations
@@ -165,10 +166,11 @@ def _check_nonnegative(name: str, value: float, *more) -> None:
         _check_nonnegative(*more)
 
 
-def _received_power(p: float, q: float) -> float:
+def _received_power(sqrt, p, q):
     """P + Q + 1 + 2 sqrt(PQ): the power of X + S_k + Z_k when the input is
-    fully aligned with the interference."""
-    return p + q + 1.0 + 2.0 * math.sqrt(p) * math.sqrt(q)
+    fully aligned with the interference.  sqrt is math.sqrt for floats,
+    np.sqrt for arrays."""
+    return p + q + 1.0 + 2.0 * sqrt(p) * sqrt(q)
 
 
 def binary_entropy(q: float) -> float:
@@ -235,57 +237,56 @@ def gaussian_mi(cov: GaussianCov, block_a, block_b) -> float:
     return (la + lb - lab) / (2.0 * _LN2)
 
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GRID_POINTS = 2001
+_ZOOM = 32  # each zoom narrows the bracket by this factor
+_ZOOM_STEPS = np.arange(-_ZOOM, _ZOOM + 1.0)  # a zoom's 65 points, in units of its spacing
 _XTOL = 1e-10
+
+
+def _argmin(f, points):
+    """Index along the last axis and value of the least of f(points), first
+    on ties, once f has kept the array contract of minimize_scalar."""
+    contract = "f must take an array of points and return one value per point"
+    try:
+        vals = np.asarray(f(points), float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(contract) from exc
+    if vals.shape[vals.ndim - points.ndim:] != points.shape:
+        raise ValueError(f"{contract}; got shape {vals.shape} for {points.shape} points")
+    return vals.argmin(-1), vals.min(-1)
 
 
 def minimize_scalar(f, domain):
     """Minimize a scalar function on the closed interval domain = (lo, hi).
 
-    f must take either a float or a 1-D float array: given an array it
-    returns the array of its values at each element.  The coarse scan is
-    one call f(xs) on a uniform grid of 2001 points; golden-section
-    refinement of the best bracket then calls f on floats only, down to
-    width 1e-10 * max(1, |lo|, |hi|).  Derivative-free, so kinked
-    objectives are fine.  For a unimodal f the returned argmin is within
-    1e-6 * max(1, |lo|, |hi|) of the global minimizer.  Returns
-    (argmin, minimum).
+    f takes an array of points and returns its value at each; its own
+    parameters may carry leading batch axes that broadcast against the
+    points, so one call minimizes a batch of functions.  A scan calls f once
+    on a grid of 2001 points; each zoom then calls it once on 65 points
+    (batch + (65,)) evenly spread over the two grid cells around the best,
+    clipped to the domain, which narrows the bracket 32-fold.  The zoom
+    count (at most 5) is fixed up front so that the bracket reaches width
+    1e-10 * max(1, |lo|, |hi|).  Derivative-free, so kinked objectives are
+    fine; for a unimodal f the argmin is within 1e-6 * max(1, |lo|, |hi|) of
+    the global minimizer.  Returns (argmin, minimum): floats for one
+    function, arrays of the batch shape for a batch.
     """
     lo, hi = domain
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("interval endpoints must be finite")
     if lo > hi:
         raise ValueError(f"need lo <= hi, got [{lo}, {hi}]")
-    if lo == hi:
-        return lo, f(lo)
-    xs = np.linspace(lo, hi, _GRID_POINTS)
-    contract = "f must take a float or a 1-D float array and return one value per element"
-    try:
-        vals = np.asarray(f(xs), float)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(contract) from exc
-    if vals.shape != xs.shape:
-        raise ValueError(f"{contract}; got shape {vals.shape} for {xs.shape} points")
-    i = int(np.argmin(vals))
-    best_x, best_v = float(xs[i]), float(vals[i])
-
+    cell = (hi - lo) / (_GRID_POINTS - 1)
     xtol = _XTOL * max(1.0, abs(lo), abs(hi))
-    a = float(xs[max(i - 1, 0)])
-    b = float(xs[min(i + 1, _GRID_POINTS - 1)])
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > xtol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-    for x, v in ((c, fc), (d, fd)):
-        if v < best_v:
-            best_x, best_v = x, v
-    return best_x, best_v
+    zooms = math.ceil(math.log(2.0 * cell / xtol, _ZOOM)) if 2.0 * cell > xtol else 0
+    xs = np.linspace(lo, hi, _GRID_POINTS)
+    i, v = _argmin(f, xs)
+    x = xs[i]
+    for _ in range(zooms):
+        cell /= _ZOOM
+        j, zv = _argmin(f, np.clip(x[..., None] + cell * _ZOOM_STEPS, lo, hi))
+        better = zv < v
+        # recomputed, point j is bit for bit the one f was given
+        x = np.where(better, np.clip(x + cell * _ZOOM_STEPS[j], lo, hi), x)
+        v = np.where(better, zv, v)
+    return (float(x), float(v)) if x.ndim == 0 else (x, v)

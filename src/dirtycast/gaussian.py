@@ -3,13 +3,16 @@ Y_k = X + S_k + Z_k with transmitter-known interference.
 
 P is the SNR, Q the INR, noise power normalized to 1, logs base 2.  The two
 upper bounds are each written once, as a raw objective in the receivers'
-noise correlation rho (`upper_i_at_rho`, `upper_ii_at_rho`, which take a
-float or an array of rho, so a minimizer scans a grid in one call); the
-closed forms `upper_i` and `upper_ii` are those objectives at the branch rho
+noise correlation rho (`upper_i_at_rho`, `upper_ii_at_rho`); the closed
+forms `upper_i` and `upper_ii` are those objectives at the branch rho
 (`rho_upper_i`, `rho_upper_ii`), and numeric minimizers over rho
-cross-check that choice.  The achievable side is superposition dirty-paper
-coding over the split S_k = A +/- D, with a covariance-based oracle that
-reproduces the two codebook rates from first principles.
+cross-check that choice.  An objective takes a float rho, or an array of
+rho against which P, a float or an array, broadcasts; so
+`minimize_upper_i_rho` and `minimize_upper_ii_rho` minimize over rho at a
+whole array of P, at one Q, in one `minimize_scalar` call.  The achievable
+side is superposition dirty-paper coding over the split S_k = A +/- D, with
+a covariance-based oracle that reproduces the two codebook rates from first
+principles.
 """
 
 from __future__ import annotations
@@ -84,20 +87,18 @@ def rate_interference_as_noise(p: float, q: float) -> float:
 
 
 # The operations a rate formula needs, for float arguments: the math module's
-# log2/sqrt/expm1 and the builtin max/min.  numpy supplies the same names for
-# arrays; a float keeps this path, which is faster than numpy on scalars.
-_FLOAT_OPS = SimpleNamespace(
-    log2=math.log2, sqrt=math.sqrt, expm1=math.expm1, maximum=max, minimum=min
-)
+# log2/sqrt and the builtin max.  numpy supplies the same names for arrays; a
+# float keeps this path, which is faster than numpy on scalars.
+_FLOAT_OPS = SimpleNamespace(log2=math.log2, sqrt=math.sqrt, maximum=max)
 
 
 def _rho_objective(value, p, q, rho, rho_max):
     """value(ops, p, q, rho) on the open domain -1 < rho < rho_max, where
     its denominators are positive, and +inf outside it.
 
-    rho is a float or a 1-D array.  Closed array entries are evaluated at
-    rho = 0 and then replaced, so no log or sqrt sees a nonpositive
-    argument and no RuntimeWarning is raised."""
+    rho is a float, or an array against which p broadcasts.  Closed array
+    entries are evaluated at rho = 0 and then replaced, so no log or sqrt
+    sees a nonpositive argument and no RuntimeWarning is raised."""
     if isinstance(rho, np.ndarray):
         closed = (rho <= -1.0) | (rho >= rho_max)
         return np.where(closed, math.inf, value(np, p, q, np.where(closed, 0.0, rho)))
@@ -110,7 +111,7 @@ def _upper_i_value(xp, p, q, rho):
     """The upper_i_at_rho formula, with the operations xp.  The second log
     is taken as a difference: the ratio overflows at large P and small Q."""
     return (0.25 * xp.log2((1.0 + p) / (1.0 + rho))
-            + 0.25 * (xp.log2(_received_power(p, q)) - xp.log2(q / 2.0 + 1.0 - rho)))
+            + 0.25 * (xp.log2(_received_power(xp.sqrt, p, q)) - xp.log2(q / 2.0 + 1.0 - rho)))
 
 
 def upper_i_at_rho(p: float, q: float, rho):
@@ -118,7 +119,7 @@ def upper_i_at_rho(p: float, q: float, rho):
 
     log2((1+P)/(1+rho))/4 + log2((P+Q+1+2 sqrt(PQ))/(Q/2+1-rho))/4;
     +inf where a denominator closes (rho <= -1 or rho >= Q/2+1).  rho is
-    a float or a 1-D array."""
+    a float, or an array against which P (a float or an array) broadcasts."""
     return _rho_objective(_upper_i_value, p, q, rho, q / 2.0 + 1.0)
 
 
@@ -137,7 +138,7 @@ def upper_i(p: float, q: float) -> float:
 
 def _upper_ii_value(xp, p, q, rho):
     """The upper_ii_at_rho formula, with the operations xp."""
-    main = 0.5 * xp.log2(_received_power(p, q) / xp.sqrt((1.0 + rho) * (q + 1.0 - rho)))
+    main = 0.5 * xp.log2(_received_power(xp.sqrt, p, q) / xp.sqrt((1.0 + rho) * (q + 1.0 - rho)))
     if q > 0.0:
         main = main - xp.maximum(0.0, 0.25 * (math.log2(q) - xp.log2(2.0 * p + 1.0 + rho)))
     return main
@@ -149,7 +150,7 @@ def upper_ii_at_rho(p: float, q: float, rho):
     log2((P+Q+2 sqrt(PQ)+1)/sqrt((1+rho)(Q+1-rho)))/2
       - [log2(Q/(2P+1+rho))/4]^+;
     +inf where (1+rho)(Q+1-rho) closes (rho <= -1 or rho >= Q+1).  rho is
-    a float or a 1-D array."""
+    a float, or an array against which P (a float or an array) broadcasts."""
     return _rho_objective(_upper_ii_value, p, q, rho, q + 1.0)
 
 
@@ -203,16 +204,26 @@ def lower_bound(p: float, q: float) -> float:
     return _rate(_split_rate(_FLOAT_OPS, p - p_d, p_d, q))
 
 
-def minimize_upper_i_rho(p: float, q: float):
-    """Numeric minimizer of the genie bound over rho; returns (rho, bits)."""
-    _check_nonnegative("P", p, "Q", q)
-    return minimize_scalar(lambda r: upper_i_at_rho(p, q, r), (-1.0, 1.0))
+def _minimize_over_rho(objective, p, q):
+    """objective(p, q, rho) minimized over rho in [-1, 1], at a float P or at
+    each P of a 1-D array, in one minimize_scalar call."""
+    for v in np.ravel(p):
+        _check_nonnegative("P", float(v))
+    _check_nonnegative("Q", q)
+    p_column = p[:, None] if isinstance(p, np.ndarray) else p
+    return minimize_scalar(lambda rho: objective(p_column, q, rho), (-1.0, 1.0))
 
 
-def minimize_upper_ii_rho(p: float, q: float):
-    """Numeric minimizer of the joint-output bound over rho; returns (rho, bits)."""
-    _check_nonnegative("P", p, "Q", q)
-    return minimize_scalar(lambda r: upper_ii_at_rho(p, q, r), (-1.0, 1.0))
+def minimize_upper_i_rho(p, q: float):
+    """Numeric minimizer of the genie bound over rho at a float or a 1-D
+    array of P; returns (rho, bits), floats or arrays like P."""
+    return _minimize_over_rho(upper_i_at_rho, p, q)
+
+
+def minimize_upper_ii_rho(p, q: float):
+    """Numeric minimizer of the joint-output bound over rho at a float or a
+    1-D array of P; returns (rho, bits), floats or arrays like P."""
+    return _minimize_over_rho(upper_ii_at_rho, p, q)
 
 
 def maximize_power_split(p: float, q: float):
@@ -226,16 +237,15 @@ def maximize_power_split(p: float, q: float):
     _check_nonnegative("P", p, "Q", q)
     log_total = math.log1p(p)
 
-    def p_d_at(xp, s):
-        return xp.minimum(xp.expm1(s * log_total), p)
+    def p_d_at(s):
+        return np.minimum(np.expm1(s * log_total), p)
 
     def negated_rate(s):
-        xp = np if isinstance(s, np.ndarray) else _FLOAT_OPS
-        p_d = p_d_at(xp, s)
-        return -_split_rate(xp, p - p_d, p_d, q)
+        p_d = p_d_at(s)
+        return -_split_rate(np, p - p_d, p_d, q)
 
     s, _ = minimize_scalar(negated_rate, (0.0, 1.0))
-    p_d = p_d_at(_FLOAT_OPS, s)
+    p_d = float(p_d_at(s))
     split = PowerSplit(p - p_d, p_d)
     return split, rate_of_split(split, q)
 
@@ -322,7 +332,7 @@ def upper_k_raw(p: float, q: float, k: int) -> float:
     if q == 0.0:
         return math.inf
     value = (
-        0.5 * math.log2(_received_power(p, q))
+        0.5 * math.log2(_received_power(math.sqrt, p, q))
         - (k - 1) / (2.0 * k) * math.log2(q)
         - math.log2(k) / (2.0 * k)
         - max(0.0, (math.log2(q) - math.log2(k * (p + 1.0))) / (2.0 * k))

@@ -131,9 +131,12 @@ def _pack(bits):
 
 
 def _popcount(words):
-    """Set bits of each packed row: the popcounts of its words, summed."""
+    """Set bits of each packed row: the popcounts of its words, summed.  A
+    sum over the short word axis is slow, so its columns are added as intp."""
     count = np.bitwise_count(words)
-    return count[..., 0] if count.shape[-1] == 1 else count.sum(-1)
+    if count.shape[-1] == 1:
+        return count[..., 0]
+    return sum(count[..., j].astype(np.intp) for j in range(count.shape[-1]))
 
 
 def _ml_decode(codebook, y, clean, clean_size, n, noise_q, cross_noisy):

@@ -136,14 +136,18 @@ class TestMinimizeScalar:
         assert x == pytest.approx(1.0, abs=1e-9)
 
     def test_random_unimodal_functions(self):
+        # ten problems a domain in one batch call, each the same as its own call
         rng = np.random.default_rng(8)
-        for _ in range(50):
-            lo = float(rng.uniform(-5.0, 0.0))
-            hi = float(rng.uniform(0.5, 5.0))
-            target = float(rng.uniform(lo, hi))
-            scale = float(10.0 ** rng.uniform(-2, 2))
-            x, _ = minimize_scalar(lambda t: scale * (t - target) ** 2, (lo, hi))
-            assert abs(x - target) < 1e-6
+        for _ in range(5):
+            lo, hi = float(rng.uniform(-5.0, 0.0)), float(rng.uniform(0.5, 5.0))
+            target = rng.uniform(lo, hi, size=(10, 1))
+            scale = 10.0 ** rng.uniform(-2, 2, size=(10, 1))
+            xs, vs = minimize_scalar(lambda t: scale * (t - target) ** 2, (lo, hi))
+            assert xs.shape == vs.shape == (10,)
+            assert np.all(np.abs(xs - target[:, 0]) < 1e-6)
+            for i in range(10):
+                one = minimize_scalar(lambda t: scale[i, 0] * (t - target[i, 0]) ** 2, (lo, hi))
+                assert one == (xs[i], vs[i]) and type(one[0]) is type(one[1]) is float
 
     def test_interval_validation(self):
         with pytest.raises(ValueError, match="need lo <= hi"):
@@ -152,27 +156,36 @@ class TestMinimizeScalar:
             minimize_scalar(lambda t: t, (0.0, math.inf))
 
     def test_scan_is_one_array_call(self):
-        args = []
+        # the bracket after the scan is two cells, 2 * 2/2000, and each zoom
+        # narrows it 32-fold until it is at most 1e-10
+        zooms = math.ceil(math.log(2.0 * (2.0 / 2000) / 1e-10, 32))
+        assert zooms == 5
+        for centre, batch in ((0.3, ()), (np.array([[-0.5], [0.3], [0.9]]), (3,))):
+            shapes = []
 
-        def f(t):
-            args.append(t)
-            return (t - 0.3) ** 2
+            def f(t):
+                shapes.append(t.shape)
+                return (t - centre) ** 2
 
-        minimize_scalar(f, (-1.0, 1.0))
-        scan, *refinement = args
-        assert isinstance(scan, np.ndarray) and scan.shape == (2001,)
-        assert refinement and all(type(t) is float for t in refinement)
+            x, _ = minimize_scalar(f, (-1.0, 1.0))
+            assert shapes == [(2001,)] + [batch + (65,)] * zooms
+            assert np.shape(x) == batch
+
+    def test_empty_interval(self):
+        assert minimize_scalar(lambda t: (t - 1.0) ** 2, (2.0, 2.0)) == (2.0, 1.0)
+        x, v = minimize_scalar(lambda t: (t - np.array([[1.0], [4.0]])) ** 2, (2.0, 2.0))
+        assert x.tolist() == [2.0, 2.0] and v.tolist() == [1.0, 4.0]
 
     def test_f_that_breaks_the_array_contract(self):
-        with pytest.raises(ValueError, match="float or a 1-D float array") as info:
+        with pytest.raises(ValueError, match="f must take an array of points") as info:
             minimize_scalar(lambda t: math.sin(t) ** 2, (0.0, 1.0))
         assert isinstance(info.value.__cause__, TypeError)
-        with pytest.raises(ValueError, match=r"float or a 1-D float array.*shape \(\)"):
+        with pytest.raises(ValueError, match=r"array of points.*shape \(\) for \(2001,\)"):
             minimize_scalar(lambda t: 1.0, (0.0, 1.0))
 
     def test_wide_domain_terminates(self):
         # far from 0 an absolute stopping width of 1e-10 is below one ulp,
-        # so the golden-section loop must stop at a width relative to |lo|, |hi|
+        # so the zoom count must follow a width relative to |lo|, |hi|
         calls = 0
 
         def f(t):

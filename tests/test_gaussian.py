@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from dirtycast import correlated, gaussian
-from dirtycast.core import minimize_scalar
 from dirtycast.gaussian import (
     PowerSplit,
     awgn_capacity,
@@ -31,7 +30,6 @@ from dirtycast.gaussian import (
     upper_k,
     upper_k_raw,
 )
-from dirtycast.verify import P_GRID, Q_GRID_LINEAR, Q_GRID_LOG
 
 
 class TestBaselines:
@@ -66,22 +64,6 @@ class TestUpperBounds:
         expect = 0.5 * math.log2((111.0 + 2.0 * math.sqrt(1000.0)) / math.sqrt(200.0)) - 0.25 * math.log2(100.0 / 22.0)
         assert upper_ii(10.0, 100.0) == pytest.approx(expect, abs=1e-12)
         assert upper_ii(10.0, 100.0) == pytest.approx(1.265418823944883, abs=1e-12)
-        _, minimized = minimize_upper_ii_rho(10.0, 100.0)
-        assert minimized == pytest.approx(upper_ii(10.0, 100.0), abs=1e-6)
-
-    def test_closed_forms_match_rho_minimization_on_grid(self):
-        for p in P_GRID:
-            for q in Q_GRID_LINEAR:
-                _, val_i = minimize_upper_i_rho(p, q)
-                assert abs(val_i - upper_i(p, q)) < 1e-5
-                _, val_ii = minimize_upper_ii_rho(p, q)
-                assert abs(val_ii - upper_ii(p, q)) < 1e-5
-
-    def test_closed_upper_ii_never_below_its_minimum(self):
-        for p in P_GRID:
-            for q in Q_GRID_LOG:
-                _, val = minimize_upper_ii_rho(p, q)
-                assert upper_ii(p, q) >= val - 1e-9
 
     def test_envelope(self):
         assert upper_envelope(4.0, 0.0) == pytest.approx(awgn_capacity(4.0), abs=1e-12)
@@ -237,8 +219,6 @@ class TestAsymptotesAndFeedback:
 
     def test_convergence_to_lower_bound(self):
         assert high_sinr_asymptote(1.0e6, 8.0) == pytest.approx(8.965784284662087, abs=1e-12)
-        assert abs(lower_bound(1.0e6, 8.0) - high_sinr_asymptote(1.0e6, 8.0)) <= 0.01
-        assert abs(lower_bound(1.0e6, 1.0) - high_sinr_asymptote(1.0e6, 1.0)) <= 0.01
 
 
 class TestSpecType:
@@ -267,7 +247,8 @@ def assert_matches_elementwise(values, scalar_at):
 
 
 class TestArrayObjectives:
-    """Every objective minimize_scalar scans takes a float or a 1-D array."""
+    """Every objective minimize_scalar scans gives, on an array, the values
+    of its float formula."""
 
     # [-1, 1], whose ends are closed, plus points outside it: closed ones,
     # and 5e3, which is open for Q >= 1e4
@@ -275,12 +256,16 @@ class TestArrayObjectives:
 
     @pytest.mark.parametrize("objective", [upper_i_at_rho, upper_ii_at_rho])
     def test_rho_objective_array_matches_scalar(self, objective):
-        for p in ARRAY_POWERS:
-            for q in ARRAY_POWERS:
-                with np.errstate(all="raise"):
-                    values = objective(p, q, self.RHOS)
-                assert values[0] == math.inf  # rho = -1 closes 1 + rho
-                assert_matches_elementwise(values, lambda i: objective(p, q, float(self.RHOS[i])))
+        rhos = self.RHOS
+        for q in ARRAY_POWERS:
+            with np.errstate(all="raise"):
+                # a column of P against the rho row: one row of values per P
+                rows = objective(np.array(ARRAY_POWERS)[:, None], q, rhos)
+                for p, row in zip(ARRAY_POWERS, rows):
+                    values = objective(p, q, rhos)
+                    assert values[0] == math.inf  # rho = -1 closes 1 + rho
+                    assert_matches_elementwise(values, lambda i: objective(p, q, float(rhos[i])))
+                    assert row.tolist() == values.tolist()
         # rho = 1 closes Q/2 + 1 - rho (upper-I) and Q + 1 - rho (upper-II) at Q = 0
         assert upper_i_at_rho(1.0, 0.0, self.RHOS)[2000] == math.inf
         assert upper_ii_at_rho(1.0, 0.0, self.RHOS)[2000] == math.inf
@@ -299,27 +284,6 @@ class TestArrayObjectives:
                     ),
                 )
 
-    def test_power_split_objective_array_matches_scalar(self, monkeypatch):
-        objectives = []
-
-        def spy(f, domain):
-            objectives.append(f)
-            return minimize_scalar(f, domain)
-
-        monkeypatch.setattr(gaussian, "minimize_scalar", spy)
-        shares = np.linspace(0.0, 1.0, 2001)
-        for p in ARRAY_POWERS:
-            for q in ARRAY_POWERS:
-                maximize_power_split(p, q)
-                (negated_rate,) = objectives
-                objectives.clear()
-                # at Q = 1e300 a last-ulp P_A = P - P_D underflows P_A/(P_D+Q/2+1)
-                # to a subnormal, as the float path does; numpy ignores that
-                # by default and the rate is exact
-                with np.errstate(all="raise", under="ignore"):
-                    values = negated_rate(shares)
-                assert_matches_elementwise(values, lambda i: negated_rate(float(shares[i])))
-
 
 GUARDED = {
     "awgn_capacity": (awgn_capacity, ("P",)),
@@ -331,6 +295,8 @@ GUARDED = {
     "maximize_power_split": (maximize_power_split, ("P", "Q")),
     "minimize_upper_i_rho": (minimize_upper_i_rho, ("P", "Q")),
     "minimize_upper_ii_rho": (minimize_upper_ii_rho, ("P", "Q")),
+    "minimize_upper_i_rho_row": (lambda p, q: minimize_upper_i_rho(np.array([1, p]), q), ("P", "Q")),
+    "minimize_upper_ii_rho_row": (lambda p, q: minimize_upper_ii_rho(np.array([p, 1]), q), ("P", "Q")),
     "rate_of_split": (lambda q: rate_of_split(PowerSplit(1.0, 1.0), q), ("Q",)),
     "dpc_covariance": (lambda q: dpc_covariance(PowerSplit(1.0, 1.0), q), ("Q",)),
     "upper_k_raw": (lambda p, q: upper_k_raw(p, q, 3), ("P", "Q")),
