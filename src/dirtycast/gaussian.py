@@ -353,8 +353,9 @@ def universal_gap() -> float:
 
 
 def gap(p: float, q: float) -> float:
-    """upper_ii minus lower_bound at one operating point."""
-    return upper_ii(p, q) - lower_bound(p, q)
+    """upper_ii minus lower_bound at one operating point, checked like a rate: a
+    rounding below 0 (upper_ii < lower_bound by 6e-14 at P = 1e160) is clamped."""
+    return _rate(upper_ii(p, q) - lower_bound(p, q))
 
 
 def high_sinr_asymptote(p: float, q: float) -> float:

@@ -5,7 +5,9 @@ user 1's interference where A_i = 1 and user 2's where A_i = 0, and decodes
 both users by exact maximum likelihood over the whole codebook.  Codewords
 are stored packed, 64 bits to a uint64 word, and the decoder scores each one
 from the popcount of its XOR with the channel output, over all n bits and
-under the clean half's bit mask.  Trial t's random words are addressed by
+under the clean half's bit mask.  Without channel noise only the codewords that
+agree with the output on the clean half are scored: every other one has
+likelihood 0.  Trial t's random words are addressed by
 (seed, t) alone: a counter-based hash makes a whole batch's short blocks in one
 array pass, and a PCG64 keyed by the same hash makes each long one.  A campaign
 is split once into batches of consecutive trials, each run as one set of array
@@ -147,20 +149,36 @@ def _ml_decode(codebook, y, clean, clean_size, n, noise_q, cross_noisy):
     _half_loglik(clean_size, noise_q, d) + _half_loglik(n - clean_size, cross_noisy,
     d'); codewords and y are zero past bit n, so d + d' is the popcount of their XOR.
     Each block of codeword rows is scored for both users in one pass, DECODE_BLOCK
-    scores at a time, so no temporary grows with the codebook."""
-    trials, m = codebook.shape[:2]
+    scores at a time, so no temporary grows with the codebook.  Without noise
+    (noise_q = 0) only the codewords that agree with y on the clean half are
+    scored, at d = 0; the others keep -inf, and a block where none agrees is
+    skipped, since it cannot hold a strictly better codeword."""
+    trials, m, cw = codebook.shape
     rows = max(1, DECODE_BLOCK // (2 * trials))
-    clean_size = clean_size[..., None]
+    clean, y_clean, clean_size = clean[:, :, None], (y & clean)[:, :, None], clean_size[..., None]
     best = np.zeros((2, trials), dtype=np.int64)
     best_score = np.full((2, trials), -np.inf)
     for start in range(0, m, rows):
-        diff = codebook[:, start : start + rows] ^ y[:, :, None]
-        d_all = _popcount(diff)
-        diff &= clean[:, :, None]
-        d_clean = _popcount(diff)
-        del diff  # before the score temporaries, each as large
-        score = _half_loglik(clean_size, noise_q, d_clean)
-        score += _half_loglik(n - clean_size, cross_noisy, d_all - d_clean)
+        block = codebook[:, start : start + rows]
+        if noise_q == 0.0:
+            # word by word, as a reduction over the short word axis is slow
+            agree = (block[..., 0] & clean[..., 0]) == y_clean[..., 0]
+            for j in range(1, cw):
+                agree &= (block[..., j] & clean[..., j]) == y_clean[..., j]
+            if not agree.any():
+                continue
+            k, b, r = np.nonzero(agree)
+            score = np.full(agree.shape, -np.inf)
+            score[k, b, r] = _half_loglik(n - clean_size[k, b, 0], cross_noisy,
+                                          _popcount(block[b, r] ^ y[k, b]))
+        else:
+            diff = block ^ y[:, :, None]
+            d_all = _popcount(diff)
+            diff &= clean
+            d_clean = _popcount(diff)
+            del diff  # before the score temporaries, each as large
+            score = _half_loglik(clean_size, noise_q, d_clean)
+            score += _half_loglik(n - clean_size, cross_noisy, d_all - d_clean)
         i = score.argmax(-1)
         top = np.take_along_axis(score, i[..., None], -1)[..., 0]
         better = top > best_score

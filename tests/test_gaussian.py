@@ -193,6 +193,11 @@ class TestGapAnalysis:
         for p in (0.3, 5.0, 800.0):
             assert gap(p, 0.0) == pytest.approx(0.0, abs=1e-12)
 
+    def test_gap_is_nonnegative_where_the_bounds_round_across(self):
+        # upper_ii - lower_bound rounds to -1.2e-14 and -5.7e-14 at these points
+        for p, q in ((1e10, 1e300), (1e160, 1e5)):
+            assert gap(p, q) >= 0.0
+
     def test_regional_maximum_low_q(self):
         # gaussian-universal-gap pins this value at (P*, Q=2) on a coarser sweep
         regional = 0.5 * math.log2((5.0 + math.sqrt(17.0)) / 4.0)

@@ -176,6 +176,53 @@ class TestEnsembleFer:
                 assert lo <= upper and hi >= lower
 
 
+class TestMlDecode:
+    @pytest.mark.parametrize("n", [24, 70, 130])
+    @pytest.mark.parametrize("cross_noisy", [0.0, 0.3, 0.5, 1.0])
+    def test_noise_free_decode_matches_the_full_score(self, monkeypatch, n, cross_noisy):
+        # the noise-free decoder against the first-on-ties argmax of every codeword's
+        # full score, in blocks of 4 rows.  Codewords repeat, so survivors tie, and at
+        # c = 0.5 every survivor scores the same; a clean-mask density of 0 makes every
+        # codeword survive, one of 0.9 leaves most blocks without a survivor.  A trial's
+        # codewords lie near one word, so some differ from y only past the first word
+        monkeypatch.setattr(simulate, "DECODE_BLOCK", 2 * 3 * 4)
+        rng = np.random.default_rng(n)
+        trials, m = 3, 96
+        seen = set()
+        for density in (0.0, 0.5, 0.9) * 4:
+            pool = rng.integers(0, 2, (trials, 1, n), dtype=np.uint8) ^ (
+                rng.random((trials, 40, n)) < 0.05)
+            bits = pool[np.arange(trials)[:, None], rng.integers(0, 40, (trials, m))]
+            mask = rng.random((2, trials, n)) < density
+            # y is a codeword with flips off its clean half (so it survives) or, in
+            # trial 0, anywhere
+            flips = rng.random((2, trials, n)) < 0.1
+            flips[:, 1:] &= ~mask[:, 1:]
+            y = bits[np.arange(trials), rng.integers(0, m, (2, trials))] ^ flips
+            book, y, clean = simulate._pack(bits), simulate._pack(y), simulate._pack(mask)
+            clean_size = mask.sum(-1)
+
+            diff = book[None] ^ y[:, :, None]
+            d_all = simulate._popcount(diff)
+            d_clean = simulate._popcount(diff & clean[:, :, None])
+            size = clean_size[..., None]
+            score = (simulate._half_loglik(size, 0.0, d_clean)
+                     + simulate._half_loglik(n - size, cross_noisy, d_all - d_clean))
+            got = simulate._ml_decode(book, y, clean, clean_size, n, 0.0, cross_noisy)
+            assert (got == score.argmax(-1)).all()
+
+            agree = d_clean == 0
+            top = score == score.max(-1, keepdims=True)
+            seen.update(
+                case for case, hit in (
+                    ("all survive", agree.all(-1).any()),
+                    ("skipped block", (~agree.reshape(2, trials, -1, 4).any((0, 1, 3))).any()),
+                    ("tied survivors", ((top & agree).sum(-1) > 1).any()),
+                ) if hit
+            )
+        assert seen == {"all survive", "skipped block", "tied survivors"}
+
+
 class TestNoisyScheme:
     def test_crossover_includes_noise(self):
         spec = BinaryChannelSpec.iid(0.25, noise_q=0.1)
@@ -230,6 +277,9 @@ class TestDeterminism:
             for n, trials, bits in ((24, 60, 6), (2048, 12, 4))
             for rate, kind in ((bits / n, "iid"), (bits / n, "linear"), (None, "iid"))
         ] + [SchemeRun(n=70, rate=0.06, trials=12, seed=4)]
+        # n = 2: a quarter of the rows have an empty clean half, so every codeword agrees
+        runs += [SchemeRun(n=2, rate=1.0, trials=40, seed=4, codebook=kind)
+                 for kind in ("iid", "linear")]
         expected = [repr(simulate_scheme(spec, run)) for spec in specs for run in runs]
         for block in (2, 10, 64, 192, 448):
             monkeypatch.setattr(simulate, "DECODE_BLOCK", block)
@@ -245,6 +295,36 @@ class TestDeterminism:
             predicted_mi_per_symbol=0.3752178988960803, frame_error_rate=0.2035,
             fer_user1=0.104, fer_user2=0.1055,
         ))
+
+    def test_noise_free_iid_report(self):
+        # pinned: without noise only codewords that agree on the clean half score
+        report = simulate_scheme(SPEC_Q25, SchemeRun(n=24, rate=0.25, trials=2000, seed=12345))
+        assert repr(report) == repr(simulate.SchemeReport(
+            trials=2000, n=24, codewords=64, empirical_crossover=0.36919223544145274,
+            interfered_samples=23955, empirical_mi_per_symbol=0.5249750750831728,
+            predicted_mi_per_symbol=0.5227829985375174, frame_error_rate=0.0215,
+            fer_user1=0.0085, fer_user2=0.013,
+        ))
+
+    def test_cap_trial_reports(self):
+        # pinned: one noise-free trial of each codebook kind at the 2^20-codeword cap
+        got = [
+            repr(simulate_scheme(SPEC_Q25, SchemeRun(n=40, rate=0.5, trials=1, seed=2020,
+                                                     codebook=kind)))
+            for kind in ("iid", "linear")
+        ]
+        assert got == [
+            "SchemeReport(trials=1, n=40, codewords=1048576, "
+            "empirical_crossover=0.4666666666666667, interfered_samples=15, "
+            "empirical_mi_per_symbol=0.5016041840091817, "
+            "predicted_mi_per_symbol=0.5227829985375174, frame_error_rate=1.0, fer_user1=0.0, "
+            "fer_user2=1.0)",
+            "SchemeReport(trials=1, n=40, codewords=1048576, "
+            "empirical_crossover=0.2631578947368421, interfered_samples=19, "
+            "empirical_mi_per_symbol=0.5842628059951355, "
+            "predicted_mi_per_symbol=0.5227829985375174, frame_error_rate=0.0, fer_user1=0.0, "
+            "fer_user2=0.0)",
+        ]
 
     def test_long_blocks_with_few_codewords_stay_small(self):
         # a trial holds its codebook and a decode block as large; a table over
