@@ -14,9 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .core import InvalidDistributionError, JointPmf, _rate, binary_entropy
-
-_LN2 = math.log(2.0)
+from .core import _LN2, InvalidDistributionError, JointPmf, _check_integer, _rate, binary_entropy
 
 __all__ = [
     "BinaryChannelSpec",
@@ -50,6 +48,7 @@ class BinaryChannelSpec:
     q: float | None = None
 
     def __post_init__(self):
+        _check_integer("K", self.k)
         if self.k < 1:
             raise ValueError("user count must be >= 1")
         if (self.q is None) == (self.pair is None):
@@ -120,6 +119,7 @@ def capacity_two_user(spec: BinaryChannelSpec) -> float:
 
 def rate_timeshare(k: int) -> float:
     """Precancel one user at a time over 1/K of the uses: rate 1/K."""
+    _check_integer("K", k)
     if k < 1:
         raise ValueError("user count must be >= 1")
     return _rate(1.0 / k)
@@ -141,6 +141,7 @@ def joint_xor_entropy(k: int, q: float) -> float:
     weight-class law is taken in log space, so no K overflows it or underflows
     it to a wrong value.
     """
+    _check_integer("K", k)
     if k < 2:
         raise ValueError("need at least two users")
     if not 0.0 <= q <= 1.0:
@@ -169,6 +170,7 @@ def joint_xor_entropy(k: int, q: float) -> float:
 
 def joint_xor_entropy_brute(k: int, q: float) -> float:
     """Brute-force oracle for joint_xor_entropy: enumerate all 2^(K-1) patterns."""
+    _check_integer("K", k)
     if k < 2 or k > 24:
         raise ValueError("brute-force enumeration supported for 2 <= K <= 24")
     m = k - 1

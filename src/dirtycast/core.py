@@ -11,6 +11,7 @@ concurrent use needs no locking.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,6 +165,18 @@ def _check_nonnegative(name: str, value: float, *more) -> None:
         raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
     if more:
         _check_nonnegative(*more)
+
+
+def _check_integer(name: str, value, *more) -> None:
+    """Raise ValueError naming the first of the (name, value) pairs whose value
+    is not an integer, 2.0 included.  operator.index is about 20 times faster
+    than isinstance(value, numbers.Integral), and figures check K every row."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if more:
+        _check_integer(*more)
 
 
 def _received_power(sqrt, p, q):

@@ -87,7 +87,8 @@ def lower_beta(p: float, qd: float) -> float:
 
 
 def high_sinr_gap_beta(p: float, qd: float, q: float | None = None) -> float:
-    """upper_correlated minus lower_beta for a symmetric pair at spread Qd.
+    """upper_correlated minus lower_beta for a symmetric pair at spread Qd,
+    checked like a rate: a rounding below 0 (at P = 1e170, Qd = 1e30) is clamped.
 
     q is the common marginal interference power Q1 = Q2; the default Qd/4
     is the smallest symmetric value compatible with the spread.  The gap
@@ -98,4 +99,4 @@ def high_sinr_gap_beta(p: float, qd: float, q: float | None = None) -> float:
     if q is None:
         q = qd / 4.0
     spec = CorrelatedSpec.symmetric(p, q, qd)
-    return upper_correlated(spec) - lower_beta(p, qd)
+    return _rate(upper_correlated(spec) - lower_beta(p, qd))

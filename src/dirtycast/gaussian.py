@@ -24,7 +24,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .core import GaussianCov, gaussian_mi, minimize_scalar
-from .core import _check_nonnegative, _rate, _received_power
+from .core import _check_integer, _check_nonnegative, _rate, _received_power
 
 __all__ = [
     "PowerSplit",
@@ -45,7 +45,6 @@ __all__ = [
     "maximize_power_split",
     "dpc_covariance",
     "dpc_scheme_oracle",
-    "z_sum_difference_cov",
     "upper_k_raw",
     "upper_k",
     "universal_gap",
@@ -136,11 +135,19 @@ def upper_i(p: float, q: float) -> float:
     return _rate(upper_i_at_rho(p, q, rho_upper_i(q)))
 
 
+def _rate_distortion_term(xp, p, q, rho):
+    """[log2(Q/(2P+1+rho))/4]^+ for Q > 0, the term upper_ii_at_rho subtracts,
+    with the operations xp.  Twice it is the floor under
+    I(S+; sqrt2 X + S+ + Z+), with S+ = (S1+S2)/sqrt2 and noise
+    Z+ = (Z1+Z2)/sqrt2 of variance 1+rho."""
+    return xp.maximum(0.0, 0.25 * (math.log2(q) - xp.log2(2.0 * p + 1.0 + rho)))
+
+
 def _upper_ii_value(xp, p, q, rho):
     """The upper_ii_at_rho formula, with the operations xp."""
     main = 0.5 * xp.log2(_received_power(xp.sqrt, p, q) / xp.sqrt((1.0 + rho) * (q + 1.0 - rho)))
     if q > 0.0:
-        main = main - xp.maximum(0.0, 0.25 * (math.log2(q) - xp.log2(2.0 * p + 1.0 + rho)))
+        main = main - _rate_distortion_term(xp, p, q, rho)
     return main
 
 
@@ -307,25 +314,12 @@ def dpc_scheme_oracle(split: PowerSplit, q: float):
     return r_a, r_d
 
 
-def z_sum_difference_cov(rho: float) -> np.ndarray:
-    """Covariance of ((Z1+Z2)/sqrt2, (Z1-Z2)/sqrt2) for unit noises with
-    correlation rho: exactly diag(1+rho, 1-rho).
-
-    Computed as A Sigma A^T / 2 with integer A = [[1,1],[1,-1]] so the
-    off-diagonal cancellation and the halving are exact in floating point.
-    """
-    if not -1.0 <= rho <= 1.0:
-        raise ValueError("correlation must lie in [-1, 1]")
-    a = np.array([[1.0, 1.0], [1.0, -1.0]])
-    sigma = np.array([[1.0, rho], [rho, 1.0]])
-    return (a @ sigma @ a.T) / 2.0
-
-
 def upper_k_raw(p: float, q: float, k: int) -> float:
     """Uncapped K-user converse expression (diverges as Q -> 0):
 
     log2(P+Q+1+2 sqrt(PQ))/2 - (K-1)/(2K) log2 Q - log2(K)/(2K)
       - [log2(Q/(K(P+1)))/(2K)]^+."""
+    _check_integer("K", k)
     if k < 2:
         raise ValueError("user count must be >= 2")
     _check_nonnegative("P", p, "Q", q)

@@ -27,6 +27,7 @@ from functools import partial
 import numpy as np
 
 from .binary import BinaryChannelSpec, precancellation_rate, xor_convolve
+from .core import _check_integer
 
 __all__ = ["InfeasibleRunError", "SchemeRun", "simulate_scheme"]
 
@@ -58,11 +59,12 @@ class SchemeRun:
     codebook: str = "iid"
 
     def __post_init__(self):
+        _check_integer("n", self.n, "trials", self.trials, "seed", self.seed)
         if self.n < 2 or self.n % 2 != 0:
             raise ValueError("blocklength must be even and >= 2")
         if self.trials < 1:
             raise ValueError("need at least one trial")
-        if not 0 <= int(self.seed) < 2**64:
+        if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
         if self.codebook not in ("iid", "linear"):
             raise ValueError("codebook must be 'iid' or 'linear'")
@@ -271,6 +273,7 @@ def simulate_scheme(spec: BinaryChannelSpec, run: SchemeRun, threads: int = 1) -
     """
     if spec.k != 2:
         raise ValueError("the scheme simulation covers two users")
+    _check_integer("threads", threads)
     if threads < 1:
         raise ValueError("threads must be >= 1")
     noise_q = spec.noise_q or 0.0

@@ -38,6 +38,15 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             BinaryChannelSpec.pair_joint(JointPmf({(0, 2): 1.0}))
 
+    @pytest.mark.parametrize("k", [2.5, 3.0])
+    @pytest.mark.parametrize("call", [
+        lambda k: BinaryChannelSpec.iid(0.25, k=k), rate_timeshare,
+        lambda k: joint_xor_entropy(k, 0.25), lambda k: joint_xor_entropy_brute(k, 0.25),
+    ], ids=["BinaryChannelSpec", "rate_timeshare", "joint_xor_entropy", "joint_xor_entropy_brute"])
+    def test_user_count_must_be_an_integer(self, call, k):
+        with pytest.raises(ValueError, match=f"^K must be an integer, got {k}"):
+            call(k)
+
     def test_pair_law_is_derived_from_q(self):
         spec = BinaryChannelSpec.iid(0.25, k=3)
         assert spec.pair == JointPmf({(0, 0): 0.5625, (0, 1): 0.1875, (1, 0): 0.1875, (1, 1): 0.0625})

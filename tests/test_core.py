@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from dirtycast import gaussian, verify
+from dirtycast import gaussian
 from dirtycast.core import (
     GaussianCov,
     InvalidDistributionError,
@@ -199,17 +199,24 @@ class TestMinimizeScalar:
 
 
 class TestRhoMaps:
-    """Each grid point of the rho-map checks as its own item."""
+    """The rho-map checks minimize over rho at the whole P row at once; at
+    each float P a minimizer returns, bit for bit, its entry of that row."""
+
+    @staticmethod
+    def assert_float_is_row_entry(minimize, p, q):
+        rho, bits = minimize(np.array(RHO_MAP_P), q)
+        i = RHO_MAP_P.index(p)
+        assert minimize(p, q) == (rho[i], bits[i])
 
     @pytest.mark.parametrize("p", RHO_MAP_P)
     @pytest.mark.parametrize("q", RHO_MAP_Q)
     def test_upper_i_map(self, p, q):
-        verify.rho_map_i_at(p, q)
+        self.assert_float_is_row_entry(gaussian.minimize_upper_i_rho, p, q)
 
     @pytest.mark.parametrize("p", RHO_MAP_P)
     @pytest.mark.parametrize("q", RHO_MAP_Q)
     def test_upper_ii_map(self, p, q):
-        verify.rho_map_ii_at(p, q)
+        self.assert_float_is_row_entry(gaussian.minimize_upper_ii_rho, p, q)
 
 
 class TestRateBound:

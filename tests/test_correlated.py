@@ -80,6 +80,10 @@ class TestHighSinrGap:
     def test_no_spread_no_gap(self):
         assert high_sinr_gap_beta(1.0e8, 0.0) == pytest.approx(0.0, abs=1e-9)
 
+    def test_gap_is_nonnegative_where_the_bounds_round_across(self):
+        # upper_correlated - lower_beta rounds to -5.7e-14 here
+        assert high_sinr_gap_beta(1e170, 1e30) >= 0.0
+
     def test_monotone_in_p(self):
         gaps = [high_sinr_gap_beta(p, 10.0, q=10.0) for p in (1e2, 1e4, 1e6, 1e8)]
         assert all(b <= a for a, b in zip(gaps, gaps[1:]))

@@ -183,6 +183,9 @@ class TestKUserBound:
     def test_domain(self):
         with pytest.raises(ValueError):
             upper_k(1.0, 1.0, 1)
+        for k in (2.5, 3.0):
+            with pytest.raises(ValueError, match=f"^K must be an integer, got {k}"):
+                upper_k(10.0, 100.0, k)
 
 
 class TestGapAnalysis:

@@ -81,6 +81,12 @@ class TestSchemeRunValidation:
         with pytest.raises(ValueError):
             SchemeRun(n=0, rate=0.25, trials=1, seed=0)
 
+    @pytest.mark.parametrize("field, value", [("n", 24.0), ("trials", 10.0), ("seed", 1.5)])
+    def test_counts_must_be_integers(self, field, value):
+        counts = {"n": 24, "trials": 10, "seed": 1, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value}"):
+            SchemeRun(rate=0.25, **counts)
+
     def test_rate_domain(self):
         with pytest.raises(ValueError):
             SchemeRun(n=16, rate=0.0, trials=1, seed=0)
@@ -391,7 +397,7 @@ class TestPreconditions:
 
     def test_thread_count_must_be_positive(self):
         run = SchemeRun(n=24, rate=0.25, trials=1, seed=0)
-        for threads in (0, -1):
+        for threads in (0, -1, 1.5):
             with pytest.raises(ValueError, match="threads"):
                 simulate_scheme(SPEC_Q25, run, threads=threads)
 
