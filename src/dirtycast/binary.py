@@ -234,6 +234,7 @@ def noisy_two_user_bounds(spec: BinaryChannelSpec) -> tuple:
 
 def xor_channel(user: int):
     """Deterministic channel y = x xor s_user as a conditional pmf."""
+    _check_integer("user", user)
     if user not in (1, 2):
         raise ValueError("user must be 1 or 2")
 

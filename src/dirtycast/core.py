@@ -2,7 +2,8 @@
 
 Entropies, jointly-Gaussian mutual information, dB conversion, a
 derivative-free scalar minimizer that solves a batch of problems per call,
-and the argument check and received power that the Gaussian modules share.
+and the argument and rate checks (each in a float and an array form) and
+received power that the Gaussian modules share.
 All returned rates are bits per channel use (logs base 2); natural-log
 internals are an implementation detail.  Every function here is pure, so
 concurrent use needs no locking.
@@ -48,6 +49,16 @@ def _rate(value: float) -> float:
     if v < -1e-12:
         raise ValueError(f"rate must be nonnegative, got {v}")
     return max(v, 0.0)
+
+
+def _rates(values) -> np.ndarray:
+    """The array form of _rate: every entry checked, and the ones within the
+    rounding allowance below 0 clamped to 0."""
+    v = np.asarray(values, dtype=float)
+    bad = ~((v >= -1e-12) & (v < math.inf))
+    if bad.any():
+        _rate(v[bad][0])  # raises, naming the first bad entry
+    return np.maximum(v, 0.0)
 
 
 class JointPmf:
@@ -165,6 +176,17 @@ def _check_nonnegative(name: str, value: float, *more) -> None:
         raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
     if more:
         _check_nonnegative(*more)
+
+
+def _check_all_nonnegative(name: str, values, *more) -> None:
+    """The array form of _check_nonnegative: each value is a float or an array,
+    and the first entry that is negative, NaN or infinite raises its message."""
+    v = np.asarray(values, dtype=float)
+    bad = ~((v >= 0.0) & (v < math.inf))
+    if bad.any():
+        _check_nonnegative(name, float(v[bad][0]))
+    if more:
+        _check_all_nonnegative(*more)
 
 
 def _check_integer(name: str, value, *more) -> None:

@@ -13,6 +13,8 @@ dependency.
 
 from __future__ import annotations
 
+import numpy as np
+
 from . import binary, gaussian
 from .core import db_to_linear
 
@@ -23,51 +25,56 @@ def format_number(x: float) -> str:
     return format(float(x), ".9g")
 
 
-def _binary_two_user(q):
-    spec = binary.BinaryChannelSpec.iid(q)
+def _binary_two_user(qs):
+    specs = [binary.BinaryChannelSpec.iid(q) for q in qs]
     return {
-        "capacity": binary.capacity_two_user(spec),
-        "timeshare": binary.rate_timeshare(2),
-        "ignore_si": binary.rate_ignore_side_info(spec),
+        "capacity": [binary.capacity_two_user(spec) for spec in specs],
+        "timeshare": [binary.rate_timeshare(2)] * len(specs),
+        "ignore_si": [binary.rate_ignore_side_info(spec) for spec in specs],
     }
 
 
-def _binary_three_user(q):
-    spec = binary.BinaryChannelSpec.iid(q, k=3)
+def _binary_three_user(qs):
+    specs = [binary.BinaryChannelSpec.iid(q, k=3) for q in qs]
     return {
-        "upper_k3": binary.upper_bound_k(spec),
-        "lower_k3": binary.lower_bound_k(spec),
-        "timeshare": binary.rate_timeshare(3),
-        "ignore_si": binary.rate_ignore_side_info(spec),
+        "upper_k3": [binary.upper_bound_k(spec) for spec in specs],
+        "lower_k3": [binary.lower_bound_k(spec) for spec in specs],
+        "timeshare": [binary.rate_timeshare(3)] * len(specs),
+        "ignore_si": [binary.rate_ignore_side_info(spec) for spec in specs],
     }
 
 
 def _gaussian(p, q):
+    """The Gaussian columns at arrays of P and Q, one call per column."""
     return {
-        "upper_i": gaussian.upper_i(p, q),
-        "upper_ii": gaussian.upper_ii(p, q),
-        "lower": gaussian.lower_bound(p, q),
-        "timeshare": gaussian.rate_timeshare(p),
-        "interference_as_noise": gaussian.rate_interference_as_noise(p, q),
+        "upper_i": gaussian.upper_i(p, q).tolist(),
+        "upper_ii": gaussian.upper_ii(p, q).tolist(),
+        "lower": gaussian.lower_bound(p, q).tolist(),
+        "timeshare": gaussian.rate_timeshare(p).tolist(),
+        "interference_as_noise": gaussian.rate_interference_as_noise(p, q).tolist(),
     }
+
+
+def _db_column(xs):
+    return np.array([db_to_linear(x) for x in xs])
 
 
 _FIG5_SNR = db_to_linear(33.0)
 _FIG6_INR = db_to_linear(15.0)
 
-# name: (x column, x values, {column: rate} at x)
+# name: (x column, x values, {column: rates at the x values})
 _SWEEPS = {
     "fig2": ("q", [i * 0.005 for i in range(101)], _binary_two_user),
     "fig4": ("q", [i * 0.005 for i in range(101)], _binary_three_user),
     "fig5": (
         "inr_db",
         [-10.0 + 60.0 * i / 120 for i in range(121)],
-        lambda x: _gaussian(_FIG5_SNR, db_to_linear(x)),
+        lambda xs: _gaussian(np.full(len(xs), _FIG5_SNR), _db_column(xs)),
     ),
     "fig6": (
         "snr_db",
         [50.0 * i / 120 for i in range(121)],
-        lambda x: _gaussian(db_to_linear(x), _FIG6_INR),
+        lambda xs: _gaussian(_db_column(xs), np.full(len(xs), _FIG6_INR)),
     ),
 }
 FIGURES = tuple(_SWEEPS)
@@ -77,10 +84,9 @@ def figure_table(name: str):
     """(header, rows) for one of the four figures."""
     if name not in _SWEEPS:
         raise ValueError(f"unknown figure {name!r}; choose from {FIGURES}")
-    x_name, xs, bounds_at = _SWEEPS[name]
-    tables = [bounds_at(x) for x in xs]
-    rows = [[x, *table.values()] for x, table in zip(xs, tables)]
-    return [x_name, *tables[0]], rows
+    x_name, xs, columns_at = _SWEEPS[name]
+    columns = columns_at(xs)
+    return [x_name, *columns], [list(row) for row in zip(xs, *columns.values())]
 
 
 def render_csv(header, rows) -> str:

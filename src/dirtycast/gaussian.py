@@ -12,7 +12,16 @@ rho against which P, a float or an array, broadcasts; so
 whole array of P, at one Q, in one `minimize_scalar` call.  The achievable
 side is superposition dirty-paper coding over the split S_k = A +/- D, with
 a covariance-based oracle that reproduces the two codebook rates from first
-principles.
+principles; `maximize_power_split` likewise solves a whole array of P, at
+one Q, in one call.
+
+The closed forms (`awgn_capacity`, `rate_timeshare`,
+`rate_interference_as_noise`, `upper_i`, `upper_ii`, `upper_envelope`,
+`lower_bound`, `gap`) take floats, or arrays of P and Q that broadcast
+against each other, and return a float or an array of that shape.  Each
+call chooses its operations once: the math module's for floats, numpy's
+for arrays, applied to the same formula, so an array entry equals the float
+call to within numpy's last-bit rounding of log2.
 """
 
 from __future__ import annotations
@@ -24,7 +33,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from .core import GaussianCov, gaussian_mi, minimize_scalar
-from .core import _check_integer, _check_nonnegative, _rate, _received_power
+from .core import _check_all_nonnegative, _check_integer, _check_nonnegative
+from .core import _rate, _rates, _received_power
 
 __all__ = [
     "PowerSplit",
@@ -52,43 +62,58 @@ __all__ = [
     "high_sinr_asymptote",
 ]
 
+# The operations a rate formula needs, for float arguments: the math module's
+# functions and the builtin min and max.  numpy supplies the same names for
+# arrays; a float keeps this path, which is faster than numpy on scalars.
+_FLOAT_OPS = SimpleNamespace(
+    log2=math.log2, log1p=math.log1p, sqrt=math.sqrt, maximum=max, minimum=min
+)
+
+
+def _ops(p, q=0.0):
+    """The operations and the rate check of one closed-form call, chosen once:
+    numpy and core._rates when P or Q is an array, else _FLOAT_OPS and
+    core._rate.  P and Q are checked either way, every entry of an array."""
+    if isinstance(p, np.ndarray) or isinstance(q, np.ndarray):
+        _check_all_nonnegative("P", p, "Q", q)
+        return np, _rates
+    _check_nonnegative("P", p, "Q", q)
+    return _FLOAT_OPS, _rate
+
+
 @dataclass(frozen=True)
 class PowerSplit:
-    """(P_A, P_D) power allocation for the superposition scheme."""
+    """(P_A, P_D) power allocation for the superposition scheme: floats, or
+    arrays of one shape (a P-row maximize_power_split returns those)."""
 
     p_a: float
     p_d: float
 
     def __post_init__(self):
-        _check_nonnegative("P_A", self.p_a, "P_D", self.p_d)
+        arrays = isinstance(self.p_a, np.ndarray) or isinstance(self.p_d, np.ndarray)
+        (_check_all_nonnegative if arrays else _check_nonnegative)("P_A", self.p_a, "P_D", self.p_d)
 
     @property
     def total(self) -> float:
         return self.p_a + self.p_d
 
 
-def awgn_capacity(p: float) -> float:
+def awgn_capacity(p):
     """Interference-free point-to-point rate, the trivial upper bound."""
-    _check_nonnegative("P", p)
-    return 0.5 * math.log2(1.0 + p)
+    xp, _ = _ops(p)
+    return 0.5 * xp.log2(1.0 + p)
 
 
-def rate_timeshare(p: float) -> float:
+def rate_timeshare(p):
     """Serve each user on half the uses with full precancellation: log(1+P)/4."""
-    _check_nonnegative("P", p)
-    return _rate(0.25 * math.log2(1.0 + p))
+    xp, rate = _ops(p)
+    return rate(0.25 * xp.log2(1.0 + p))
 
 
-def rate_interference_as_noise(p: float, q: float) -> float:
+def rate_interference_as_noise(p, q):
     """Fold the interference into the noise: log2(1 + P/(Q+1))/2."""
-    _check_nonnegative("P", p, "Q", q)
-    return _rate(0.5 * math.log2(1.0 + p / (q + 1.0)))
-
-
-# The operations a rate formula needs, for float arguments: the math module's
-# log2/sqrt and the builtin max.  numpy supplies the same names for arrays; a
-# float keeps this path, which is faster than numpy on scalars.
-_FLOAT_OPS = SimpleNamespace(log2=math.log2, sqrt=math.sqrt, maximum=max)
+    xp, rate = _ops(p, q)
+    return rate(0.5 * xp.log2(1.0 + p / (q + 1.0)))
 
 
 def _rho_objective(value, p, q, rho, rho_max):
@@ -122,31 +147,44 @@ def upper_i_at_rho(p: float, q: float, rho):
     return _rho_objective(_upper_i_value, p, q, rho, q / 2.0 + 1.0)
 
 
+def _rho_i(xp, q):
+    return xp.minimum(q / 4.0, 1.0)
+
+
 def rho_upper_i(q: float) -> float:
     """Noise correlation minimizing the genie bound: min(Q/4, 1)."""
-    return min(q / 4.0, 1.0)
+    return _rho_i(_FLOAT_OPS, q)
 
 
-def upper_i(p: float, q: float) -> float:
-    """The genie bound minimized over rho: its objective at rho_upper_i(Q).
+def upper_i(p, q):
+    """The genie bound minimized over rho: its objective at rho_upper_i(Q),
+    which always lies inside the objective's open domain.
 
     For Q >= 4 this is log2(1+P)/4 + log2((P+Q+1+2 sqrt(PQ))/Q)/4."""
-    _check_nonnegative("P", p, "Q", q)
-    return _rate(upper_i_at_rho(p, q, rho_upper_i(q)))
+    xp, rate = _ops(p, q)
+    return rate(_upper_i_value(xp, p, q, _rho_i(xp, q)))
+
+
+def _log2_q(q):
+    """log2(Q) for a float Q > 0, or for each entry of an array, with -inf
+    and no RuntimeWarning at the entries Q = 0."""
+    if isinstance(q, np.ndarray):
+        return np.log2(q, out=np.full(q.shape, -math.inf), where=q > 0.0)
+    return math.log2(q)
 
 
 def _rate_distortion_term(xp, p, q, rho):
     """[log2(Q/(2P+1+rho))/4]^+ for Q > 0, the term upper_ii_at_rho subtracts,
-    with the operations xp.  Twice it is the floor under
-    I(S+; sqrt2 X + S+ + Z+), with S+ = (S1+S2)/sqrt2 and noise
-    Z+ = (Z1+Z2)/sqrt2 of variance 1+rho."""
-    return xp.maximum(0.0, 0.25 * (math.log2(q) - xp.log2(2.0 * p + 1.0 + rho)))
+    with the operations xp; 0 at the Q = 0 entries of an array.  Twice it is
+    the floor under I(S+; sqrt2 X + S+ + Z+), with S+ = (S1+S2)/sqrt2 and
+    noise Z+ = (Z1+Z2)/sqrt2 of variance 1+rho."""
+    return xp.maximum(0.0, 0.25 * (_log2_q(q) - xp.log2(2.0 * p + 1.0 + rho)))
 
 
 def _upper_ii_value(xp, p, q, rho):
     """The upper_ii_at_rho formula, with the operations xp."""
     main = 0.5 * xp.log2(_received_power(xp.sqrt, p, q) / xp.sqrt((1.0 + rho) * (q + 1.0 - rho)))
-    if q > 0.0:
+    if isinstance(q, np.ndarray) or q > 0.0:
         main = main - _rate_distortion_term(xp, p, q, rho)
     return main
 
@@ -161,62 +199,67 @@ def upper_ii_at_rho(p: float, q: float, rho):
     return _rho_objective(_upper_ii_value, p, q, rho, q + 1.0)
 
 
+def _rho_ii(xp, q):
+    return xp.minimum(q / 2.0, 1.0)
+
+
 def rho_upper_ii(q: float) -> float:
     """Noise correlation minimizing the leading term of the joint-output
     bound: min(Q/2, 1)."""
-    return min(q / 2.0, 1.0)
+    return _rho_ii(_FLOAT_OPS, q)
 
 
-def upper_ii(p: float, q: float) -> float:
+def upper_ii(p, q):
     """The joint-output bound at the branch rho: its objective at
-    rho_upper_ii(Q).
+    rho_upper_ii(Q), which always lies inside the objective's open domain.
 
     rho_upper_ii minimizes the leading term; when the [.]^+ correction is
     active at small P the exact minimum over rho of the raw objective can
     sit strictly below this value, which stays a valid upper bound either
     way (see minimize_upper_ii_rho).
     """
-    _check_nonnegative("P", p, "Q", q)
-    return _rate(upper_ii_at_rho(p, q, rho_upper_ii(q)))
+    xp, rate = _ops(p, q)
+    return rate(_upper_ii_value(xp, p, q, _rho_ii(xp, q)))
 
 
-def upper_envelope(p: float, q: float) -> float:
+def upper_envelope(p, q):
     """min of the two correlation bounds and the trivial bound log2(1+P)/2."""
-    return min(upper_i(p, q), upper_ii(p, q), awgn_capacity(p))
+    xp, _ = _ops(p, q)
+    return xp.minimum(xp.minimum(upper_i(p, q), upper_ii(p, q)), awgn_capacity(p))
 
 
-def _split_rate(xp, p_a, p_d, q: float):
+def _split_rate(xp, p_a, p_d, q):
     """log2(1 + P_A/(P_D+Q/2+1))/2 + log2(1+P_D)/4, with the operations xp:
     _FLOAT_OPS for floats, numpy for arrays of P_A and P_D."""
     return 0.5 * xp.log2(1.0 + p_a / (p_d + q / 2.0 + 1.0)) + 0.25 * xp.log2(1.0 + p_d)
 
 
-def rate_of_split(split: PowerSplit, q: float) -> float:
-    """Rate of the superposition scheme at a power split:
+def rate_of_split(split: PowerSplit, q: float):
+    """Rate of the superposition scheme at a power split, at a float Q; a
+    split of arrays gives an array of rates:
 
     log2(1 + P_A/(P_D+Q/2+1))/2 + log2(1+P_D)/4."""
     _check_nonnegative("Q", q)
-    return _split_rate(_FLOAT_OPS, split.p_a, split.p_d, q)
+    xp = np if isinstance(split.total, np.ndarray) else _FLOAT_OPS
+    return _split_rate(xp, split.p_a, split.p_d, q)
 
 
-def lower_bound(p: float, q: float) -> float:
+def lower_bound(p, q):
     """Best superposition-DPC rate over all power splits: the split rate at
     the optimal P_D = min(max(Q/2 - 1, 0), P).
 
     That is pure DPC against the common interference part (Q/2 < 1), a
     mixed split (1 <= Q/2 < P+1), and pure time-sharing (Q/2 >= P+1).
     """
-    _check_nonnegative("P", p, "Q", q)
-    p_d = min(max(q / 2.0 - 1.0, 0.0), p)
-    return _rate(_split_rate(_FLOAT_OPS, p - p_d, p_d, q))
+    xp, rate = _ops(p, q)
+    p_d = xp.minimum(xp.maximum(q / 2.0 - 1.0, 0.0), p)
+    return rate(_split_rate(xp, p - p_d, p_d, q))
 
 
 def _minimize_over_rho(objective, p, q):
     """objective(p, q, rho) minimized over rho in [-1, 1], at a float P or at
     each P of a 1-D array, in one minimize_scalar call."""
-    for v in np.ravel(p):
-        _check_nonnegative("P", float(v))
-    _check_nonnegative("Q", q)
+    _check_all_nonnegative("P", p, "Q", q)
     p_column = p[:, None] if isinstance(p, np.ndarray) else p
     return minimize_scalar(lambda rho: objective(p_column, q, rho), (-1.0, 1.0))
 
@@ -233,26 +276,34 @@ def minimize_upper_ii_rho(p, q: float):
     return _minimize_over_rho(upper_ii_at_rho, p, q)
 
 
-def maximize_power_split(p: float, q: float):
-    """Numeric oracle for the best power split; returns (PowerSplit, bits).
+def maximize_power_split(p, q: float):
+    """Numeric oracle for the best power split at a float Q; returns
+    (PowerSplit, bits).
 
-    At fixed P_D the split rate rises with P_A, so no optimum leaves power
-    unspent and the search runs on the full-power line P_A + P_D = P.  It
-    minimizes the negated rate over the log share s = log(1+P_D)/log(1+P)
-    in [0, 1], which resolves an optimal P_D many decades below P; the
-    closed-form optimum is not used."""
-    _check_nonnegative("P", p, "Q", q)
-    log_total = math.log1p(p)
+    P is a float, or a 1-D array whose entries are solved in one
+    minimize_scalar call; then the PowerSplit holds arrays P_A and P_D, and
+    bits is an array, like P.  At fixed P_D the split rate rises with P_A,
+    so no optimum leaves power unspent and the search runs on the
+    full-power line P_A + P_D = P.  It minimizes the negated rate over the
+    log share s = log(1+P_D)/log(1+P) in [0, 1], which resolves an optimal
+    P_D many decades below P; the closed-form optimum is not used."""
+    xp, _ = _ops(p, q)
+    log_total = xp.log1p(p)
 
-    def p_d_at(s):
+    def p_d_at(s, p, log_total):
         return np.minimum(np.expm1(s * log_total), p)
 
+    # a row of P is a column of problems against the shares minimize_scalar scans
+    p_col, log_col = (p[:, None], log_total[:, None]) if xp is np else (p, log_total)
+
     def negated_rate(s):
-        p_d = p_d_at(s)
-        return -_split_rate(np, p - p_d, p_d, q)
+        p_d = p_d_at(s, p_col, log_col)
+        return -_split_rate(np, p_col - p_d, p_d, q)
 
     s, _ = minimize_scalar(negated_rate, (0.0, 1.0))
-    p_d = float(p_d_at(s))
+    p_d = p_d_at(s, p, log_total)
+    if xp is _FLOAT_OPS:
+        p_d = float(p_d)
     split = PowerSplit(p - p_d, p_d)
     return split, rate_of_split(split, q)
 
@@ -346,10 +397,11 @@ def universal_gap() -> float:
     return 0.5 * math.log2(1.5 + math.sqrt(2.0))
 
 
-def gap(p: float, q: float) -> float:
-    """upper_ii minus lower_bound at one operating point, checked like a rate: a
-    rounding below 0 (upper_ii < lower_bound by 6e-14 at P = 1e160) is clamped."""
-    return _rate(upper_ii(p, q) - lower_bound(p, q))
+def gap(p, q):
+    """upper_ii minus lower_bound, checked like a rate: a rounding below 0
+    (upper_ii < lower_bound by 6e-14 at P = 1e160) is clamped."""
+    _, rate = _ops(p, q)
+    return rate(upper_ii(p, q) - lower_bound(p, q))
 
 
 def high_sinr_asymptote(p: float, q: float) -> float:

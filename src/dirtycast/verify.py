@@ -212,14 +212,14 @@ def check_gaussian_ordering() -> str:
     _, fig5_inr_db, _ = figures._SWEEPS["fig5"]
     points = [(p, q) for q_grid in (Q_GRID_LINEAR, Q_GRID_LOG) for p in P_GRID for q in q_grid]
     points += [(figures._FIG5_SNR, db_to_linear(x)) for x in fig5_inr_db]
-    for p, q in points:
-        base = max(gaussian.rate_timeshare(p), gaussian.rate_interference_as_noise(p, q))
-        lo = gaussian.lower_bound(p, q)
-        hi = gaussian.upper_envelope(p, q)
-        _require(
-            base <= lo + 1e-12 and lo <= hi + 1e-9,
-            f"ordering fails at P={p}, Q={q}: {base}, {lo}, {hi}",
-        )
+    p, q = np.array(points).T
+    base = np.maximum(gaussian.rate_timeshare(p), gaussian.rate_interference_as_noise(p, q))
+    lo = gaussian.lower_bound(p, q)
+    hi = gaussian.upper_envelope(p, q)
+    fails = np.flatnonzero(~((base <= lo + 1e-12) & (lo <= hi + 1e-9)))
+    if fails.size:
+        i = fails[0]
+        raise CheckFailure(f"ordering fails at P={p[i]}, Q={q[i]}: {base[i]}, {lo[i]}, {hi[i]}")
     return ("baselines <= lower <= envelope on linear and log Q grids "
             f"and at fig5's {len(fig5_inr_db)} INRs (P = 33 dB)")
 
@@ -243,26 +243,29 @@ def check_branch_continuity() -> str:
 
 def check_lower_bound_vs_grid() -> str:
     worst = 0.0
-    for p in (0.1, 1.0, 3.79, 12.0, 23.4, 263.7, 1.0e4):
-        for q in (0.0, 0.5, 2.0, 4.0, 31.6, 500.0, 1.0e4):
-            _, numeric = gaussian.maximize_power_split(p, q)
-            closed = gaussian.lower_bound(p, q)
-            worst = max(worst, abs(closed - numeric) / max(1.0, closed))
+    p = np.array((0.1, 1.0, 3.79, 12.0, 23.4, 263.7, 1.0e4))
+    for q in (0.0, 0.5, 2.0, 4.0, 31.6, 500.0, 1.0e4):  # one P row per call
+        _, numeric = gaussian.maximize_power_split(p, q)
+        closed = gaussian.lower_bound(p, q)
+        worst = max(worst, float(np.max(np.abs(closed - numeric) / np.maximum(1.0, closed))))
     _require(worst <= 1e-12, f"closed lower bound vs power-split oracle differ by {worst} relative")
     return f"closed form equals power-split maximization to 1e-12 relative (worst {worst:.2e})"
 
 
 def check_upper_bounds_vs_rho_min() -> str:
-    def excess(closed, minimize, q):  # the closed form minus the rho-minimum, at every P
-        return np.array([closed(p, q) for p in P_GRID]) - minimize(np.array(P_GRID), q)[1]
+    p = np.array(P_GRID)
+
+    def excess(closed, minimize, q_grid):  # the closed form minus the rho-minimum; P down, Q across
+        minima = np.column_stack([minimize(p, q)[1] for q in q_grid])
+        return closed(p[:, None], np.array(q_grid)) - minima
 
     upper_i = (gaussian.upper_i, gaussian.minimize_upper_i_rho)
     upper_ii = (gaussian.upper_ii, gaussian.minimize_upper_ii_rho)
-    worst_i = max(float(np.max(np.abs(excess(*upper_i, q)))) for q in Q_GRID_LINEAR)
-    worst_ii = max(float(np.max(np.abs(excess(*upper_ii, q)))) for q in Q_GRID_LINEAR)
+    worst_i = float(np.max(np.abs(excess(*upper_i, Q_GRID_LINEAR))))
+    worst_ii = float(np.max(np.abs(excess(*upper_ii, Q_GRID_LINEAR))))
     _require(worst_i < 1e-5, f"upper-I closed vs minimized differ by {worst_i}")
     _require(worst_ii < 1e-5, f"upper-II closed vs minimized differ by {worst_ii}")
-    slack = max(float(np.max(-excess(*upper_ii, q))) for q in Q_GRID_LOG)
+    slack = float(np.max(-excess(*upper_ii, Q_GRID_LOG)))
     _require(slack <= 1e-9, f"closed upper-II fell below its rho minimum by {slack}")
     return (
         f"closed forms match rho minimization on the 20x21 grid "
@@ -331,23 +334,17 @@ def check_high_p_gap() -> str:
 def check_universal_gap() -> str:
     const = gaussian.universal_gap()
     _require(abs(const - 0.77163) <= 1e-4, f"universal constant {const}")
-    sup, arg = 0.0, None
-    for p in P_GRID:
-        for q in Q_GRID_LINEAR:
-            g = gaussian.gap(p, q)
-            if g > sup:
-                sup, arg = g, (p, q)
+    gaps = gaussian.gap(np.array(P_GRID)[:, None], np.array(Q_GRID_LINEAR))
+    i, j = np.unravel_index(np.argmax(gaps), gaps.shape)
+    sup, arg = float(gaps[i, j]), (P_GRID[i], Q_GRID_LINEAR[j])
     _require(0.74 <= sup <= 0.7717, f"grid supremum {sup} at {arg}")
     _require(sup <= const + 1e-9, f"grid supremum {sup} exceeds the constant {const}")
     p_star = (9.0 - math.sqrt(17.0)) / 4.0
     regional = 0.5 * math.log2((5.0 + math.sqrt(17.0)) / 4.0)
     _require(abs(gaussian.gap(p_star, 2.0) - regional) < 1e-12, "regional maximizer value")
     _require(abs(regional - 0.59479) <= 1e-3, f"regional constant {regional}")
-    low_q_sup = max(
-        gaussian.gap(float(p), float(q))
-        for p in np.linspace(0.01, 10.0, 120)
-        for q in np.linspace(0.0, 2.0, 81)
-    )
+    low_q_sup = float(np.max(gaussian.gap(np.linspace(0.01, 10.0, 120)[:, None],
+                                           np.linspace(0.0, 2.0, 81))))
     _require(low_q_sup <= regional + 1e-9, f"Q<=2 regional sweep exceeded: {low_q_sup}")
     return (
         f"constant {const:.5f}, grid sup {sup:.5f} from below; "

@@ -206,6 +206,15 @@ class TestGpRate:
         joint = capacity_achieving_joint(BinaryChannelSpec.iid(0.25))
         assert joint.mutual_information((0,), (2, 3)) == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("user, message", [
+        (0, "user must be 1 or 2"), (3, "user must be 1 or 2"),
+        (1.0, "user must be an integer, got 1.0"), (2.0, "user must be an integer, got 2.0"),
+        (1.5, "user must be an integer, got 1.5"),
+    ])
+    def test_channel_user_is_checked(self, user, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            xor_channel(user)
+
     def test_invalid_channel_rejected(self):
         joint = capacity_achieving_joint(BinaryChannelSpec.iid(0.25))
         broken = lambda x, s1, s2: {x ^ s1: 0.5}

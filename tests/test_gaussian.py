@@ -125,13 +125,12 @@ class TestLowerBound:
     def test_closed_form_matches_grid_search(self):
         # the sweep reaches optimal P_D many decades below P, e.g. 5e9 at
         # (P, Q) = (1e100, 1e10)
-        sweep = (0.0, 1e-300, 1e-3, 1.0, 3.0, 10.0, 1e4, 1e10, 1e100, 1e300)
-        for p in sweep:
-            for q in sweep:
-                split, numeric = maximize_power_split(p, q)
-                closed = lower_bound(p, q)
-                assert abs(closed - numeric) <= 1e-12 * max(1.0, closed), (p, q)
-                assert split.total == pytest.approx(p, rel=1e-12, abs=0)
+        sweep = np.array((0.0, 1e-300, 1e-3, 1.0, 3.0, 10.0, 1e4, 1e10, 1e100, 1e300))
+        for q in sweep.tolist():  # one P row per call
+            split, numeric = maximize_power_split(sweep, q)
+            closed = lower_bound(sweep, q)
+            assert np.all(np.abs(closed - numeric) <= 1e-12 * np.maximum(1.0, closed)), q
+            assert split.total == pytest.approx(sweep, rel=1e-12, abs=0)
 
 
 class TestDpcOracle:
@@ -200,6 +199,7 @@ class TestGapAnalysis:
         # upper_ii - lower_bound rounds to -1.2e-14 and -5.7e-14 at these points
         for p, q in ((1e10, 1e300), (1e160, 1e5)):
             assert gap(p, q) >= 0.0
+        assert np.all(gap(np.array([1e10, 1e160]), np.array([1e300, 1e5])) >= 0.0)
 
     def test_regional_maximum_low_q(self):
         # gaussian-universal-gap pins this value at (P*, Q=2) on a coarser sweep
@@ -278,6 +278,30 @@ class TestArrayObjectives:
         assert upper_i_at_rho(1.0, 0.0, self.RHOS)[2000] == math.inf
         assert upper_ii_at_rho(1.0, 0.0, self.RHOS)[2000] == math.inf
 
+    @pytest.mark.parametrize("bound", [
+        lambda p, q: awgn_capacity(p), lambda p, q: rate_timeshare(p), rate_interference_as_noise,
+        upper_i, upper_ii, upper_envelope, lower_bound, gap,
+    ], ids=["awgn_capacity", "rate_timeshare", "rate_interference_as_noise",
+            "upper_i", "upper_ii", "upper_envelope", "lower_bound", "gap"])
+    def test_closed_form_array_matches_float(self, bound):
+        powers = np.array(ARRAY_POWERS)
+        with np.errstate(all="raise"):
+            # a column of P against a row of Q, Q = 0 included
+            grid = np.broadcast_to(bound(powers[:, None], powers), (len(powers),) * 2)
+        points = [(p, q) for p in ARRAY_POWERS for q in ARRAY_POWERS]
+        assert_matches_elementwise(grid.ravel(), lambda i: bound(*points[i]))
+
+    def test_power_split_row_matches_float(self):
+        powers = np.array(ARRAY_POWERS)
+        for q in ARRAY_POWERS:
+            # the scan divides P_A by P_D + Q/2 + 1, which underflows at Q = 1e300
+            # for floats of P as well
+            with np.errstate(all="raise", under="ignore"):
+                split, bits = maximize_power_split(powers, q)
+            assert isinstance(split.p_a, np.ndarray) and isinstance(split.p_d, np.ndarray)
+            assert rate_of_split(split, q).tolist() == bits.tolist()
+            assert_matches_elementwise(bits, lambda i: maximize_power_split(ARRAY_POWERS[i], q)[1])
+
     def test_split_rate_array_matches_scalar(self):
         share = np.linspace(0.0, 1.0, 2001)
         for p in ARRAY_POWERS:
@@ -293,6 +317,11 @@ class TestArrayObjectives:
                 )
 
 
+def _row(bound):
+    """bound with each argument in an array beside a valid entry."""
+    return lambda *args: bound(*(np.array([1.0, a]) for a in args))
+
+
 GUARDED = {
     "awgn_capacity": (awgn_capacity, ("P",)),
     "rate_timeshare": (rate_timeshare, ("P",)),
@@ -305,6 +334,13 @@ GUARDED = {
     "minimize_upper_ii_rho": (minimize_upper_ii_rho, ("P", "Q")),
     "minimize_upper_i_rho_row": (lambda p, q: minimize_upper_i_rho(np.array([1, p]), q), ("P", "Q")),
     "minimize_upper_ii_rho_row": (lambda p, q: minimize_upper_ii_rho(np.array([p, 1]), q), ("P", "Q")),
+    "maximize_power_split_row": (lambda p, q: maximize_power_split(np.array([1, p]), q), ("P", "Q")),
+    "upper_envelope": (upper_envelope, ("P", "Q")),
+    "gap": (gap, ("P", "Q")),
+    **{f"{func.__name__}_row": (_row(func), ("P", "Q")[:count]) for func, count in (
+        (awgn_capacity, 1), (rate_timeshare, 1), (rate_interference_as_noise, 2), (upper_i, 2),
+        (upper_ii, 2), (upper_envelope, 2), (lower_bound, 2), (gap, 2),
+    )},
     "rate_of_split": (lambda q: rate_of_split(PowerSplit(1.0, 1.0), q), ("Q",)),
     "dpc_covariance": (lambda q: dpc_covariance(PowerSplit(1.0, 1.0), q), ("Q",)),
     "upper_k_raw": (lambda p, q: upper_k_raw(p, q, 3), ("P", "Q")),
