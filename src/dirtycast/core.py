@@ -2,8 +2,9 @@
 
 Entropies, jointly-Gaussian mutual information, dB conversion, a
 derivative-free scalar minimizer that solves a batch of problems per call,
-and the argument and rate checks (each in a float and an array form) and
-received power that the Gaussian modules share.
+and the argument and rate checks and received power that the Gaussian
+modules share.  The checks come in a float form, for the float-only
+functions, and an array form, which takes floats or arrays.
 All returned rates are bits per channel use (logs base 2); natural-log
 internals are an implementation detail.  Every function here is pure, so
 concurrent use needs no locking.
@@ -201,11 +202,11 @@ def _check_integer(name: str, value, *more) -> None:
         _check_integer(*more)
 
 
-def _received_power(sqrt, p, q):
+def _received_power(p, q):
     """P + Q + 1 + 2 sqrt(PQ): the power of X + S_k + Z_k when the input is
-    fully aligned with the interference.  sqrt is math.sqrt for floats,
-    np.sqrt for arrays."""
-    return p + q + 1.0 + 2.0 * sqrt(p) * sqrt(q)
+    fully aligned with the interference, for floats or arrays.  sqrt(PQ) is
+    taken as sqrt(P) sqrt(Q), which stays finite at P = 1e10, Q = 1e300."""
+    return p + q + 1.0 + 2.0 * np.sqrt(p) * np.sqrt(q)
 
 
 def binary_entropy(q: float) -> float:

@@ -72,7 +72,7 @@ def upper_correlated(spec: CorrelatedSpec) -> float:
     """Upper bound sum_i log2(P+Q_i+1+2 sqrt(P Q_i))/4 - T(Qd)."""
     total = 0.0
     for qi in (spec.q1, spec.q2):
-        total += 0.25 * math.log2(_received_power(math.sqrt, spec.p, qi))
+        total += 0.25 * math.log2(_received_power(spec.p, qi))
     return _rate(total - t_of_qd(spec.qd))
 
 

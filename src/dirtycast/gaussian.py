@@ -6,35 +6,36 @@ upper bounds are each written once, as a raw objective in the receivers'
 noise correlation rho (`upper_i_at_rho`, `upper_ii_at_rho`); the closed
 forms `upper_i` and `upper_ii` are those objectives at the branch rho
 (`rho_upper_i`, `rho_upper_ii`), and numeric minimizers over rho
-cross-check that choice.  An objective takes a float rho, or an array of
-rho against which P, a float or an array, broadcasts; so
-`minimize_upper_i_rho` and `minimize_upper_ii_rho` minimize over rho at a
-whole array of P, at one Q, in one `minimize_scalar` call.  The achievable
-side is superposition dirty-paper coding over the split S_k = A +/- D, with
-a covariance-based oracle that reproduces the two codebook rates from first
-principles; `maximize_power_split` likewise solves a whole array of P, at
-one Q, in one call.
+cross-check that choice.  An objective takes P, Q and rho as floats or as
+arrays that broadcast; so `minimize_upper_i_rho` and
+`minimize_upper_ii_rho` minimize over rho at a whole array of P, at one Q,
+in one `minimize_scalar` call.  The achievable side is superposition
+dirty-paper coding over the split S_k = A +/- D, with a covariance-based
+oracle that reproduces the two codebook rates from first principles;
+`maximize_power_split` likewise solves a whole array of P, at one Q, in one
+call.
 
 The closed forms (`awgn_capacity`, `rate_timeshare`,
 `rate_interference_as_noise`, `upper_i`, `upper_ii`, `upper_envelope`,
-`lower_bound`, `gap`) take floats, or arrays of P and Q that broadcast
-against each other, and return a float or an array of that shape.  Each
-call chooses its operations once: the math module's for floats, numpy's
-for arrays, applied to the same formula, so an array entry equals the float
-call to within numpy's last-bit rounding of log2.
+`lower_bound`, `gap`, `high_sinr_asymptote`, `upper_k`) take floats, or
+arrays of P and Q that broadcast against each other.  Every argument takes one path,
+numpy's: floats in give a Python float out, arrays give an array.  A float
+call thus pays numpy's per-call overhead, about 4.5 us for `awgn_capacity`
+and 28 us for `gap` (2 vCPU, numpy 2.4); sweeps pass arrays.  Each public
+function checks its arguments once and then calls private formulas that
+do not check again.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
 from .core import GaussianCov, gaussian_mi, minimize_scalar
-from .core import _check_all_nonnegative, _check_integer, _check_nonnegative
-from .core import _rate, _rates, _received_power
+from .core import _check_all_nonnegative, _check_integer
+from .core import _rates, _received_power
 
 __all__ = [
     "PowerSplit",
@@ -62,98 +63,84 @@ __all__ = [
     "high_sinr_asymptote",
 ]
 
-# The operations a rate formula needs, for float arguments: the math module's
-# functions and the builtin min and max.  numpy supplies the same names for
-# arrays; a float keeps this path, which is faster than numpy on scalars.
-_FLOAT_OPS = SimpleNamespace(
-    log2=math.log2, log1p=math.log1p, sqrt=math.sqrt, maximum=max, minimum=min
-)
 
-
-def _ops(p, q=0.0):
-    """The operations and the rate check of one closed-form call, chosen once:
-    numpy and core._rates when P or Q is an array, else _FLOAT_OPS and
-    core._rate.  P and Q are checked either way, every entry of an array."""
-    if isinstance(p, np.ndarray) or isinstance(q, np.ndarray):
-        _check_all_nonnegative("P", p, "Q", q)
-        return np, _rates
-    _check_nonnegative("P", p, "Q", q)
-    return _FLOAT_OPS, _rate
+def _out(values):
+    """A result as the caller's arguments shaped it: a Python float when it
+    is 0-d, as from float arguments, else the array."""
+    return float(values) if np.ndim(values) == 0 else values
 
 
 @dataclass(frozen=True)
 class PowerSplit:
     """(P_A, P_D) power allocation for the superposition scheme: floats, or
-    arrays of one shape (a P-row maximize_power_split returns those)."""
+    arrays that broadcast (a P-row maximize_power_split returns those)."""
 
     p_a: float
     p_d: float
 
     def __post_init__(self):
-        arrays = isinstance(self.p_a, np.ndarray) or isinstance(self.p_d, np.ndarray)
-        (_check_all_nonnegative if arrays else _check_nonnegative)("P_A", self.p_a, "P_D", self.p_d)
+        _check_all_nonnegative("P_A", self.p_a, "P_D", self.p_d)
 
     @property
     def total(self) -> float:
         return self.p_a + self.p_d
 
 
+def _awgn(p):
+    return 0.5 * np.log2(1.0 + p)
+
+
 def awgn_capacity(p):
     """Interference-free point-to-point rate, the trivial upper bound."""
-    xp, _ = _ops(p)
-    return 0.5 * xp.log2(1.0 + p)
+    _check_all_nonnegative("P", p)
+    return _out(_awgn(p))
 
 
 def rate_timeshare(p):
     """Serve each user on half the uses with full precancellation: log(1+P)/4."""
-    xp, rate = _ops(p)
-    return rate(0.25 * xp.log2(1.0 + p))
+    _check_all_nonnegative("P", p)
+    return _out(_rates(0.25 * np.log2(1.0 + p)))
 
 
 def rate_interference_as_noise(p, q):
     """Fold the interference into the noise: log2(1 + P/(Q+1))/2."""
-    xp, rate = _ops(p, q)
-    return rate(0.5 * xp.log2(1.0 + p / (q + 1.0)))
+    _check_all_nonnegative("P", p, "Q", q)
+    return _out(_rates(0.5 * np.log2(1.0 + p / (q + 1.0))))
 
 
 def _rho_objective(value, p, q, rho, rho_max):
-    """value(ops, p, q, rho) on the open domain -1 < rho < rho_max, where
-    its denominators are positive, and +inf outside it.
+    """value(p, q, rho) on the open domain -1 < rho < rho_max, where its
+    denominators are positive, and +inf outside it.
 
-    rho is a float, or an array against which p broadcasts.  Closed array
-    entries are evaluated at rho = 0 and then replaced, so no log or sqrt
-    sees a nonpositive argument and no RuntimeWarning is raised."""
-    if isinstance(rho, np.ndarray):
-        closed = (rho <= -1.0) | (rho >= rho_max)
-        return np.where(closed, math.inf, value(np, p, q, np.where(closed, 0.0, rho)))
-    if rho <= -1.0 or rho >= rho_max:
-        return math.inf
-    return value(_FLOAT_OPS, p, q, rho)
+    Closed entries are evaluated at rho = 0 and then replaced, so no log or
+    sqrt sees a nonpositive argument and no RuntimeWarning is raised."""
+    closed = (rho <= -1.0) | (rho >= rho_max)
+    return _out(np.where(closed, math.inf, value(p, q, np.where(closed, 0.0, rho))))
 
 
-def _upper_i_value(xp, p, q, rho):
-    """The upper_i_at_rho formula, with the operations xp.  The second log
-    is taken as a difference: the ratio overflows at large P and small Q."""
-    return (0.25 * xp.log2((1.0 + p) / (1.0 + rho))
-            + 0.25 * (xp.log2(_received_power(xp.sqrt, p, q)) - xp.log2(q / 2.0 + 1.0 - rho)))
+def _upper_i_value(p, q, rho):
+    """The upper_i_at_rho formula.  The second log is taken as a difference:
+    the ratio overflows at large P and small Q."""
+    return (0.25 * np.log2((1.0 + p) / (1.0 + rho))
+            + 0.25 * (np.log2(_received_power(p, q)) - np.log2(q / 2.0 + 1.0 - rho)))
 
 
-def upper_i_at_rho(p: float, q: float, rho):
+def upper_i_at_rho(p, q, rho):
     """Genie-argument upper bound at a fixed noise correlation rho.
 
     log2((1+P)/(1+rho))/4 + log2((P+Q+1+2 sqrt(PQ))/(Q/2+1-rho))/4;
-    +inf where a denominator closes (rho <= -1 or rho >= Q/2+1).  rho is
-    a float, or an array against which P (a float or an array) broadcasts."""
+    +inf where a denominator closes (rho <= -1 or rho >= Q/2+1).  P, Q and
+    rho are floats or arrays that broadcast against each other."""
     return _rho_objective(_upper_i_value, p, q, rho, q / 2.0 + 1.0)
 
 
-def _rho_i(xp, q):
-    return xp.minimum(q / 4.0, 1.0)
-
-
-def rho_upper_i(q: float) -> float:
+def rho_upper_i(q):
     """Noise correlation minimizing the genie bound: min(Q/4, 1)."""
-    return _rho_i(_FLOAT_OPS, q)
+    return _out(np.minimum(q / 4.0, 1.0))
+
+
+def _upper_i(p, q):
+    return _rates(_upper_i_value(p, q, rho_upper_i(q)))
 
 
 def upper_i(p, q):
@@ -161,52 +148,49 @@ def upper_i(p, q):
     which always lies inside the objective's open domain.
 
     For Q >= 4 this is log2(1+P)/4 + log2((P+Q+1+2 sqrt(PQ))/Q)/4."""
-    xp, rate = _ops(p, q)
-    return rate(_upper_i_value(xp, p, q, _rho_i(xp, q)))
+    _check_all_nonnegative("P", p, "Q", q)
+    return _out(_upper_i(p, q))
 
 
 def _log2_q(q):
-    """log2(Q) for a float Q > 0, or for each entry of an array, with -inf
-    and no RuntimeWarning at the entries Q = 0."""
-    if isinstance(q, np.ndarray):
-        return np.log2(q, out=np.full(q.shape, -math.inf), where=q > 0.0)
-    return math.log2(q)
+    """log2(Q) at each entry of Q, with -inf and no RuntimeWarning at the
+    entries Q = 0."""
+    q = np.asarray(q)
+    return np.log2(q, out=np.full(q.shape, -math.inf), where=q > 0.0)
 
 
-def _rate_distortion_term(xp, p, q, rho):
-    """[log2(Q/(2P+1+rho))/4]^+ for Q > 0, the term upper_ii_at_rho subtracts,
-    with the operations xp; 0 at the Q = 0 entries of an array.  Twice it is
-    the floor under I(S+; sqrt2 X + S+ + Z+), with S+ = (S1+S2)/sqrt2 and
-    noise Z+ = (Z1+Z2)/sqrt2 of variance 1+rho."""
-    return xp.maximum(0.0, 0.25 * (_log2_q(q) - xp.log2(2.0 * p + 1.0 + rho)))
+def _rate_distortion_term(p, q, rho):
+    """[log2(Q/(2P+1+rho))/4]^+ for Q > 0, the term upper_ii_at_rho
+    subtracts; 0 at Q = 0.  Twice it is the floor under
+    I(S+; sqrt2 X + S+ + Z+), with S+ = (S1+S2)/sqrt2 and noise
+    Z+ = (Z1+Z2)/sqrt2 of variance 1+rho."""
+    return np.maximum(0.0, 0.25 * (_log2_q(q) - np.log2(2.0 * p + 1.0 + rho)))
 
 
-def _upper_ii_value(xp, p, q, rho):
-    """The upper_ii_at_rho formula, with the operations xp."""
-    main = 0.5 * xp.log2(_received_power(xp.sqrt, p, q) / xp.sqrt((1.0 + rho) * (q + 1.0 - rho)))
-    if isinstance(q, np.ndarray) or q > 0.0:
-        main = main - _rate_distortion_term(xp, p, q, rho)
-    return main
+def _upper_ii_value(p, q, rho):
+    """The upper_ii_at_rho formula."""
+    return (0.5 * np.log2(_received_power(p, q) / np.sqrt((1.0 + rho) * (q + 1.0 - rho)))
+            - _rate_distortion_term(p, q, rho))
 
 
-def upper_ii_at_rho(p: float, q: float, rho):
+def upper_ii_at_rho(p, q, rho):
     """Joint-output upper bound at a fixed noise correlation rho.
 
     log2((P+Q+2 sqrt(PQ)+1)/sqrt((1+rho)(Q+1-rho)))/2
       - [log2(Q/(2P+1+rho))/4]^+;
-    +inf where (1+rho)(Q+1-rho) closes (rho <= -1 or rho >= Q+1).  rho is
-    a float, or an array against which P (a float or an array) broadcasts."""
+    +inf where (1+rho)(Q+1-rho) closes (rho <= -1 or rho >= Q+1).  P, Q
+    and rho are floats or arrays that broadcast against each other."""
     return _rho_objective(_upper_ii_value, p, q, rho, q + 1.0)
 
 
-def _rho_ii(xp, q):
-    return xp.minimum(q / 2.0, 1.0)
-
-
-def rho_upper_ii(q: float) -> float:
+def rho_upper_ii(q):
     """Noise correlation minimizing the leading term of the joint-output
     bound: min(Q/2, 1)."""
-    return _rho_ii(_FLOAT_OPS, q)
+    return _out(np.minimum(q / 2.0, 1.0))
+
+
+def _upper_ii(p, q):
+    return _rates(_upper_ii_value(p, q, rho_upper_ii(q)))
 
 
 def upper_ii(p, q):
@@ -218,30 +202,33 @@ def upper_ii(p, q):
     sit strictly below this value, which stays a valid upper bound either
     way (see minimize_upper_ii_rho).
     """
-    xp, rate = _ops(p, q)
-    return rate(_upper_ii_value(xp, p, q, _rho_ii(xp, q)))
+    _check_all_nonnegative("P", p, "Q", q)
+    return _out(_upper_ii(p, q))
 
 
 def upper_envelope(p, q):
     """min of the two correlation bounds and the trivial bound log2(1+P)/2."""
-    xp, _ = _ops(p, q)
-    return xp.minimum(xp.minimum(upper_i(p, q), upper_ii(p, q)), awgn_capacity(p))
+    _check_all_nonnegative("P", p, "Q", q)
+    return _out(np.minimum(np.minimum(_upper_i(p, q), _upper_ii(p, q)), _awgn(p)))
 
 
-def _split_rate(xp, p_a, p_d, q):
-    """log2(1 + P_A/(P_D+Q/2+1))/2 + log2(1+P_D)/4, with the operations xp:
-    _FLOAT_OPS for floats, numpy for arrays of P_A and P_D."""
-    return 0.5 * xp.log2(1.0 + p_a / (p_d + q / 2.0 + 1.0)) + 0.25 * xp.log2(1.0 + p_d)
+def _split_rate(p_a, p_d, q):
+    """log2(1 + P_A/(P_D+Q/2+1))/2 + log2(1+P_D)/4."""
+    return 0.5 * np.log2(1.0 + p_a / (p_d + q / 2.0 + 1.0)) + 0.25 * np.log2(1.0 + p_d)
 
 
-def rate_of_split(split: PowerSplit, q: float):
-    """Rate of the superposition scheme at a power split, at a float Q; a
-    split of arrays gives an array of rates:
+def rate_of_split(split: PowerSplit, q):
+    """Rate of the superposition scheme at a power split; Q and the split's
+    powers are floats or arrays that broadcast:
 
     log2(1 + P_A/(P_D+Q/2+1))/2 + log2(1+P_D)/4."""
-    _check_nonnegative("Q", q)
-    xp = np if isinstance(split.total, np.ndarray) else _FLOAT_OPS
-    return _split_rate(xp, split.p_a, split.p_d, q)
+    _check_all_nonnegative("Q", q)
+    return _out(_split_rate(split.p_a, split.p_d, q))
+
+
+def _lower_bound(p, q):
+    p_d = np.minimum(np.maximum(q / 2.0 - 1.0, 0.0), p)
+    return _rates(_split_rate(p - p_d, p_d, q))
 
 
 def lower_bound(p, q):
@@ -251,17 +238,17 @@ def lower_bound(p, q):
     That is pure DPC against the common interference part (Q/2 < 1), a
     mixed split (1 <= Q/2 < P+1), and pure time-sharing (Q/2 >= P+1).
     """
-    xp, rate = _ops(p, q)
-    p_d = xp.minimum(xp.maximum(q / 2.0 - 1.0, 0.0), p)
-    return rate(_split_rate(xp, p - p_d, p_d, q))
+    _check_all_nonnegative("P", p, "Q", q)
+    return _out(_lower_bound(p, q))
 
 
 def _minimize_over_rho(objective, p, q):
-    """objective(p, q, rho) minimized over rho in [-1, 1], at a float P or at
-    each P of a 1-D array, in one minimize_scalar call."""
+    """objective(p, q, rho) minimized over rho in [-1, 1] at each entry of P,
+    in one minimize_scalar call."""
     _check_all_nonnegative("P", p, "Q", q)
-    p_column = p[:, None] if isinstance(p, np.ndarray) else p
-    return minimize_scalar(lambda rho: objective(p_column, q, rho), (-1.0, 1.0))
+    p_column = np.reshape(p, (-1, 1))
+    rho, bits = minimize_scalar(lambda rho: objective(p_column, q, rho), (-1.0, 1.0))
+    return _out(np.reshape(rho, np.shape(p))), _out(np.reshape(bits, np.shape(p)))
 
 
 def minimize_upper_i_rho(p, q: float):
@@ -287,25 +274,24 @@ def maximize_power_split(p, q: float):
     full-power line P_A + P_D = P.  It minimizes the negated rate over the
     log share s = log(1+P_D)/log(1+P) in [0, 1], which resolves an optimal
     P_D many decades below P; the closed-form optimum is not used."""
-    xp, _ = _ops(p, q)
-    log_total = xp.log1p(p)
+    _check_all_nonnegative("P", p, "Q", q)
+    p_flat = np.reshape(p, -1)
+    log_total = np.log1p(p_flat)
 
     def p_d_at(s, p, log_total):
         return np.minimum(np.expm1(s * log_total), p)
 
-    # a row of P is a column of problems against the shares minimize_scalar scans
-    p_col, log_col = (p[:, None], log_total[:, None]) if xp is np else (p, log_total)
+    # P is a column of problems against the shares minimize_scalar scans
+    p_col, log_col = p_flat[:, None], log_total[:, None]
 
     def negated_rate(s):
         p_d = p_d_at(s, p_col, log_col)
-        return -_split_rate(np, p_col - p_d, p_d, q)
+        return -_split_rate(p_col - p_d, p_d, q)
 
     s, _ = minimize_scalar(negated_rate, (0.0, 1.0))
-    p_d = p_d_at(s, p, log_total)
-    if xp is _FLOAT_OPS:
-        p_d = float(p_d)
+    p_d = _out(np.reshape(p_d_at(s, p_flat, log_total), np.shape(p)))
     split = PowerSplit(p - p_d, p_d)
-    return split, rate_of_split(split, q)
+    return split, _out(_split_rate(split.p_a, split.p_d, q))
 
 
 # Index map of the factor representation used by the scheme oracle.
@@ -318,9 +304,13 @@ def dpc_covariance(split: PowerSplit, q: float):
     A and D are the half-sum/half-difference interference parts, each of
     variance Q/2; U_A = X_A + alpha_A A with alpha_A = P_A/(P+Q/2+1);
     U_D = X_D + alpha_D((1-alpha_A)A + D) with alpha_D = P_D/(P_D+1).
-    Returns (GaussianCov, name->index map).
+    Returns (GaussianCov, name->index map).  The split and Q are floats; the
+    oracle is not batched over arrays.
     """
-    _check_nonnegative("Q", q)
+    _check_all_nonnegative("Q", q)
+    if np.ndim(split.total) or np.ndim(q):
+        raise ValueError("dpc_covariance and dpc_scheme_oracle take a float Q and a PowerSplit "
+                         f"of floats, got shapes {np.shape(split.total)} and {np.shape(q)}")
     p = split.total
     alpha_a = split.p_a / (p + q / 2.0 + 1.0)
     alpha_d = split.p_d / (split.p_d + 1.0)
@@ -365,30 +355,29 @@ def dpc_scheme_oracle(split: PowerSplit, q: float):
     return r_a, r_d
 
 
-def upper_k_raw(p: float, q: float, k: int) -> float:
-    """Uncapped K-user converse expression (diverges as Q -> 0):
+def upper_k_raw(p, q, k: int):
+    """Uncapped K-user converse expression, +inf at Q = 0 (it diverges as
+    Q -> 0):
 
     log2(P+Q+1+2 sqrt(PQ))/2 - (K-1)/(2K) log2 Q - log2(K)/(2K)
       - [log2(Q/(K(P+1)))/(2K)]^+."""
     _check_integer("K", k)
     if k < 2:
         raise ValueError("user count must be >= 2")
-    _check_nonnegative("P", p, "Q", q)
-    if q == 0.0:
-        return math.inf
-    value = (
-        0.5 * math.log2(_received_power(math.sqrt, p, q))
-        - (k - 1) / (2.0 * k) * math.log2(q)
+    _check_all_nonnegative("P", p, "Q", q)
+    log2_q = _log2_q(q)
+    return _out(
+        0.5 * np.log2(_received_power(p, q))
+        - (k - 1) / (2.0 * k) * log2_q
         - math.log2(k) / (2.0 * k)
-        - max(0.0, (math.log2(q) - math.log2(k * (p + 1.0))) / (2.0 * k))
+        - np.maximum(0.0, (log2_q - np.log2(k * (p + 1.0))) / (2.0 * k))
     )
-    return value
 
 
-def upper_k(p: float, q: float, k: int) -> float:
+def upper_k(p, q, k: int):
     """K-user upper bound, capped by the trivial bound where the converse
     expression is vacuous (small Q)."""
-    return _rate(min(upper_k_raw(p, q, k), awgn_capacity(p)))
+    return _out(_rates(np.minimum(upper_k_raw(p, q, k), _awgn(p))))
 
 
 def universal_gap() -> float:
@@ -400,17 +389,16 @@ def universal_gap() -> float:
 def gap(p, q):
     """upper_ii minus lower_bound, checked like a rate: a rounding below 0
     (upper_ii < lower_bound by 6e-14 at P = 1e160) is clamped."""
-    _, rate = _ops(p, q)
-    return rate(upper_ii(p, q) - lower_bound(p, q))
+    _check_all_nonnegative("P", p, "Q", q)
+    return _out(_rates(_upper_ii(p, q) - _lower_bound(p, q)))
 
 
-def high_sinr_asymptote(p: float, q: float) -> float:
+def high_sinr_asymptote(p, q):
     """Capacity asymptote for P -> infinity at fixed Q:
 
-    log2(P/sqrt(2Q))/2 for Q > 2, log2(P/(1+Q/2))/2 for Q <= 2."""
-    _check_nonnegative("P", p, "Q", q)
-    if p == 0.0:
+    log2(P/sqrt(2Q))/2 for Q > 2, log2(P/(1+Q/2))/2 for Q <= 2.  Every
+    entry of P must be positive."""
+    _check_all_nonnegative("P", p, "Q", q)
+    if np.any(np.equal(p, 0.0)):
         raise ValueError("P must be positive")
-    if q > 2.0:
-        return 0.5 * math.log2(p / math.sqrt(2.0 * q))
-    return 0.5 * math.log2(p / (1.0 + q / 2.0))
+    return _out(0.5 * np.log2(p / np.where(q > 2.0, np.sqrt(2.0 * q), 1.0 + q / 2.0)))

@@ -44,6 +44,14 @@ def _require(cond: bool, msg: str):
         raise CheckFailure(msg)
 
 
+def _require_all(ok, message_at):
+    """_require for every entry of the boolean array ok; message_at(*index)
+    describes the first entry that fails."""
+    fails = np.argwhere(~ok)
+    if fails.size:
+        raise CheckFailure(message_at(*fails[0]))
+
+
 # Grids shared with the test suite: P log-spaced, Q both as the literal
 # 21-point linear progression 0..1e4 and as a log ladder for extra small-Q
 # coverage.
@@ -113,8 +121,8 @@ def check_minimizer_rho_map_ii() -> str:
     for q in RHO_MAP_Q:
         r, v = gaussian.minimize_upper_ii_rho(np.array(RHO_MAP_P), q)
         rho_star = gaussian.rho_upper_ii(q)
-        for p, r_k, v_k in zip(RHO_MAP_P, r.tolist(), v.tolist()):
-            closed = gaussian.upper_ii(p, q)
+        closed_row = gaussian.upper_ii(np.array(RHO_MAP_P), q).tolist()
+        for p, r_k, v_k, closed in zip(RHO_MAP_P, r.tolist(), v.tolist(), closed_row):
             if (p, q) in UPPER_II_CORNER:
                 deviating += 1
                 _require(
@@ -216,10 +224,8 @@ def check_gaussian_ordering() -> str:
     base = np.maximum(gaussian.rate_timeshare(p), gaussian.rate_interference_as_noise(p, q))
     lo = gaussian.lower_bound(p, q)
     hi = gaussian.upper_envelope(p, q)
-    fails = np.flatnonzero(~((base <= lo + 1e-12) & (lo <= hi + 1e-9)))
-    if fails.size:
-        i = fails[0]
-        raise CheckFailure(f"ordering fails at P={p[i]}, Q={q[i]}: {base[i]}, {lo[i]}, {hi[i]}")
+    _require_all((base <= lo + 1e-12) & (lo <= hi + 1e-9),
+                 lambda i: f"ordering fails at P={p[i]}, Q={q[i]}: {base[i]}, {lo[i]}, {hi[i]}")
     return ("baselines <= lower <= envelope on linear and log Q grids "
             f"and at fig5's {len(fig5_inr_db)} INRs (P = 33 dB)")
 
@@ -227,17 +233,17 @@ def check_gaussian_ordering() -> str:
 def check_branch_continuity() -> str:
     eps = 1e-10
     worst = 0.0
-    for p in (0.3, 0.5, 1.0, 2.0, 4.0, 10.0, 40.0, 321.0, 500.0, 1995.26):
-        seams = (
-            ("lower", gaussian.lower_bound, 2.0),
-            ("lower", gaussian.lower_bound, 2.0 * (p + 1.0)),
-            ("upper-I", gaussian.upper_i, 4.0),
-            ("upper-II", gaussian.upper_ii, 2.0),
-        )
-        for label, bound, q in seams:
-            jump = abs(bound(p, q + eps) - bound(p, q - eps))
-            _require(jump < 1e-9, f"{label} seam Q={q} at P={p} jumps by {jump}")
-            worst = max(worst, jump)
+    p = np.array((0.3, 0.5, 1.0, 2.0, 4.0, 10.0, 40.0, 321.0, 500.0, 1995.26))
+    seams = (
+        ("lower", gaussian.lower_bound, np.full_like(p, 2.0)),
+        ("lower", gaussian.lower_bound, 2.0 * (p + 1.0)),
+        ("upper-I", gaussian.upper_i, np.full_like(p, 4.0)),
+        ("upper-II", gaussian.upper_ii, np.full_like(p, 2.0)),
+    )
+    for label, bound, q in seams:  # one call per seam side, at every P
+        jumps = np.abs(bound(p, q + eps) - bound(p, q - eps))
+        _require_all(jumps < 1e-9, lambda i: f"{label} seam Q={q[i]} at P={p[i]} jumps by {jumps[i]}")
+        worst = max(worst, float(jumps.max()))
     return f"all four branch seams continuous to 1e-9 (worst jump {worst:.1e})"
 
 
@@ -275,20 +281,22 @@ def check_upper_bounds_vs_rho_min() -> str:
 
 def check_dpc_oracle() -> str:
     rng = np.random.default_rng(12345)
+    # 100 draws of (P_A, P_D, Q), each 10^u in float arithmetic
+    p_a, p_d, q = np.array([10.0 ** u for u in rng.uniform(-2, 3, 300).tolist()]).reshape(100, 3).T
+    # the split rate is r_a + r_d/2, and all of it is r_d/2 at P_A = 0
+    d = gaussian.rate_of_split(gaussian.PowerSplit(0.0, p_d), q)
+    a = gaussian.rate_of_split(gaussian.PowerSplit(p_a, p_d), q) - d
     worst = 0.0
-    for _ in range(100):
-        p_a, p_d, q = (float(10.0 ** rng.uniform(-2, 3)) for _ in range(3))
-        split = gaussian.PowerSplit(p_a, p_d)
-        r_a, r_d = gaussian.dpc_scheme_oracle(split, q)
-        # the split rate is r_a + r_d/2, and all of it is r_d/2 at P_A = 0
-        d = gaussian.rate_of_split(gaussian.PowerSplit(0.0, p_d), q)
-        worst = max(worst, abs(r_d - 2.0 * d), abs(r_a - (gaussian.rate_of_split(split, q) - d)))
+    for p_a_k, p_d_k, q_k, a_k, d_k in zip(*(v.tolist() for v in (p_a, p_d, q, a, d))):
+        r_a, r_d = gaussian.dpc_scheme_oracle(gaussian.PowerSplit(p_a_k, p_d_k), q_k)
+        worst = max(worst, abs(r_d - 2.0 * d_k), abs(r_a - a_k))
     _require(worst < 1e-9, f"scheme oracle off by {worst}")
     return f"covariance-assembled codebook rates match rate_of_split (worst {worst:.2e})"
 
 
 def check_rate_distortion_floor() -> str:
     rng = np.random.default_rng(99)
+    channels = []  # (Q, P, rho, MI) of each random test channel
     for _ in range(200):
         q = float(10.0 ** rng.uniform(-1, 3))
         p = float(10.0 ** rng.uniform(-1, 3))
@@ -301,9 +309,11 @@ def check_rate_distortion_floor() -> str:
             np.array([[1.0, 0.0, 0.0], [s_coef, math.sqrt(2.0), 1.0]]),
             [q, w_var, 1.0 + rho],
         )
-        mi = gaussian_mi(cov, [0], [1])
-        floor = 2.0 * gaussian._rate_distortion_term(gaussian._FLOAT_OPS, p, q, rho)
-        _require(mi >= floor - 1e-9, f"MI {mi} under floor {floor} (Q={q}, P={p}, rho={rho})")
+        channels.append((q, p, rho, gaussian_mi(cov, [0], [1])))
+    q, p, rho, mi = np.array(channels).T
+    floor = 2.0 * gaussian._rate_distortion_term(p, q, rho)
+    _require_all(mi >= floor - 1e-9,
+                 lambda i: f"MI {mi[i]} under floor {floor[i]} (Q={q[i]}, P={p[i]}, rho={rho[i]})")
     return "I(S+; sqrt2 X + S+ + Z+) >= [log2(Q/(2P+1+rho))/2]^+ on 200 random test channels"
 
 
@@ -311,19 +321,20 @@ def check_high_p_gap() -> str:
     # at fixed Q the gap is log2(1 + x)/2 with x = (Q/2 + 2 sqrt(PQ))/(P + Q/2 + 1),
     # and lower minus the asymptote is log2(1 + (1 + Q/2)/P)/2; log2(1 + x) <= x/ln 2
     # bounds each, up to the rounding of two cancelling logs of size log2 P
+    q = np.array((1.0, 8.0, 100.0))[:, None]  # Q down, P across
+    p = np.logspace(2.0, 12.0, 21)
+    slack = 8.0 * np.finfo(float).eps * (np.log2(p + q + 1.0) + 1.0)
+    residual = gaussian.lower_bound(p, q) - gaussian.high_sinr_asymptote(p, q)
     excess = -math.inf
-    for q in (1.0, 8.0, 100.0):
-        for p in np.logspace(2.0, 12.0, 21).tolist():
-            slack = 8.0 * np.finfo(float).eps * (math.log2(p + q + 1.0) + 1.0)
-            residual = gaussian.lower_bound(p, q) - gaussian.high_sinr_asymptote(p, q)
-            for label, value, x in (
-                ("gap", gaussian.gap(p, q), 2.0 * math.sqrt(q / p) + q / (2.0 * p)),
-                ("lower minus asymptote", residual, (1.0 + q / 2.0) / p),
-            ):
-                law = x / (2.0 * math.log(2.0))
-                _require(-slack <= value <= law + slack,
-                         f"{label} {value:.3g} outside [0, {law:.3g}] at P={p:g}, Q={q:g}")
-                excess = max(excess, value - law)
+    for label, value, x in (
+        ("gap", gaussian.gap(p, q), 2.0 * np.sqrt(q / p) + q / (2.0 * p)),
+        ("lower minus asymptote", residual, (1.0 + q / 2.0) / p),
+    ):
+        law = x / (2.0 * math.log(2.0))
+        _require_all((-slack <= value) & (value <= law + slack),
+                     lambda i, j: f"{label} {value[i, j]:.3g} outside [0, {law[i, j]:.3g}] "
+                                  f"at P={p[j]:g}, Q={q[i, 0]:g}")
+        excess = max(excess, float(np.max(value - law)))
     return (
         "0 <= upper-II minus lower <= (2 sqrt(Q/P) + Q/(2P))/(2 ln 2) and "
         "0 <= lower minus the high-SINR asymptote <= (1 + Q/2)/(2P ln 2) for P in 1e2..1e12, "
@@ -353,27 +364,26 @@ def check_universal_gap() -> str:
 
 
 def check_upper_k() -> str:
-    for p in (0.5, 1.0, 10.0, 100.0, 1995.26):
-        for q in (3.0, 4.0, 31.6, 1000.0, 4000.0):
-            raw = gaussian.upper_k_raw(p, q, 2)
-            ref = gaussian.upper_ii_at_rho(p, q, 1.0)
-            _require(abs(raw - ref) < 1e-9, f"K=2 reduction fails at P={p}, Q={q}")
-        # for Q > K(P+1) the bound exceeds time-sharing log2(1+P)/(2K) by
-        # log2(1 + 2 sqrt(P/Q) + (P+1)/Q)/2 <= (2 sqrt(P/Q) + (P+1)/Q)/(2 ln 2),
-        # up to the rounding of two cancelling logs of size log2 Q
-        q = 1.0e10
-        law = (2.0 * math.sqrt(p / q) + (p + 1.0) / q) / (2.0 * math.log(2.0))
-        slack = 8.0 * np.finfo(float).eps * (math.log2(q) + math.log2(1.0 + p) + 1.0)
-        for k in (2, 3, 4, 8):
-            residual = gaussian.upper_k(p, q, k) - gaussian.awgn_capacity(p) / k
-            _require(
-                -slack <= residual <= law + slack,
-                f"high-INR law fails at P={p}, K={k}: residual {residual:.3g}, law {law:.3g}",
-            )
-            _require(
-                gaussian.upper_k(p, 1e-6, k) == gaussian.awgn_capacity(p),
-                f"small-Q cap fails at P={p}, K={k}",
-            )
+    p = np.array((0.5, 1.0, 10.0, 100.0, 1995.26))
+    q = np.array((3.0, 4.0, 31.6, 1000.0, 4000.0))  # across, against P down
+    reduction = gaussian.upper_k_raw(p[:, None], q, 2) - gaussian.upper_ii_at_rho(p[:, None], q, 1.0)
+    _require_all(np.abs(reduction) < 1e-9, lambda i, j: f"K=2 reduction fails at P={p[i]}, Q={q[j]}")
+    # for Q > K(P+1) the bound exceeds time-sharing log2(1+P)/(2K) by
+    # log2(1 + 2 sqrt(P/Q) + (P+1)/Q)/2 <= (2 sqrt(P/Q) + (P+1)/Q)/(2 ln 2),
+    # up to the rounding of two cancelling logs of size log2 Q
+    q = 1.0e10
+    law = (2.0 * np.sqrt(p / q) + (p + 1.0) / q) / (2.0 * math.log(2.0))
+    slack = 8.0 * np.finfo(float).eps * (math.log2(q) + np.log2(1.0 + p) + 1.0)
+    awgn = gaussian.awgn_capacity(p)
+    for k in (2, 3, 4, 8):
+        residual = gaussian.upper_k(p, q, k) - awgn / k
+        _require_all(
+            (-slack <= residual) & (residual <= law + slack),
+            lambda i: f"high-INR law fails at P={p[i]}, K={k}: "
+                      f"residual {residual[i]:.3g}, law {law[i]:.3g}",
+        )
+        _require_all(gaussian.upper_k(p, 1e-6, k) == awgn,
+                     lambda i: f"small-Q cap fails at P={p[i]}, K={k}")
     return ("K=2 reduction to the rho=1 bound; O(sqrt(P/Q)) excess over time-sharing at "
             "Q=1e10; trivial cap at small Q")
 

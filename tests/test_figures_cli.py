@@ -125,6 +125,62 @@ class TestCliBounds:
             "upper-K3               upper  3.72741118",
         ]
 
+    @pytest.mark.parametrize("argv, lines", [
+        (["--gaussian", "--snr", "0", "--inr", "0", "--k", "3"], [
+            "gaussian multicast, K=3, P=0, Q=0",
+            "envelope               upper  0",
+            "upper-I                upper  0",
+            "upper-II               upper  0",
+            "superposition-dpc      lower  0",
+            "time-sharing           lower  0",
+            "interference-as-noise  lower  0",
+            "trivial-awgn           upper  0",
+            "upper-K3               upper  0",
+        ]),
+        (["--gaussian", "--snr", "1e-300", "--inr", "1e300"], [
+            "gaussian multicast, K=2, P=1e-300, Q=1e+300",
+            "envelope               upper  0",
+            "upper-I                upper  0",
+            "upper-II               upper  0",
+            "superposition-dpc      lower  0",
+            "time-sharing           lower  0",
+            "interference-as-noise  lower  0",
+            "trivial-awgn           upper  0",
+        ]),
+        (["--gaussian", "--snr", "1e300", "--inr", "1e-300", "--k", "3"], [
+            "gaussian multicast, K=3, P=1e+300, Q=1e-300",
+            "envelope               upper  498.289214",
+            "upper-I                upper  498.289214",
+            "upper-II               upper  498.289214",
+            "superposition-dpc      lower  498.289214",
+            "time-sharing           lower  249.144607",
+            "interference-as-noise  lower  498.289214",
+            "trivial-awgn           upper  498.289214",
+            "upper-K3               upper  498.289214",
+        ]),
+        # Q = 2 is the seam of the upper-II and lower-bound branches
+        (["--gaussian", "--snr", "1.2192", "--inr", "2", "--k", "4"], [
+            "gaussian multicast, K=4, P=1.2192, Q=2",
+            "envelope               upper  0.575019846",
+            "upper-I                upper  0.714085481",
+            "upper-II               upper  0.938113615",
+            "superposition-dpc      lower  0.343351105",
+            "time-sharing           lower  0.287509923",
+            "interference-as-noise  lower  0.246003488",
+            "trivial-awgn           upper  0.575019846",
+            "upper-K4               upper  0.575019846",
+        ]),
+        (["--correlated", "--snr", "10", "--qd", "16", "--q1", "9", "--q2", "4"], [
+            "correlated multicast, P=10, Q1=9, Q2=4, Qd=16",
+            "correlated-converse     upper  1.51839723",
+            "dithered-superposition  lower  0.953445298",
+            "time-sharing            lower  0.864857905",
+        ]),
+    ], ids=["zero", "tiny-p-huge-q", "huge-p-tiny-q", "q-seam", "correlated-marginals"])
+    def test_pinned_text(self, capsys, argv, lines):
+        assert cli.main(["bounds", *argv]) == 0
+        assert capsys.readouterr().out.splitlines() == lines
+
     def test_correlated_point(self, capsys):
         assert cli.main(["bounds", "--correlated", "--snr", "10", "--qd", "16"]) == 0
         out = capsys.readouterr().out

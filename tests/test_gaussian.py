@@ -147,6 +147,12 @@ class TestDpcOracle:
         assert r_a == pytest.approx(0.5 * math.log2(3.0), abs=1e-9)
         assert r_d == 0.0
 
+    def test_array_split_is_refused(self):
+        split, _ = maximize_power_split(np.array([1.0, 10.0]), 4.0)
+        for oracle in (dpc_covariance, dpc_scheme_oracle):
+            with pytest.raises(ValueError, match="take a float Q and a PowerSplit of floats"):
+                oracle(split, 4.0)
+
     def test_scheme_rate_is_achieved_at_the_optimal_split(self):
         p, q = 10.0, 4.0
         split, _ = maximize_power_split(p, q)
@@ -228,6 +234,14 @@ class TestAsymptotesAndFeedback:
     def test_convergence_to_lower_bound(self):
         assert high_sinr_asymptote(1.0e6, 8.0) == pytest.approx(8.965784284662087, abs=1e-12)
 
+    def test_asymptote_array_matches_float(self):
+        powers, inrs = [1e-3, 1e2, 1e300], [0.0, 2.0, 8.0, 1e300]
+        grid = high_sinr_asymptote(np.array(powers)[:, None], np.array(inrs))
+        points = [(p, q) for p in powers for q in inrs]
+        assert_matches_elementwise(grid.ravel(), lambda i: high_sinr_asymptote(*points[i]))
+        with pytest.raises(ValueError, match="^P must be positive"):
+            high_sinr_asymptote(np.array([1.0, 0.0]), 2.0)
+
 
 class TestSpecType:
     def test_validation(self):
@@ -281,8 +295,9 @@ class TestArrayObjectives:
     @pytest.mark.parametrize("bound", [
         lambda p, q: awgn_capacity(p), lambda p, q: rate_timeshare(p), rate_interference_as_noise,
         upper_i, upper_ii, upper_envelope, lower_bound, gap,
+        lambda p, q: upper_k_raw(p, q, 3), lambda p, q: upper_k(p, q, 3),
     ], ids=["awgn_capacity", "rate_timeshare", "rate_interference_as_noise",
-            "upper_i", "upper_ii", "upper_envelope", "lower_bound", "gap"])
+            "upper_i", "upper_ii", "upper_envelope", "lower_bound", "gap", "upper_k_raw", "upper_k"])
     def test_closed_form_array_matches_float(self, bound):
         powers = np.array(ARRAY_POWERS)
         with np.errstate(all="raise"):
@@ -308,12 +323,9 @@ class TestArrayObjectives:
             for q in ARRAY_POWERS:
                 p_d = share * p
                 with np.errstate(all="raise"):
-                    values = gaussian._split_rate(np, p - p_d, p_d, q)
+                    values = rate_of_split(PowerSplit(p - p_d, p_d), q)
                 assert_matches_elementwise(
-                    values,
-                    lambda i: gaussian._split_rate(
-                        gaussian._FLOAT_OPS, float(p - p_d[i]), float(p_d[i]), q
-                    ),
+                    values, lambda i: rate_of_split(PowerSplit(float(p - p_d[i]), float(p_d[i])), q)
                 )
 
 
@@ -365,3 +377,63 @@ def test_non_finite_arguments_are_rejected_by_name(name, index, bad):
     args = [bad if i == index else 1.0 for i in range(len(names))]
     with pytest.raises(ValueError, match=f"^{names[index]} must be finite and nonnegative"):
         func(*args)
+
+
+_SPLIT = PowerSplit(1.0, 2.0)
+
+# every public Gaussian function at Python floats, with the names it checks
+FLOAT_CALLS = {
+    "awgn_capacity": (lambda: awgn_capacity(1.0), ["P"]),
+    "rate_timeshare": (lambda: rate_timeshare(1.0), ["P"]),
+    "rate_interference_as_noise": (lambda: rate_interference_as_noise(1.0, 2.0), ["P", "Q"]),
+    "upper_i": (lambda: upper_i(1.0, 2.0), ["P", "Q"]),
+    "upper_ii": (lambda: upper_ii(1.0, 0.0), ["P", "Q"]),
+    "upper_envelope": (lambda: upper_envelope(1.0, 2.0), ["P", "Q"]),
+    "lower_bound": (lambda: lower_bound(1.0, 2.0), ["P", "Q"]),
+    "gap": (lambda: gap(1.0, 2.0), ["P", "Q"]),
+    "high_sinr_asymptote": (lambda: high_sinr_asymptote(1.0, 3.0), ["P", "Q"]),
+    "upper_i_at_rho": (lambda: (upper_i_at_rho(1.0, 2.0, 0.5), upper_i_at_rho(1.0, 2.0, -1.0)), []),
+    "upper_ii_at_rho": (lambda: (upper_ii_at_rho(1.0, 2.0, 0.5), upper_ii_at_rho(1.0, 2.0, 3.0)), []),
+    "rho_upper_i": (lambda: gaussian.rho_upper_i(2.0), []),
+    "rho_upper_ii": (lambda: gaussian.rho_upper_ii(2.0), []),
+    "PowerSplit": (lambda: PowerSplit(1.0, 2.0), ["P_A", "P_D"]),
+    "rate_of_split": (lambda: rate_of_split(_SPLIT, 2.0), ["Q"]),
+    "maximize_power_split": (lambda: maximize_power_split(1.0, 2.0), ["P", "Q", "P_A", "P_D"]),
+    "minimize_upper_i_rho": (lambda: minimize_upper_i_rho(1.0, 2.0), ["P", "Q"]),
+    "minimize_upper_ii_rho": (lambda: minimize_upper_ii_rho(1.0, 2.0), ["P", "Q"]),
+    "dpc_scheme_oracle": (lambda: dpc_scheme_oracle(_SPLIT, 2.0), ["Q"]),
+    "upper_k_raw": (lambda: upper_k_raw(1.0, 2.0, 3), ["K", "P", "Q"]),
+    "upper_k": (lambda: upper_k(1.0, 2.0, 3), ["K", "P", "Q"]),
+    "universal_gap": (universal_gap, []),
+}
+
+
+@pytest.mark.parametrize("name", FLOAT_CALLS)
+def test_each_argument_is_checked_once_per_call(monkeypatch, name):
+    checked = []
+
+    def recording(check):
+        def record(*pairs):
+            checked.extend(pairs[::2])
+            check(*pairs)
+        return record
+
+    for check in ("_check_all_nonnegative", "_check_integer"):
+        monkeypatch.setattr(gaussian, check, recording(getattr(gaussian, check)))
+    call, names = FLOAT_CALLS[name]
+    call()
+    assert checked == names
+
+
+def _numbers(result):
+    """The numbers of a result: its entries, and a PowerSplit's fields."""
+    if isinstance(result, PowerSplit):
+        return [result.p_a, result.p_d, result.total]
+    return [x for r in result for x in _numbers(r)] if isinstance(result, tuple) else [result]
+
+
+@pytest.mark.parametrize("name", FLOAT_CALLS)
+def test_float_arguments_give_python_floats(name):
+    # not np.float64 nor a 0-d array: the CLI and verify's messages print their repr
+    for value in _numbers(FLOAT_CALLS[name][0]()):
+        assert type(value) is float, type(value)
