@@ -1,10 +1,11 @@
 """Scalar math kernels shared by every bound computation.
 
-Entropies, jointly-Gaussian mutual information, dB conversion, a
-derivative-free scalar minimizer that solves a batch of problems per call,
-and the argument and rate checks and received power that the Gaussian
-modules share.  The checks come in a float form, for the float-only
-functions, and an array form, which takes floats or arrays.
+Entropies, jointly-Gaussian mutual information over a whole stack of
+covariance matrices per call, dB conversion, a derivative-free scalar
+minimizer that solves a batch of problems per call, and the argument and
+rate checks and received power that the Gaussian modules share.  The
+checks come in a float form, for the float-only functions, and an array
+form, which takes floats or arrays.
 All returned rates are bits per channel use (logs base 2); natural-log
 internals are an implementation detail.  Every function here is pure, so
 concurrent use needs no locking.
@@ -131,12 +132,23 @@ class JointPmf:
         return ha + hb - hab
 
 
+def _first(bad):
+    """The index of the first True entry of bad, a flag per matrix of a
+    stack, and how an error names it: () and '' for a single matrix."""
+    if np.ndim(bad) == 0:
+        return (), ""
+    i = tuple(int(j) for j in np.argwhere(bad)[0])
+    return i, f" at stack index {i[0] if len(i) == 1 else i}"
+
+
 @dataclass(frozen=True)
 class GaussianCov:
-    """Covariance matrix of a zero-mean jointly Gaussian vector.
+    """Covariance matrix of a zero-mean jointly Gaussian vector, or a stack
+    of them: matrix has shape (..., dim, dim), and a single matrix is the
+    stack with empty leading shape.
 
-    Must be symmetric within 1e-12 (relative) and positive semidefinite
-    (eigenvalues >= -1e-9 * trace).
+    Each matrix must be symmetric within 1e-12 (relative) and positive
+    semidefinite (eigenvalues >= -1e-9 * trace).
     """
 
     dim: int
@@ -144,15 +156,18 @@ class GaussianCov:
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=float)
-        if self.dim < 1 or m.shape != (self.dim, self.dim):
+        if self.dim < 1 or m.shape[-2:] != (self.dim, self.dim):
             raise ValueError(f"matrix must be {self.dim}x{self.dim}")
-        scale = max(1.0, float(np.max(np.abs(m))))
-        if float(np.max(np.abs(m - m.T))) > 1e-12 * scale:
-            raise ValueError("matrix is not symmetric within 1e-12")
-        tr = float(np.trace(m))
-        lo = float(np.min(np.linalg.eigvalsh(m)))
-        if lo < -1e-9 * max(tr, 1e-300):
-            raise ValueError(f"matrix is not PSD (min eigenvalue {lo}, trace {tr})")
+        scale = np.maximum(1.0, np.max(np.abs(m), axis=(-2, -1)))
+        asymmetric = np.max(np.abs(m - np.swapaxes(m, -2, -1)), axis=(-2, -1)) > 1e-12 * scale
+        if asymmetric.any():
+            raise ValueError(f"matrix{_first(asymmetric)[1]} is not symmetric within 1e-12")
+        tr = np.trace(m, axis1=-2, axis2=-1)
+        lo = np.linalg.eigvalsh(m)[..., 0]
+        indefinite = lo < -1e-9 * np.maximum(tr, 1e-300)
+        if indefinite.any():
+            i, at = _first(indefinite)
+            raise ValueError(f"matrix{at} is not PSD (min eigenvalue {lo[i]}, trace {tr[i]})")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -160,14 +175,15 @@ class GaussianCov:
     def from_factors(cls, coeffs: np.ndarray, variances) -> "GaussianCov":
         """Covariance of Y = C F where F has independent components.
 
-        coeffs is (n_vars, n_factors); variances holds the factor variances.
-        Built as (C*v) @ C.T so the result is exactly symmetric.
+        coeffs is (..., n_vars, n_factors); variances (..., n_factors) holds
+        the factor variances, and the leading axes stack matrices.  Built as
+        (C*v) @ C^T so the result is exactly symmetric.
         """
         c = np.asarray(coeffs, dtype=float)
         v = np.asarray(variances, dtype=float)
         if np.any(v < 0):
             raise ValueError("factor variances must be nonnegative")
-        return cls(c.shape[0], (c * v) @ c.T)
+        return cls(c.shape[-2], (c * v[..., None, :]) @ np.swapaxes(c, -2, -1))
 
 
 def _check_nonnegative(name: str, value: float, *more) -> None:
@@ -236,26 +252,30 @@ def db_to_linear(x_db: float, name: str = "power ratio") -> float:
         raise ValueError(f"{name} = {x:g} dB overflows a float") from None
 
 
-def _logdet_principal(cov: GaussianCov, block) -> float:
-    """log-determinant of a principal submatrix, with a relative
-    singularity guard of 1e-12 against the AM-GM scale (trace/d)^d."""
-    idx = list(block)
-    sub = cov.matrix[np.ix_(idx, idx)]
-    d = len(idx)
-    tr = float(np.trace(sub))
-    if tr <= 0.0:
-        raise SingularCovarianceError(f"block {idx} has nonpositive trace {tr}")
+def _logdet_principal(cov: GaussianCov, block):
+    """log-determinant of a principal submatrix of each matrix, with a
+    relative singularity guard of 1e-12 against the AM-GM scale (trace/d)^d."""
+    idx = np.asarray(block)
+    sub = cov.matrix[..., idx[:, None], idx]
+    tr = np.trace(sub, axis1=-2, axis2=-1)
+    nonpositive = ~(tr > 0.0)
+    if nonpositive.any():
+        i, at = _first(nonpositive)
+        raise SingularCovarianceError(f"block {idx.tolist()}{at} has nonpositive trace {tr[i]}")
     sign, logabs = np.linalg.slogdet(sub)
-    log_scale = d * math.log(tr / d)
-    if sign <= 0.0 or logabs - log_scale < math.log(1e-12):
+    singular = (sign <= 0.0) | (logabs - len(idx) * np.log(tr / len(idx)) < math.log(1e-12))
+    if singular.any():
         raise SingularCovarianceError(
-            f"principal submatrix {idx} is singular to working precision"
+            f"principal submatrix {idx.tolist()}{_first(singular)[1]} "
+            "is singular to working precision"
         )
-    return float(logabs)
+    return logabs
 
 
-def gaussian_mi(cov: GaussianCov, block_a, block_b) -> float:
-    """Mutual information in bits between two index blocks of a Gaussian vector.
+def gaussian_mi(cov: GaussianCov, block_a, block_b):
+    """Mutual information in bits between two index blocks of a Gaussian
+    vector, for each matrix of the stack: a float for a single matrix, else
+    an array of the stack's leading shape.
 
     I(A;B) = 1/2 log2( det S_A * det S_B / det S_{A u B} ).  Conditional
     quantities are obtained by the caller via two calls and the chain rule.
@@ -270,7 +290,8 @@ def gaussian_mi(cov: GaussianCov, block_a, block_b) -> float:
     la = _logdet_principal(cov, a)
     lb = _logdet_principal(cov, b)
     lab = _logdet_principal(cov, a + b)
-    return (la + lb - lab) / (2.0 * _LN2)
+    mi = (la + lb - lab) / (2.0 * _LN2)
+    return float(mi) if mi.ndim == 0 else mi
 
 
 _GRID_POINTS = 2001

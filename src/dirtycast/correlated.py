@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .core import _check_nonnegative, _rate, _received_power
-from .gaussian import lower_bound
+from .gaussian import _lower_bound
 
 __all__ = [
     "CorrelatedSpec",
@@ -83,7 +83,7 @@ def lower_beta(p: float, qd: float) -> float:
     independent-interference lower bound at Q = Qd/2: DPC regime for
     Qd < 4, mixed for 4 <= Qd < 4(P+1), pure time-sharing beyond."""
     _check_nonnegative("P", p, "Qd", qd)
-    return lower_bound(p, qd / 2.0)
+    return float(_lower_bound(p, qd / 2.0))
 
 
 def high_sinr_gap_beta(p: float, qd: float, q: float | None = None) -> float:

@@ -11,9 +11,9 @@ arrays that broadcast; so `minimize_upper_i_rho` and
 `minimize_upper_ii_rho` minimize over rho at a whole array of P, at one Q,
 in one `minimize_scalar` call.  The achievable side is superposition
 dirty-paper coding over the split S_k = A +/- D, with a covariance-based
-oracle that reproduces the two codebook rates from first principles;
-`maximize_power_split` likewise solves a whole array of P, at one Q, in one
-call.
+oracle that reproduces the two codebook rates from first principles, for
+arrays of splits and Q in one stacked call; `maximize_power_split` likewise
+solves a whole array of P, at one Q, in one call.
 
 The closed forms (`awgn_capacity`, `rate_timeshare`,
 `rate_interference_as_noise`, `upper_i`, `upper_ii`, `upper_envelope`,
@@ -134,13 +134,18 @@ def upper_i_at_rho(p, q, rho):
     return _rho_objective(_upper_i_value, p, q, rho, q / 2.0 + 1.0)
 
 
+def _rho_i(q):
+    return np.minimum(q / 4.0, 1.0)
+
+
 def rho_upper_i(q):
     """Noise correlation minimizing the genie bound: min(Q/4, 1)."""
-    return _out(np.minimum(q / 4.0, 1.0))
+    _check_all_nonnegative("Q", q)
+    return _out(_rho_i(q))
 
 
 def _upper_i(p, q):
-    return _rates(_upper_i_value(p, q, rho_upper_i(q)))
+    return _rates(_upper_i_value(p, q, _rho_i(q)))
 
 
 def upper_i(p, q):
@@ -183,14 +188,19 @@ def upper_ii_at_rho(p, q, rho):
     return _rho_objective(_upper_ii_value, p, q, rho, q + 1.0)
 
 
+def _rho_ii(q):
+    return np.minimum(q / 2.0, 1.0)
+
+
 def rho_upper_ii(q):
     """Noise correlation minimizing the leading term of the joint-output
     bound: min(Q/2, 1)."""
-    return _out(np.minimum(q / 2.0, 1.0))
+    _check_all_nonnegative("Q", q)
+    return _out(_rho_ii(q))
 
 
 def _upper_ii(p, q):
-    return _rates(_upper_ii_value(p, q, rho_upper_ii(q)))
+    return _rates(_upper_ii_value(p, q, _rho_ii(q)))
 
 
 def upper_ii(p, q):
@@ -296,63 +306,67 @@ def maximize_power_split(p, q: float):
 
 # Index map of the factor representation used by the scheme oracle.
 _DPC_VARS = {"x_a": 0, "x_d": 1, "a": 2, "d": 3, "z": 4, "u_a": 5, "u_d": 6, "y1": 7}
+# Rows are the variables, columns the factors (X_A, X_D, A, D, Z); the three
+# alpha entries of U_A and U_D are filled in per split.
+_DPC_COEFFS = np.array(
+    [
+        [1.0, 0.0, 0.0, 0.0, 0.0],  # X_A
+        [0.0, 1.0, 0.0, 0.0, 0.0],  # X_D
+        [0.0, 0.0, 1.0, 0.0, 0.0],  # A
+        [0.0, 0.0, 0.0, 1.0, 0.0],  # D
+        [0.0, 0.0, 0.0, 0.0, 1.0],  # Z
+        [1.0, 0.0, 0.0, 0.0, 0.0],  # U_A = X_A + alpha_A A
+        [0.0, 1.0, 0.0, 0.0, 0.0],  # U_D = X_D + alpha_D ((1-alpha_A) A + D)
+        [1.0, 1.0, 1.0, 1.0, 1.0],  # Y1 = X_A+X_D+A+D+Z
+    ]
+)
 
 
-def dpc_covariance(split: PowerSplit, q: float):
+def dpc_covariance(split: PowerSplit, q):
     """Joint covariance of (X_A, X_D, A, D, Z, U_A, U_D, Y1) for the scheme.
 
     A and D are the half-sum/half-difference interference parts, each of
     variance Q/2; U_A = X_A + alpha_A A with alpha_A = P_A/(P+Q/2+1);
     U_D = X_D + alpha_D((1-alpha_A)A + D) with alpha_D = P_D/(P_D+1).
-    Returns (GaussianCov, name->index map).  The split and Q are floats; the
-    oracle is not batched over arrays.
+    The split's powers and Q are floats or arrays that broadcast; returns
+    (GaussianCov, name->index map), the GaussianCov a stack of one 8x8
+    matrix per entry of the broadcast shape.
     """
     _check_all_nonnegative("Q", q)
-    if np.ndim(split.total) or np.ndim(q):
-        raise ValueError("dpc_covariance and dpc_scheme_oracle take a float Q and a PowerSplit "
-                         f"of floats, got shapes {np.shape(split.total)} and {np.shape(q)}")
-    p = split.total
-    alpha_a = split.p_a / (p + q / 2.0 + 1.0)
-    alpha_d = split.p_d / (split.p_d + 1.0)
-    variances = [split.p_a, split.p_d, q / 2.0, q / 2.0, 1.0]
-    coeffs = np.array(
-        [
-            [1.0, 0.0, 0.0, 0.0, 0.0],  # X_A
-            [0.0, 1.0, 0.0, 0.0, 0.0],  # X_D
-            [0.0, 0.0, 1.0, 0.0, 0.0],  # A
-            [0.0, 0.0, 0.0, 1.0, 0.0],  # D
-            [0.0, 0.0, 0.0, 0.0, 1.0],  # Z
-            [1.0, 0.0, alpha_a, 0.0, 0.0],  # U_A
-            [0.0, 1.0, alpha_d * (1.0 - alpha_a), alpha_d, 0.0],  # U_D
-            [1.0, 1.0, 1.0, 1.0, 1.0],  # Y1 = X_A+X_D+A+D+Z
-        ]
-    )
+    p_a, p_d, q = np.broadcast_arrays(split.p_a, split.p_d, q)
+    alpha_a = p_a / (p_a + p_d + q / 2.0 + 1.0)
+    alpha_d = p_d / (p_d + 1.0)
+    coeffs = np.broadcast_to(_DPC_COEFFS, p_a.shape + _DPC_COEFFS.shape).copy()
+    coeffs[..., 5, 2] = alpha_a
+    coeffs[..., 6, 2] = alpha_d * (1.0 - alpha_a)
+    coeffs[..., 6, 3] = alpha_d
+    variances = np.stack([p_a, p_d, q / 2.0, q / 2.0, np.ones_like(q)], axis=-1)
     return GaussianCov.from_factors(coeffs, variances), dict(_DPC_VARS)
 
 
-def dpc_scheme_oracle(split: PowerSplit, q: float):
+def dpc_scheme_oracle(split: PowerSplit, q):
     """Binning rates of the two codebooks, from the covariance alone.
 
     r_a = I(U_A;Y1) - I(U_A;A) and r_d = I(U_D;Y1,U_A) - I(U_D;A,D); these
-    must equal log2(1+P_A/(P_D+Q/2+1))/2 and log2(1+P_D)/2.  Degenerate
-    splits (a zero power or Q = 0) collapse the corresponding blocks to
-    constants, whose mutual-information terms are 0 by convention.
+    must equal log2(1+P_A/(P_D+Q/2+1))/2 and log2(1+P_D)/2.  The split and
+    Q are floats or arrays that broadcast, like r_a and r_d; each of the
+    four terms is one gaussian_mi call over the covariance stack.
+
+    A zero power or Q = 0 makes some variables constants, whose
+    mutual-information terms are 0 by convention.  Each constant is swapped
+    for an independent unit-variance variable, which changes no mutual
+    information and keeps every block nonsingular; those entries' terms are
+    then masked to 0.
     """
     cov, ix = dpc_covariance(split, q)
-    if split.p_a == 0.0:
-        r_a = 0.0
-    else:
-        r_a = gaussian_mi(cov, [ix["u_a"]], [ix["y1"]])
-        if q > 0.0:
-            r_a -= gaussian_mi(cov, [ix["u_a"]], [ix["a"]])
-    if split.p_d == 0.0:
-        r_d = 0.0
-    else:
-        side = [ix["y1"]] if split.p_a == 0.0 else [ix["y1"], ix["u_a"]]
-        r_d = gaussian_mi(cov, [ix["u_d"]], side)
-        if q > 0.0:
-            r_d -= gaussian_mi(cov, [ix["u_d"]], [ix["a"], ix["d"]])
-    return r_a, r_d
+    constant = np.diagonal(cov.matrix, axis1=-2, axis2=-1) == 0.0
+    cov = GaussianCov(cov.dim, cov.matrix + constant[..., None] * np.eye(cov.dim))
+    u_a, u_d, y1 = [ix["u_a"]], [ix["u_d"]], [ix["y1"]]
+    leak_a = np.where(q > 0.0, gaussian_mi(cov, u_a, [ix["a"]]), 0.0)
+    leak_d = np.where(q > 0.0, gaussian_mi(cov, u_d, [ix["a"], ix["d"]]), 0.0)
+    r_a = np.where(split.p_a > 0.0, gaussian_mi(cov, u_a, y1) - leak_a, 0.0)
+    r_d = np.where(split.p_d > 0.0, gaussian_mi(cov, u_d, y1 + u_a) - leak_d, 0.0)
+    return _out(r_a), _out(r_d)
 
 
 def upper_k_raw(p, q, k: int):

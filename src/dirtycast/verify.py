@@ -80,28 +80,25 @@ def check_entropy_basics() -> str:
     return "H endpoints/symmetry and uniform entropies to 1e-12"
 
 
-def _random_cov(rng, dim):
-    a = rng.normal(size=(dim, dim + 2))
-    return GaussianCov(dim, a @ a.T)
-
-
 def check_gaussian_mi_properties() -> str:
     rng = np.random.default_rng(7)
-    worst_sym, worst_neg = 0.0, 0.0
+    groups = {}  # (dim, cut) -> random covariances a a^T
     for _ in range(60):
         dim = int(rng.integers(2, 9))
-        cov = _random_cov(rng, dim)
-        cut = int(rng.integers(1, dim))
-        a, b = list(range(cut)), list(range(cut, dim))
+        a = rng.normal(size=(dim, dim + 2))
+        groups.setdefault((dim, int(rng.integers(1, dim))), []).append(a @ a.T)
+    worst_sym, worst_neg = 0.0, 0.0
+    for (dim, cut), matrices in groups.items():  # one call per (dim, cut) and direction
+        cov, a, b = GaussianCov(dim, np.array(matrices)), range(cut), range(cut, dim)
         fwd, bwd = gaussian_mi(cov, a, b), gaussian_mi(cov, b, a)
-        worst_sym = max(worst_sym, abs(fwd - bwd))
-        worst_neg = min(worst_neg, fwd)
+        worst_sym = max(worst_sym, float(np.max(np.abs(fwd - bwd))))
+        worst_neg = min(worst_neg, float(np.min(fwd)))
     _require(worst_sym < 1e-9, f"MI symmetry violated by {worst_sym}")
     _require(worst_neg > -1e-9, f"negative MI {worst_neg}")
-    for p in (0.5, 4.0, 1995.2623149688789):
-        awgn = GaussianCov(2, np.array([[p, p], [p, p + 1.0]]))
-        err = abs(gaussian_mi(awgn, [0], [1]) - gaussian.awgn_capacity(p))
-        _require(err < 1e-12, f"AWGN identity I(X;X+Z) off by {err} at P={p}")
+    p = np.array((0.5, 4.0, 1995.2623149688789))
+    awgn = GaussianCov(2, np.moveaxis(np.array([[p, p], [p, p + 1.0]]), -1, 0))
+    err = np.abs(gaussian_mi(awgn, [0], [1]) - gaussian.awgn_capacity(p))
+    _require_all(err < 1e-12, lambda i: f"AWGN identity I(X;X+Z) off by {err[i]} at P={p[i]}")
     return ("symmetry<1e-9, nonnegativity on random PSD matrices; "
             "AWGN identity to 1e-12 at P in {0.5, 4, 33 dB}")
 
@@ -286,31 +283,26 @@ def check_dpc_oracle() -> str:
     # the split rate is r_a + r_d/2, and all of it is r_d/2 at P_A = 0
     d = gaussian.rate_of_split(gaussian.PowerSplit(0.0, p_d), q)
     a = gaussian.rate_of_split(gaussian.PowerSplit(p_a, p_d), q) - d
-    worst = 0.0
-    for p_a_k, p_d_k, q_k, a_k, d_k in zip(*(v.tolist() for v in (p_a, p_d, q, a, d))):
-        r_a, r_d = gaussian.dpc_scheme_oracle(gaussian.PowerSplit(p_a_k, p_d_k), q_k)
-        worst = max(worst, abs(r_d - 2.0 * d_k), abs(r_a - a_k))
+    r_a, r_d = gaussian.dpc_scheme_oracle(gaussian.PowerSplit(p_a, p_d), q)
+    worst = float(max(np.max(np.abs(r_d - 2.0 * d)), np.max(np.abs(r_a - a))))
     _require(worst < 1e-9, f"scheme oracle off by {worst}")
     return f"covariance-assembled codebook rates match rate_of_split (worst {worst:.2e})"
 
 
 def check_rate_distortion_floor() -> str:
     rng = np.random.default_rng(99)
-    channels = []  # (Q, P, rho, MI) of each random test channel
-    for _ in range(200):
-        q = float(10.0 ** rng.uniform(-1, 3))
-        p = float(10.0 ** rng.uniform(-1, 3))
-        rho = float(rng.uniform(-1.0, 1.0))
-        c = float(rng.uniform(-1.0, 1.0)) * math.sqrt(p / q)
-        w_var = float(rng.uniform(0.0, 1.0)) * (p - c * c * q)
-        # (S+, V) with V = sqrt2 X + S+ + Z+ and X = c S+ + W
-        s_coef = math.sqrt(2.0) * c + 1.0
-        cov = GaussianCov.from_factors(
-            np.array([[1.0, 0.0, 0.0], [s_coef, math.sqrt(2.0), 1.0]]),
-            [q, w_var, 1.0 + rho],
-        )
-        channels.append((q, p, rho, gaussian_mi(cov, [0], [1])))
-    q, p, rho, mi = np.array(channels).T
+    # 200 random test channels, drawn channel by channel: log10 Q, log10 P, rho and
+    # the uniforms behind c and w_var; Q and P are 10^u in float arithmetic
+    u = rng.uniform((-1.0, -1.0, -1.0, -1.0, 0.0), (3.0, 3.0, 1.0, 1.0, 1.0), (200, 5))
+    q, p = (np.array([10.0 ** x for x in col.tolist()]) for col in u[:, :2].T)
+    rho = u[:, 2]
+    c = u[:, 3] * np.sqrt(p / q)
+    w_var = u[:, 4] * (p - c * c * q)
+    # (S+, V) with V = sqrt2 X + S+ + Z+ and X = c S+ + W
+    coeffs = np.broadcast_to([[1.0, 0.0, 0.0], [0.0, math.sqrt(2.0), 1.0]], (200, 2, 3)).copy()
+    coeffs[:, 1, 0] = math.sqrt(2.0) * c + 1.0
+    cov = GaussianCov.from_factors(coeffs, np.column_stack([q, w_var, 1.0 + rho]))
+    mi = gaussian_mi(cov, [0], [1])
     floor = 2.0 * gaussian._rate_distortion_term(p, q, rho)
     _require_all(mi >= floor - 1e-9,
                  lambda i: f"MI {mi[i]} under floor {floor[i]} (Q={q[i]}, P={p[i]}, rho={rho[i]})")

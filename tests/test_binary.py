@@ -119,11 +119,13 @@ class TestKUserBounds:
         assert lower_bound_k(BinaryChannelSpec.iid(0.0, k=3)) == 1.0
 
     def test_weight_enumeration_vs_bruteforce(self):
-        for k in (2, 3, 4, 7, 10, 12):
+        for k in (2, 3, 4, 7, 10, 12, 16, 20):
             for q in (0.0, 0.07, 0.25, 0.5, 0.66, 1.0):
                 assert joint_xor_entropy(k, q) == pytest.approx(
                     joint_xor_entropy_brute(k, q), abs=1e-12
                 )
+        with pytest.raises(ValueError, match="2 <= K <= 24"):
+            joint_xor_entropy_brute(25, 0.25)
 
     def test_limit_at_any_k(self):
         # (K-1) H(q) <= H(S1^S2, ..., S1^SK) <= K H(q), so the bound exceeds

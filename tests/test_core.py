@@ -103,6 +103,37 @@ class TestGaussianMi:
         with pytest.raises(ValueError):
             GaussianCov(2, np.eye(3))
 
+    def test_stack_matches_per_matrix(self):
+        rng = np.random.default_rng(5)
+        for dim in range(2, 9):
+            a = rng.normal(size=(6, dim, dim + 2))
+            stack = GaussianCov(dim, a @ np.swapaxes(a, -2, -1))
+            for cut in range(1, dim):
+                got = gaussian_mi(stack, range(cut), range(cut, dim))
+                assert got.shape == (6,)
+                singles = [gaussian_mi(GaussianCov(dim, m), range(cut), range(cut, dim))
+                           for m in stack.matrix]
+                assert got.tolist() == singles
+        grid = GaussianCov(2, np.broadcast_to(np.eye(2), (3, 4, 2, 2)))
+        assert gaussian_mi(grid, [0], [1]).shape == (3, 4)
+
+    def test_stack_names_the_bad_matrix(self):
+        stack = np.broadcast_to(np.eye(2), (4, 2, 2)).copy()
+        asymmetric, indefinite, singular = stack.copy(), stack.copy(), stack.copy()
+        asymmetric[2] = [[1.0, 0.5], [0.4, 1.0]]
+        indefinite[3] = [[1.0, 2.0], [2.0, 1.0]]
+        singular[1] = [[1.0, 1.0], [1.0, 1.0]]
+        with pytest.raises(ValueError, match="^matrix at stack index 2 is not symmetric"):
+            GaussianCov(2, asymmetric)
+        with pytest.raises(ValueError, match="^matrix at stack index 3 is not PSD"):
+            GaussianCov(2, indefinite)
+        with pytest.raises(SingularCovarianceError, match=r"\[0, 1\] at stack index 1 is singular"):
+            gaussian_mi(GaussianCov(2, singular), [0], [1])
+        grid = np.broadcast_to(np.eye(2), (2, 3, 2, 2)).copy()
+        grid[1, 2, 0, 0] = 0.0
+        with pytest.raises(SingularCovarianceError, match=r"at stack index \(1, 2\) has nonpositive"):
+            gaussian_mi(GaussianCov(2, grid), [0], [1])
+
     def test_from_factors(self):
         cov = GaussianCov.from_factors(np.array([[1.0, 0.0], [1.0, 1.0]]), [4.0, 1.0])
         assert cov.matrix[0, 0] == 4.0 and cov.matrix[1, 1] == 5.0 and cov.matrix[0, 1] == 4.0

@@ -147,11 +147,21 @@ class TestDpcOracle:
         assert r_a == pytest.approx(0.5 * math.log2(3.0), abs=1e-9)
         assert r_d == 0.0
 
-    def test_array_split_is_refused(self):
-        split, _ = maximize_power_split(np.array([1.0, 10.0]), 4.0)
-        for oracle in (dpc_covariance, dpc_scheme_oracle):
-            with pytest.raises(ValueError, match="take a float Q and a PowerSplit of floats"):
-                oracle(split, 4.0)
+    def test_array_split_matches_float_entry_by_entry(self):
+        row, _ = maximize_power_split(np.array([1.0, 10.0]), 4.0)
+        # P_A = 0, P_D = 0 and Q = 0 entries, alone and together
+        degenerate = PowerSplit(np.array([0.0, 4.0, 4.0, 0.0, 3.0]),
+                                np.array([2.0, 0.0, 2.0, 2.0, 0.0]))
+        for split, q in ((row, 4.0), (degenerate, np.array([2.0, 2.0, 0.0, 0.0, 0.0]))):
+            with np.errstate(all="raise"):
+                r_a, r_d = dpc_scheme_oracle(split, q)
+                cov, _ = dpc_covariance(split, q)
+            for i, q_i in enumerate(np.broadcast_to(q, r_a.shape).tolist()):
+                single = PowerSplit(float(split.p_a[i]), float(split.p_d[i]))
+                assert (r_a[i], r_d[i]) == dpc_scheme_oracle(single, q_i)
+                assert (cov.matrix[i] == dpc_covariance(single, q_i)[0].matrix).all()
+            assert np.all(np.abs(r_a + 0.5 * r_d - rate_of_split(split, q)) < 1e-12)
+        assert r_a[0] == 0.0 and r_a[3] == 0.0 and r_d[1] == 0.0 and r_d[4] == 0.0
 
     def test_scheme_rate_is_achieved_at_the_optimal_split(self):
         p, q = 10.0, 4.0
@@ -349,12 +359,18 @@ GUARDED = {
     "maximize_power_split_row": (lambda p, q: maximize_power_split(np.array([1, p]), q), ("P", "Q")),
     "upper_envelope": (upper_envelope, ("P", "Q")),
     "gap": (gap, ("P", "Q")),
+    "rho_upper_i": (gaussian.rho_upper_i, ("Q",)),
+    "rho_upper_ii": (gaussian.rho_upper_ii, ("Q",)),
+    "rho_upper_i_row": (_row(gaussian.rho_upper_i), ("Q",)),
+    "rho_upper_ii_row": (_row(gaussian.rho_upper_ii), ("Q",)),
     **{f"{func.__name__}_row": (_row(func), ("P", "Q")[:count]) for func, count in (
         (awgn_capacity, 1), (rate_timeshare, 1), (rate_interference_as_noise, 2), (upper_i, 2),
         (upper_ii, 2), (upper_envelope, 2), (lower_bound, 2), (gap, 2),
     )},
     "rate_of_split": (lambda q: rate_of_split(PowerSplit(1.0, 1.0), q), ("Q",)),
     "dpc_covariance": (lambda q: dpc_covariance(PowerSplit(1.0, 1.0), q), ("Q",)),
+    "dpc_scheme_oracle_row": (lambda q: dpc_scheme_oracle(PowerSplit(1.0, 1.0), np.array([1.0, q])),
+                              ("Q",)),
     "upper_k_raw": (lambda p, q: upper_k_raw(p, q, 3), ("P", "Q")),
     "high_sinr_asymptote": (high_sinr_asymptote, ("P", "Q")),
     "PowerSplit": (PowerSplit, ("P_A", "P_D")),
@@ -381,7 +397,8 @@ def test_non_finite_arguments_are_rejected_by_name(name, index, bad):
 
 _SPLIT = PowerSplit(1.0, 2.0)
 
-# every public Gaussian function at Python floats, with the names it checks
+# every public Gaussian function, and correlated's lower_beta, at Python
+# floats, with the names it checks
 FLOAT_CALLS = {
     "awgn_capacity": (lambda: awgn_capacity(1.0), ["P"]),
     "rate_timeshare": (lambda: rate_timeshare(1.0), ["P"]),
@@ -394,8 +411,8 @@ FLOAT_CALLS = {
     "high_sinr_asymptote": (lambda: high_sinr_asymptote(1.0, 3.0), ["P", "Q"]),
     "upper_i_at_rho": (lambda: (upper_i_at_rho(1.0, 2.0, 0.5), upper_i_at_rho(1.0, 2.0, -1.0)), []),
     "upper_ii_at_rho": (lambda: (upper_ii_at_rho(1.0, 2.0, 0.5), upper_ii_at_rho(1.0, 2.0, 3.0)), []),
-    "rho_upper_i": (lambda: gaussian.rho_upper_i(2.0), []),
-    "rho_upper_ii": (lambda: gaussian.rho_upper_ii(2.0), []),
+    "rho_upper_i": (lambda: gaussian.rho_upper_i(2.0), ["Q"]),
+    "rho_upper_ii": (lambda: gaussian.rho_upper_ii(2.0), ["Q"]),
     "PowerSplit": (lambda: PowerSplit(1.0, 2.0), ["P_A", "P_D"]),
     "rate_of_split": (lambda: rate_of_split(_SPLIT, 2.0), ["Q"]),
     "maximize_power_split": (lambda: maximize_power_split(1.0, 2.0), ["P", "Q", "P_A", "P_D"]),
@@ -405,6 +422,7 @@ FLOAT_CALLS = {
     "upper_k_raw": (lambda: upper_k_raw(1.0, 2.0, 3), ["K", "P", "Q"]),
     "upper_k": (lambda: upper_k(1.0, 2.0, 3), ["K", "P", "Q"]),
     "universal_gap": (universal_gap, []),
+    "lower_beta": (lambda: correlated.lower_beta(1.0, 2.0), ["P", "Qd"]),
 }
 
 
@@ -418,8 +436,9 @@ def test_each_argument_is_checked_once_per_call(monkeypatch, name):
             check(*pairs)
         return record
 
-    for check in ("_check_all_nonnegative", "_check_integer"):
-        monkeypatch.setattr(gaussian, check, recording(getattr(gaussian, check)))
+    for module, check in ((gaussian, "_check_all_nonnegative"), (gaussian, "_check_integer"),
+                          (correlated, "_check_nonnegative")):
+        monkeypatch.setattr(module, check, recording(getattr(module, check)))
     call, names = FLOAT_CALLS[name]
     call()
     assert checked == names
