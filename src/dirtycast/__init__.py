@@ -31,9 +31,8 @@ from .core import (
     minimize_scalar,
     pmf_entropy,
 )
-from .correlated import CorrelatedSpec, high_sinr_gap_beta, lower_beta, t_of_qd, upper_correlated
+from .correlated import high_sinr_gap_beta, lower_beta, scaled_powers, t_of_qd, upper_correlated
 from .gaussian import (
-    PowerSplit,
     dpc_scheme_oracle,
     gap,
     high_sinr_asymptote,
@@ -49,10 +48,8 @@ from .simulate import SchemeRun, simulate_scheme
 __all__ = [
     "__version__",
     "BinaryChannelSpec",
-    "CorrelatedSpec",
     "GaussianCov",
     "JointPmf",
-    "PowerSplit",
     "SchemeRun",
     "binary_entropy",
     "capacity_achieving_joint",
@@ -71,6 +68,7 @@ __all__ = [
     "noisy_two_user_bounds",
     "pmf_entropy",
     "rate_ignore_side_info",
+    "scaled_powers",
     "simulate_scheme",
     "t_of_qd",
     "universal_gap",

@@ -64,9 +64,8 @@ def _cmd_bounds(parser, args) -> int:
             parser.error("--correlated requires --qd")
         q1 = args.q1 if args.q1 is not None else args.qd / 4.0
         q2 = args.q2 if args.q2 is not None else q1
-        spec = correlated.CorrelatedSpec(p, q1, q2, args.qd)
         rows = [
-            ("correlated-converse", "upper", correlated.upper_correlated(spec)),
+            ("correlated-converse", "upper", correlated.upper_correlated(p, q1, q2, args.qd)),
             ("dithered-superposition", "lower", correlated.lower_beta(p, args.qd)),
             ("time-sharing", "lower", gaussian.rate_timeshare(p)),
         ]

@@ -3,9 +3,8 @@
 Entropies, jointly-Gaussian mutual information over a whole stack of
 covariance matrices per call, dB conversion, a derivative-free scalar
 minimizer that solves a batch of problems per call, and the argument and
-rate checks and received power that the Gaussian modules share.  The
-checks come in a float form, for the float-only functions, and an array
-form, which takes floats or arrays.
+rate checks, received power and result shaping that the Gaussian modules
+share.  The argument check takes floats or arrays alike.
 All returned rates are bits per channel use (logs base 2); natural-log
 internals are an implementation detail.  Every function here is pure, so
 concurrent use needs no locking.
@@ -133,8 +132,8 @@ class JointPmf:
 
 
 def _first(bad):
-    """The index of the first True entry of bad, a flag per matrix of a
-    stack, and how an error names it: () and '' for a single matrix."""
+    """The index of the first True entry of bad, a flag per entry of a stack,
+    and how an error names it: () and '' for a single entry."""
     if np.ndim(bad) == 0:
         return (), ""
     i = tuple(int(j) for j in np.argwhere(bad)[0])
@@ -147,17 +146,16 @@ class GaussianCov:
     of them: matrix has shape (..., dim, dim), and a single matrix is the
     stack with empty leading shape.
 
-    Each matrix must be symmetric within 1e-12 (relative) and positive
-    semidefinite (eigenvalues >= -1e-9 * trace).
+    Each matrix must be square, symmetric within 1e-12 (relative) and
+    positive semidefinite (eigenvalues >= -1e-9 * trace).
     """
 
-    dim: int
     matrix: np.ndarray
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=float)
-        if self.dim < 1 or m.shape[-2:] != (self.dim, self.dim):
-            raise ValueError(f"matrix must be {self.dim}x{self.dim}")
+        if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] < 1:
+            raise ValueError(f"matrix must be square, got shape {m.shape}")
         scale = np.maximum(1.0, np.max(np.abs(m), axis=(-2, -1)))
         asymmetric = np.max(np.abs(m - np.swapaxes(m, -2, -1)), axis=(-2, -1)) > 1e-12 * scale
         if asymmetric.any():
@@ -171,6 +169,18 @@ class GaussianCov:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[-1]
+
+    @classmethod
+    def _of_valid(cls, matrix: np.ndarray) -> "GaussianCov":
+        """Wrap a float stack unchecked: for stacks the library derives from
+        checked ones in ways that keep them valid."""
+        cov = cls.__new__(cls)
+        object.__setattr__(cov, "matrix", matrix)
+        return cov
+
     @classmethod
     def from_factors(cls, coeffs: np.ndarray, variances) -> "GaussianCov":
         """Covariance of Y = C F where F has independent components.
@@ -183,27 +193,19 @@ class GaussianCov:
         v = np.asarray(variances, dtype=float)
         if np.any(v < 0):
             raise ValueError("factor variances must be nonnegative")
-        return cls(c.shape[-2], (c * v[..., None, :]) @ np.swapaxes(c, -2, -1))
+        return cls((c * v[..., None, :]) @ np.swapaxes(c, -2, -1))
 
 
-def _check_nonnegative(name: str, value: float, *more) -> None:
-    """Raise ValueError naming the first of the (name, value) pairs whose
-    value is negative, NaN or infinite."""
-    if not 0.0 <= value < math.inf:
-        raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
-    if more:
-        _check_nonnegative(*more)
-
-
-def _check_all_nonnegative(name: str, values, *more) -> None:
-    """The array form of _check_nonnegative: each value is a float or an array,
-    and the first entry that is negative, NaN or infinite raises its message."""
+def _check_nonnegative(name: str, values, *more) -> None:
+    """Raise ValueError naming the first of the (name, values) pairs with an
+    entry that is negative, NaN or infinite; each values is a float or an
+    array."""
     v = np.asarray(values, dtype=float)
     bad = ~((v >= 0.0) & (v < math.inf))
     if bad.any():
-        _check_nonnegative(name, float(v[bad][0]))
+        raise ValueError(f"{name} must be finite and nonnegative, got {float(v[bad][0])!r}")
     if more:
-        _check_all_nonnegative(*more)
+        _check_nonnegative(*more)
 
 
 def _check_integer(name: str, value, *more) -> None:
@@ -216,6 +218,12 @@ def _check_integer(name: str, value, *more) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
     if more:
         _check_integer(*more)
+
+
+def _out(values):
+    """A result as the caller's arguments shaped it: a Python float when it
+    is 0-d, as from float arguments, else the array."""
+    return float(values) if np.ndim(values) == 0 else values
 
 
 def _received_power(p, q):
@@ -290,8 +298,7 @@ def gaussian_mi(cov: GaussianCov, block_a, block_b):
     la = _logdet_principal(cov, a)
     lb = _logdet_principal(cov, b)
     lab = _logdet_principal(cov, a + b)
-    mi = (la + lb - lab) / (2.0 * _LN2)
-    return float(mi) if mi.ndim == 0 else mi
+    return _out((la + lb - lab) / (2.0 * _LN2))
 
 
 _GRID_POINTS = 2001
@@ -346,4 +353,4 @@ def minimize_scalar(f, domain):
         # recomputed, point j is bit for bit the one f was given
         x = np.where(better, np.clip(x + cell * _ZOOM_STEPS[j], lo, hi), x)
         v = np.where(better, zv, v)
-    return (float(x), float(v)) if x.ndim == 0 else (x, v)
+    return _out(x), _out(v)

@@ -15,30 +15,25 @@ oracle that reproduces the two codebook rates from first principles, for
 arrays of splits and Q in one stacked call; `maximize_power_split` likewise
 solves a whole array of P, at one Q, in one call.
 
-The closed forms (`awgn_capacity`, `rate_timeshare`,
-`rate_interference_as_noise`, `upper_i`, `upper_ii`, `upper_envelope`,
-`lower_bound`, `gap`, `high_sinr_asymptote`, `upper_k`) take floats, or
-arrays of P and Q that broadcast against each other.  Every argument takes one path,
-numpy's: floats in give a Python float out, arrays give an array.  A float
-call thus pays numpy's per-call overhead, about 4.5 us for `awgn_capacity`
-and 28 us for `gap` (2 vCPU, numpy 2.4); sweeps pass arrays.  Each public
-function checks its arguments once and then calls private formulas that
-do not check again.
+Every P, Q and split power (P_A, P_D) is a plain float, or an array that
+broadcasts against the others, and takes numpy's path: floats in give a
+Python float out.  A float call thus pays numpy's per-call overhead, about
+4.5 us for `awgn_capacity` and 28 us for `gap` (2 vCPU, numpy 2.4); sweeps
+pass arrays.  Each public function checks each argument once and then
+calls private formulas that do not check again.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import GaussianCov, gaussian_mi, minimize_scalar
-from .core import _check_all_nonnegative, _check_integer
-from .core import _rates, _received_power
+from .core import _check_integer, _check_nonnegative
+from .core import _out, _rates, _received_power
 
 __all__ = [
-    "PowerSplit",
     "awgn_capacity",
     "rate_timeshare",
     "rate_interference_as_noise",
@@ -64,47 +59,25 @@ __all__ = [
 ]
 
 
-def _out(values):
-    """A result as the caller's arguments shaped it: a Python float when it
-    is 0-d, as from float arguments, else the array."""
-    return float(values) if np.ndim(values) == 0 else values
-
-
-@dataclass(frozen=True)
-class PowerSplit:
-    """(P_A, P_D) power allocation for the superposition scheme: floats, or
-    arrays that broadcast (a P-row maximize_power_split returns those)."""
-
-    p_a: float
-    p_d: float
-
-    def __post_init__(self):
-        _check_all_nonnegative("P_A", self.p_a, "P_D", self.p_d)
-
-    @property
-    def total(self) -> float:
-        return self.p_a + self.p_d
-
-
 def _awgn(p):
     return 0.5 * np.log2(1.0 + p)
 
 
 def awgn_capacity(p):
     """Interference-free point-to-point rate, the trivial upper bound."""
-    _check_all_nonnegative("P", p)
+    _check_nonnegative("P", p)
     return _out(_awgn(p))
 
 
 def rate_timeshare(p):
     """Serve each user on half the uses with full precancellation: log(1+P)/4."""
-    _check_all_nonnegative("P", p)
+    _check_nonnegative("P", p)
     return _out(_rates(0.25 * np.log2(1.0 + p)))
 
 
 def rate_interference_as_noise(p, q):
     """Fold the interference into the noise: log2(1 + P/(Q+1))/2."""
-    _check_all_nonnegative("P", p, "Q", q)
+    _check_nonnegative("P", p, "Q", q)
     return _out(_rates(0.5 * np.log2(1.0 + p / (q + 1.0))))
 
 
@@ -140,7 +113,7 @@ def _rho_i(q):
 
 def rho_upper_i(q):
     """Noise correlation minimizing the genie bound: min(Q/4, 1)."""
-    _check_all_nonnegative("Q", q)
+    _check_nonnegative("Q", q)
     return _out(_rho_i(q))
 
 
@@ -153,7 +126,7 @@ def upper_i(p, q):
     which always lies inside the objective's open domain.
 
     For Q >= 4 this is log2(1+P)/4 + log2((P+Q+1+2 sqrt(PQ))/Q)/4."""
-    _check_all_nonnegative("P", p, "Q", q)
+    _check_nonnegative("P", p, "Q", q)
     return _out(_upper_i(p, q))
 
 
@@ -195,7 +168,7 @@ def _rho_ii(q):
 def rho_upper_ii(q):
     """Noise correlation minimizing the leading term of the joint-output
     bound: min(Q/2, 1)."""
-    _check_all_nonnegative("Q", q)
+    _check_nonnegative("Q", q)
     return _out(_rho_ii(q))
 
 
@@ -212,13 +185,13 @@ def upper_ii(p, q):
     sit strictly below this value, which stays a valid upper bound either
     way (see minimize_upper_ii_rho).
     """
-    _check_all_nonnegative("P", p, "Q", q)
+    _check_nonnegative("P", p, "Q", q)
     return _out(_upper_ii(p, q))
 
 
 def upper_envelope(p, q):
     """min of the two correlation bounds and the trivial bound log2(1+P)/2."""
-    _check_all_nonnegative("P", p, "Q", q)
+    _check_nonnegative("P", p, "Q", q)
     return _out(np.minimum(np.minimum(_upper_i(p, q), _upper_ii(p, q)), _awgn(p)))
 
 
@@ -227,13 +200,13 @@ def _split_rate(p_a, p_d, q):
     return 0.5 * np.log2(1.0 + p_a / (p_d + q / 2.0 + 1.0)) + 0.25 * np.log2(1.0 + p_d)
 
 
-def rate_of_split(split: PowerSplit, q):
-    """Rate of the superposition scheme at a power split; Q and the split's
-    powers are floats or arrays that broadcast:
+def rate_of_split(p_a, p_d, q):
+    """Rate of the superposition scheme at the power split (P_A, P_D); the
+    powers and Q are floats or arrays that broadcast:
 
     log2(1 + P_A/(P_D+Q/2+1))/2 + log2(1+P_D)/4."""
-    _check_all_nonnegative("Q", q)
-    return _out(_split_rate(split.p_a, split.p_d, q))
+    _check_nonnegative("P_A", p_a, "P_D", p_d, "Q", q)
+    return _out(_split_rate(p_a, p_d, q))
 
 
 def _lower_bound(p, q):
@@ -248,14 +221,14 @@ def lower_bound(p, q):
     That is pure DPC against the common interference part (Q/2 < 1), a
     mixed split (1 <= Q/2 < P+1), and pure time-sharing (Q/2 >= P+1).
     """
-    _check_all_nonnegative("P", p, "Q", q)
+    _check_nonnegative("P", p, "Q", q)
     return _out(_lower_bound(p, q))
 
 
 def _minimize_over_rho(objective, p, q):
     """objective(p, q, rho) minimized over rho in [-1, 1] at each entry of P,
     in one minimize_scalar call."""
-    _check_all_nonnegative("P", p, "Q", q)
+    _check_nonnegative("P", p, "Q", q)
     p_column = np.reshape(p, (-1, 1))
     rho, bits = minimize_scalar(lambda rho: objective(p_column, q, rho), (-1.0, 1.0))
     return _out(np.reshape(rho, np.shape(p))), _out(np.reshape(bits, np.shape(p)))
@@ -275,16 +248,16 @@ def minimize_upper_ii_rho(p, q: float):
 
 def maximize_power_split(p, q: float):
     """Numeric oracle for the best power split at a float Q; returns
-    (PowerSplit, bits).
+    (P_A, P_D, bits).
 
     P is a float, or a 1-D array whose entries are solved in one
-    minimize_scalar call; then the PowerSplit holds arrays P_A and P_D, and
-    bits is an array, like P.  At fixed P_D the split rate rises with P_A,
-    so no optimum leaves power unspent and the search runs on the
-    full-power line P_A + P_D = P.  It minimizes the negated rate over the
-    log share s = log(1+P_D)/log(1+P) in [0, 1], which resolves an optimal
-    P_D many decades below P; the closed-form optimum is not used."""
-    _check_all_nonnegative("P", p, "Q", q)
+    minimize_scalar call; then P_A, P_D and bits are arrays, like P.  At
+    fixed P_D the split rate rises with P_A, so no optimum leaves power
+    unspent and the search runs on the full-power line P_A + P_D = P.  It
+    minimizes the negated rate over the log share s = log(1+P_D)/log(1+P)
+    in [0, 1], which resolves an optimal P_D many decades below P; the
+    closed-form optimum is not used."""
+    _check_nonnegative("P", p, "Q", q)
     p_flat = np.reshape(p, -1)
     log_total = np.log1p(p_flat)
 
@@ -300,8 +273,8 @@ def maximize_power_split(p, q: float):
 
     s, _ = minimize_scalar(negated_rate, (0.0, 1.0))
     p_d = _out(np.reshape(p_d_at(s, p_flat, log_total), np.shape(p)))
-    split = PowerSplit(p - p_d, p_d)
-    return split, _out(_split_rate(split.p_a, split.p_d, q))
+    p_a = p - p_d  # P_D <= P, so no power goes negative
+    return p_a, p_d, _out(_split_rate(p_a, p_d, q))
 
 
 # Index map of the factor representation used by the scheme oracle.
@@ -322,18 +295,18 @@ _DPC_COEFFS = np.array(
 )
 
 
-def dpc_covariance(split: PowerSplit, q):
+def dpc_covariance(p_a, p_d, q):
     """Joint covariance of (X_A, X_D, A, D, Z, U_A, U_D, Y1) for the scheme.
 
     A and D are the half-sum/half-difference interference parts, each of
     variance Q/2; U_A = X_A + alpha_A A with alpha_A = P_A/(P+Q/2+1);
     U_D = X_D + alpha_D((1-alpha_A)A + D) with alpha_D = P_D/(P_D+1).
-    The split's powers and Q are floats or arrays that broadcast; returns
-    (GaussianCov, name->index map), the GaussianCov a stack of one 8x8
-    matrix per entry of the broadcast shape.
+    The split's powers P_A, P_D and Q are floats or arrays that broadcast;
+    returns (GaussianCov, name->index map), the GaussianCov a stack of one
+    8x8 matrix per entry of the broadcast shape.
     """
-    _check_all_nonnegative("Q", q)
-    p_a, p_d, q = np.broadcast_arrays(split.p_a, split.p_d, q)
+    _check_nonnegative("P_A", p_a, "P_D", p_d, "Q", q)
+    p_a, p_d, q = np.broadcast_arrays(p_a, p_d, q)
     alpha_a = p_a / (p_a + p_d + q / 2.0 + 1.0)
     alpha_d = p_d / (p_d + 1.0)
     coeffs = np.broadcast_to(_DPC_COEFFS, p_a.shape + _DPC_COEFFS.shape).copy()
@@ -344,11 +317,11 @@ def dpc_covariance(split: PowerSplit, q):
     return GaussianCov.from_factors(coeffs, variances), dict(_DPC_VARS)
 
 
-def dpc_scheme_oracle(split: PowerSplit, q):
+def dpc_scheme_oracle(p_a, p_d, q):
     """Binning rates of the two codebooks, from the covariance alone.
 
     r_a = I(U_A;Y1) - I(U_A;A) and r_d = I(U_D;Y1,U_A) - I(U_D;A,D); these
-    must equal log2(1+P_A/(P_D+Q/2+1))/2 and log2(1+P_D)/2.  The split and
+    must equal log2(1+P_A/(P_D+Q/2+1))/2 and log2(1+P_D)/2.  P_A, P_D and
     Q are floats or arrays that broadcast, like r_a and r_d; each of the
     four terms is one gaussian_mi call over the covariance stack.
 
@@ -356,16 +329,17 @@ def dpc_scheme_oracle(split: PowerSplit, q):
     mutual-information terms are 0 by convention.  Each constant is swapped
     for an independent unit-variance variable, which changes no mutual
     information and keeps every block nonsingular; those entries' terms are
-    then masked to 0.
+    then masked to 0.  A constant's row and column are 0, so the swap keeps
+    the checked matrix PSD, and it is not checked again.
     """
-    cov, ix = dpc_covariance(split, q)
+    cov, ix = dpc_covariance(p_a, p_d, q)
     constant = np.diagonal(cov.matrix, axis1=-2, axis2=-1) == 0.0
-    cov = GaussianCov(cov.dim, cov.matrix + constant[..., None] * np.eye(cov.dim))
+    cov = GaussianCov._of_valid(cov.matrix + constant[..., None] * np.eye(8))
     u_a, u_d, y1 = [ix["u_a"]], [ix["u_d"]], [ix["y1"]]
     leak_a = np.where(q > 0.0, gaussian_mi(cov, u_a, [ix["a"]]), 0.0)
     leak_d = np.where(q > 0.0, gaussian_mi(cov, u_d, [ix["a"], ix["d"]]), 0.0)
-    r_a = np.where(split.p_a > 0.0, gaussian_mi(cov, u_a, y1) - leak_a, 0.0)
-    r_d = np.where(split.p_d > 0.0, gaussian_mi(cov, u_d, y1 + u_a) - leak_d, 0.0)
+    r_a = np.where(p_a > 0.0, gaussian_mi(cov, u_a, y1) - leak_a, 0.0)
+    r_d = np.where(p_d > 0.0, gaussian_mi(cov, u_d, y1 + u_a) - leak_d, 0.0)
     return _out(r_a), _out(r_d)
 
 
@@ -378,7 +352,7 @@ def upper_k_raw(p, q, k: int):
     _check_integer("K", k)
     if k < 2:
         raise ValueError("user count must be >= 2")
-    _check_all_nonnegative("P", p, "Q", q)
+    _check_nonnegative("P", p, "Q", q)
     log2_q = _log2_q(q)
     return _out(
         0.5 * np.log2(_received_power(p, q))
@@ -403,7 +377,7 @@ def universal_gap() -> float:
 def gap(p, q):
     """upper_ii minus lower_bound, checked like a rate: a rounding below 0
     (upper_ii < lower_bound by 6e-14 at P = 1e160) is clamped."""
-    _check_all_nonnegative("P", p, "Q", q)
+    _check_nonnegative("P", p, "Q", q)
     return _out(_rates(_upper_ii(p, q) - _lower_bound(p, q)))
 
 
@@ -412,7 +386,7 @@ def high_sinr_asymptote(p, q):
 
     log2(P/sqrt(2Q))/2 for Q > 2, log2(P/(1+Q/2))/2 for Q <= 2.  Every
     entry of P must be positive."""
-    _check_all_nonnegative("P", p, "Q", q)
+    _check_nonnegative("P", p, "Q", q)
     if np.any(np.equal(p, 0.0)):
         raise ValueError("P must be positive")
     return _out(0.5 * np.log2(p / np.where(q > 2.0, np.sqrt(2.0 * q), 1.0 + q / 2.0)))

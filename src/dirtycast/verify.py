@@ -89,14 +89,14 @@ def check_gaussian_mi_properties() -> str:
         groups.setdefault((dim, int(rng.integers(1, dim))), []).append(a @ a.T)
     worst_sym, worst_neg = 0.0, 0.0
     for (dim, cut), matrices in groups.items():  # one call per (dim, cut) and direction
-        cov, a, b = GaussianCov(dim, np.array(matrices)), range(cut), range(cut, dim)
+        cov, a, b = GaussianCov(np.array(matrices)), range(cut), range(cut, dim)
         fwd, bwd = gaussian_mi(cov, a, b), gaussian_mi(cov, b, a)
         worst_sym = max(worst_sym, float(np.max(np.abs(fwd - bwd))))
         worst_neg = min(worst_neg, float(np.min(fwd)))
     _require(worst_sym < 1e-9, f"MI symmetry violated by {worst_sym}")
     _require(worst_neg > -1e-9, f"negative MI {worst_neg}")
     p = np.array((0.5, 4.0, 1995.2623149688789))
-    awgn = GaussianCov(2, np.moveaxis(np.array([[p, p], [p, p + 1.0]]), -1, 0))
+    awgn = GaussianCov(np.moveaxis(np.array([[p, p], [p, p + 1.0]]), -1, 0))
     err = np.abs(gaussian_mi(awgn, [0], [1]) - gaussian.awgn_capacity(p))
     _require_all(err < 1e-12, lambda i: f"AWGN identity I(X;X+Z) off by {err[i]} at P={p[i]}")
     return ("symmetry<1e-9, nonnegativity on random PSD matrices; "
@@ -248,7 +248,7 @@ def check_lower_bound_vs_grid() -> str:
     worst = 0.0
     p = np.array((0.1, 1.0, 3.79, 12.0, 23.4, 263.7, 1.0e4))
     for q in (0.0, 0.5, 2.0, 4.0, 31.6, 500.0, 1.0e4):  # one P row per call
-        _, numeric = gaussian.maximize_power_split(p, q)
+        _, _, numeric = gaussian.maximize_power_split(p, q)
         closed = gaussian.lower_bound(p, q)
         worst = max(worst, float(np.max(np.abs(closed - numeric) / np.maximum(1.0, closed))))
     _require(worst <= 1e-12, f"closed lower bound vs power-split oracle differ by {worst} relative")
@@ -281,9 +281,9 @@ def check_dpc_oracle() -> str:
     # 100 draws of (P_A, P_D, Q), each 10^u in float arithmetic
     p_a, p_d, q = np.array([10.0 ** u for u in rng.uniform(-2, 3, 300).tolist()]).reshape(100, 3).T
     # the split rate is r_a + r_d/2, and all of it is r_d/2 at P_A = 0
-    d = gaussian.rate_of_split(gaussian.PowerSplit(0.0, p_d), q)
-    a = gaussian.rate_of_split(gaussian.PowerSplit(p_a, p_d), q) - d
-    r_a, r_d = gaussian.dpc_scheme_oracle(gaussian.PowerSplit(p_a, p_d), q)
+    d = gaussian.rate_of_split(0.0, p_d, q)
+    a = gaussian.rate_of_split(p_a, p_d, q) - d
+    r_a, r_d = gaussian.dpc_scheme_oracle(p_a, p_d, q)
     worst = float(max(np.max(np.abs(r_d - 2.0 * d)), np.max(np.abs(r_a - a))))
     _require(worst < 1e-9, f"scheme oracle off by {worst}")
     return f"covariance-assembled codebook rates match rate_of_split (worst {worst:.2e})"
@@ -346,9 +346,10 @@ def check_universal_gap() -> str:
     regional = 0.5 * math.log2((5.0 + math.sqrt(17.0)) / 4.0)
     _require(abs(gaussian.gap(p_star, 2.0) - regional) < 1e-12, "regional maximizer value")
     _require(abs(regional - 0.59479) <= 1e-3, f"regional constant {regional}")
-    low_q_sup = float(np.max(gaussian.gap(np.linspace(0.01, 10.0, 120)[:, None],
-                                           np.linspace(0.0, 2.0, 81))))
-    _require(low_q_sup <= regional + 1e-9, f"Q<=2 regional sweep exceeded: {low_q_sup}")
+    for p_count, q_count in ((120, 81), (150, 101)):
+        low_q_sup = float(np.max(gaussian.gap(np.linspace(0.01, 10.0, p_count)[:, None],
+                                               np.linspace(0.0, 2.0, q_count))))
+        _require(low_q_sup <= regional + 1e-9, f"Q<=2 regional sweep exceeded: {low_q_sup}")
     return (
         f"constant {const:.5f}, grid sup {sup:.5f} from below; "
         f"regional max {regional:.5f} at (P={p_star:.4f}, Q=2)"
@@ -382,44 +383,42 @@ def check_upper_k() -> str:
 
 def check_correlated_t_and_bridge() -> str:
     # both branches of T evaluate to exactly 1/2 at the seam Qd=4
-    _require(abs(correlated.t_of_qd(4.0) - 0.5) < 1e-15, "T(4) must be 1/2")
-    _require(
-        abs(correlated.t_of_qd(4.0 + 1e-10) - correlated.t_of_qd(4.0 - 1e-10)) < 1e-9,
-        "T continuity at Qd=4",
-    )
-    prev = -1.0
-    for qd in np.linspace(0.0, 50.0, 501):
-        t = correlated.t_of_qd(float(qd))
-        _require(t >= prev - 1e-12, f"T not nondecreasing at Qd={qd}")
-        prev = t
+    seam = correlated.t_of_qd(np.array((4.0, 4.0 + 1e-10, 4.0 - 1e-10)))
+    _require(abs(seam[0] - 0.5) < 1e-15, "T(4) must be 1/2")
+    _require(abs(seam[1] - seam[2]) < 1e-9, "T continuity at Qd=4")
+    qd = np.linspace(0.0, 50.0, 501)
+    rise = np.diff(correlated.t_of_qd(qd), prepend=-1.0)
+    _require_all(rise >= -1e-12, lambda i: f"T not nondecreasing at Qd={qd[i]}")
     # the bridge: the beta scheme feels half the spread, so it is the independent bound at Qd/2
-    for p in (0.5, 10.0, 263.0):
-        for qd in (0.0, 0.5, 2.0, 4.0, 8.0, 40.0, 1.0e4):
-            _require(correlated.lower_beta(p, qd) == gaussian.lower_bound(p, qd / 2.0),
-                     f"lower_beta({p}, {qd}) != lower_bound({p}, {qd / 2.0})")
+    p = np.array((0.5, 10.0, 263.0))[:, None]
+    qd = np.array((0.0, 0.5, 2.0, 4.0, 8.0, 40.0, 1.0e4))
+    bridged = correlated.lower_beta(p, qd) == gaussian.lower_bound(p, qd / 2.0)
+    _require_all(bridged, lambda i, j: f"lower_beta({p[i, 0]}, {qd[j]}) != "
+                                       f"lower_bound({p[i, 0]}, {qd[j] / 2.0})")
     return ("T(Qd) = 1/2 at the seam Qd=4, continuous and nondecreasing; "
             "lower_beta(P, Qd) = lower_bound(P, Qd/2) exactly")
 
 
 def check_correlated_scaled_and_gaps() -> str:
     rng = np.random.default_rng(3)
-    for _ in range(50):
-        b1, b2 = float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2))
-        q0 = float(10.0 ** rng.uniform(-1, 2))
-        spec = correlated.CorrelatedSpec.from_scaled(10.0, b1, b2, q0)
-        for label, got, want in (("Q1", spec.q1, b1 * b1 * q0), ("Q2", spec.q2, b2 * b2 * q0),
-                                 ("Qd", spec.qd, (b1 - b2) ** 2 * q0)):
-            _require(abs(got - want) <= 1e-12 * max(1.0, got), f"{label} mismatch")
+    # 50 draws of (beta1, beta2, log10 Q0), in the order of 150 scalar draws;
+    # Q0 is 10^u in float arithmetic
+    u = rng.uniform((-2.0, -2.0, -1.0), (2.0, 2.0, 2.0), (50, 3))
+    b1, b2 = u[:, 0], u[:, 1]
+    q0 = np.array([10.0 ** x for x in u[:, 2].tolist()])
+    wants = (b1 * b1 * q0, b2 * b2 * q0, (b1 - b2) ** 2 * q0)
+    for label, got, want in zip(("Q1", "Q2", "Qd"), correlated.scaled_powers(b1, b2, q0), wants):
+        _require(np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, got)), f"{label} mismatch")
     try:
-        correlated.CorrelatedSpec(10.0, 1.0, 1.0, 9.0)
+        correlated.upper_correlated(10.0, 1.0, 1.0, 9.0)
         raise CheckFailure("infeasible (Q1,Q2,Qd) accepted")
     except ValueError:
         pass
-    for qd, q in ((10.0, 10.0), (100.0, None), (0.0, 1.0)):
-        g = correlated.high_sinr_gap_beta(1.0e8, qd, q)
-        _require(g <= 0.01, f"high-SINR gap {g} at Qd={qd}")
+    qd, q = np.array((10.0, 100.0, 0.0)), np.array((10.0, 25.0, 1.0))  # Q = 25 is Qd/4, the default
+    g = correlated.high_sinr_gap_beta(1.0e8, qd, q)
+    _require_all(g <= 0.01, lambda i: f"high-SINR gap {g[i]} at Qd={qd[i]}")
     lo = correlated.lower_beta(25.0, 12.0)
-    hi = correlated.upper_correlated(correlated.CorrelatedSpec.symmetric(25.0, 3.0, 12.0))
+    hi = correlated.upper_correlated(25.0, 3.0, 3.0, 12.0)
     _require(lo <= hi + 1e-12, "correlated ordering")
     return "scaled parameterization consistent; infeasible pairs rejected; high-SINR gaps <= 0.01"
 

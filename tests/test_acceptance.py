@@ -104,7 +104,7 @@ def test_criterion_05_optimizer_equivalence():
     worst_lo = 0.0
     p = np.array(P_GRID)
     for q in Q_GRID:  # one P row per call
-        _, vlo = gaussian.maximize_power_split(p, q)
+        _, _, vlo = gaussian.maximize_power_split(p, q)
         closed = gaussian.lower_bound(p, q)
         worst_lo = max(worst_lo, float(np.max(np.abs(vlo - closed) / np.maximum(1.0, closed))))
     elapsed = time.perf_counter() - t0

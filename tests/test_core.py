@@ -68,26 +68,26 @@ class TestJointPmf:
 
 class TestGaussianMi:
     def test_independent_blocks(self):
-        cov = GaussianCov(3, np.diag([1.0, 2.0, 3.0]))
+        cov = GaussianCov(np.diag([1.0, 2.0, 3.0]))
         assert gaussian_mi(cov, [0], [1, 2]) == pytest.approx(0.0, abs=1e-12)
 
     def test_dpc_codebook_rate_from_covariance(self):
         # common-stream binning rate at P_A=4, P_D=2, Q=2 is exactly 1/2
-        cov, ix = gaussian.dpc_covariance(gaussian.PowerSplit(4.0, 2.0), 2.0)
+        cov, ix = gaussian.dpc_covariance(4.0, 2.0, 2.0)
         got = gaussian_mi(cov, [ix["u_a"]], [ix["y1"]]) - gaussian_mi(cov, [ix["u_a"]], [ix["a"]])
         assert got == pytest.approx(0.5, abs=1e-12)
 
     def test_singular_covariance_raises(self):
         # X repeated twice: joint block is rank one
-        cov = GaussianCov(2, np.array([[1.0, 1.0], [1.0, 1.0]]))
+        cov = GaussianCov(np.array([[1.0, 1.0], [1.0, 1.0]]))
         with pytest.raises(SingularCovarianceError):
             gaussian_mi(cov, [0], [1])
-        zero = GaussianCov(2, np.diag([0.0, 1.0]))
+        zero = GaussianCov(np.diag([0.0, 1.0]))
         with pytest.raises(SingularCovarianceError):
             gaussian_mi(zero, [0], [1])
 
     def test_block_validation(self):
-        cov = GaussianCov(2, np.eye(2))
+        cov = GaussianCov(np.eye(2))
         with pytest.raises(ValueError):
             gaussian_mi(cov, [0], [0])
         with pytest.raises(ValueError):
@@ -97,24 +97,25 @@ class TestGaussianMi:
 
     def test_cov_validation(self):
         with pytest.raises(ValueError):
-            GaussianCov(2, np.array([[1.0, 0.5], [0.4, 1.0]]))
+            GaussianCov(np.array([[1.0, 0.5], [0.4, 1.0]]))
         with pytest.raises(ValueError):
-            GaussianCov(2, np.array([[1.0, 2.0], [2.0, 1.0]]))  # eigenvalue -1
-        with pytest.raises(ValueError):
-            GaussianCov(2, np.eye(3))
+            GaussianCov(np.array([[1.0, 2.0], [2.0, 1.0]]))  # eigenvalue -1
+        with pytest.raises(ValueError, match=r"^matrix must be square, got shape \(2, 3\)"):
+            GaussianCov(np.ones((2, 3)))
+        assert GaussianCov(np.broadcast_to(np.eye(3), (5, 3, 3))).dim == 3
 
     def test_stack_matches_per_matrix(self):
         rng = np.random.default_rng(5)
         for dim in range(2, 9):
             a = rng.normal(size=(6, dim, dim + 2))
-            stack = GaussianCov(dim, a @ np.swapaxes(a, -2, -1))
+            stack = GaussianCov(a @ np.swapaxes(a, -2, -1))
             for cut in range(1, dim):
                 got = gaussian_mi(stack, range(cut), range(cut, dim))
                 assert got.shape == (6,)
-                singles = [gaussian_mi(GaussianCov(dim, m), range(cut), range(cut, dim))
+                singles = [gaussian_mi(GaussianCov(m), range(cut), range(cut, dim))
                            for m in stack.matrix]
                 assert got.tolist() == singles
-        grid = GaussianCov(2, np.broadcast_to(np.eye(2), (3, 4, 2, 2)))
+        grid = GaussianCov(np.broadcast_to(np.eye(2), (3, 4, 2, 2)))
         assert gaussian_mi(grid, [0], [1]).shape == (3, 4)
 
     def test_stack_names_the_bad_matrix(self):
@@ -124,15 +125,15 @@ class TestGaussianMi:
         indefinite[3] = [[1.0, 2.0], [2.0, 1.0]]
         singular[1] = [[1.0, 1.0], [1.0, 1.0]]
         with pytest.raises(ValueError, match="^matrix at stack index 2 is not symmetric"):
-            GaussianCov(2, asymmetric)
+            GaussianCov(asymmetric)
         with pytest.raises(ValueError, match="^matrix at stack index 3 is not PSD"):
-            GaussianCov(2, indefinite)
+            GaussianCov(indefinite)
         with pytest.raises(SingularCovarianceError, match=r"\[0, 1\] at stack index 1 is singular"):
-            gaussian_mi(GaussianCov(2, singular), [0], [1])
+            gaussian_mi(GaussianCov(singular), [0], [1])
         grid = np.broadcast_to(np.eye(2), (2, 3, 2, 2)).copy()
         grid[1, 2, 0, 0] = 0.0
         with pytest.raises(SingularCovarianceError, match=r"at stack index \(1, 2\) has nonpositive"):
-            gaussian_mi(GaussianCov(2, grid), [0], [1])
+            gaussian_mi(GaussianCov(grid), [0], [1])
 
     def test_from_factors(self):
         cov = GaussianCov.from_factors(np.array([[1.0, 0.0], [1.0, 1.0]]), [4.0, 1.0])

@@ -8,7 +8,6 @@ import pytest
 
 from dirtycast import correlated, gaussian
 from dirtycast.gaussian import (
-    PowerSplit,
     awgn_capacity,
     dpc_covariance,
     dpc_scheme_oracle,
@@ -112,61 +111,54 @@ class TestLowerBound:
         assert lower_bound(10.0, 4.0) == pytest.approx(1.100219859070546, abs=1e-12)
 
     def test_rate_of_split_examples(self):
-        assert rate_of_split(PowerSplit(6.0, 0.0), 4.0) == pytest.approx(
-            0.5 * math.log2(1.0 + 6.0 / 3.0), abs=1e-12
-        )
-        assert rate_of_split(PowerSplit(0.0, 6.0), 4.0) == pytest.approx(
-            0.25 * math.log2(7.0), abs=1e-12
-        )
-        assert rate_of_split(PowerSplit(4.0, 2.0), 2.0) == pytest.approx(
-            0.896240625180289, abs=1e-12
-        )
+        assert rate_of_split(6.0, 0.0, 4.0) == pytest.approx(0.5 * math.log2(3.0), abs=1e-12)
+        assert rate_of_split(0.0, 6.0, 4.0) == pytest.approx(0.25 * math.log2(7.0), abs=1e-12)
+        assert rate_of_split(4.0, 2.0, 2.0) == pytest.approx(0.896240625180289, abs=1e-12)
 
     def test_closed_form_matches_grid_search(self):
         # the sweep reaches optimal P_D many decades below P, e.g. 5e9 at
         # (P, Q) = (1e100, 1e10)
         sweep = np.array((0.0, 1e-300, 1e-3, 1.0, 3.0, 10.0, 1e4, 1e10, 1e100, 1e300))
         for q in sweep.tolist():  # one P row per call
-            split, numeric = maximize_power_split(sweep, q)
+            p_a, p_d, numeric = maximize_power_split(sweep, q)
             closed = lower_bound(sweep, q)
             assert np.all(np.abs(closed - numeric) <= 1e-12 * np.maximum(1.0, closed)), q
-            assert split.total == pytest.approx(sweep, rel=1e-12, abs=0)
+            assert p_a + p_d == pytest.approx(sweep, rel=1e-12, abs=0)
 
 
 class TestDpcOracle:
     def test_frozen_point(self):
-        r_a, r_d = dpc_scheme_oracle(PowerSplit(4.0, 2.0), 2.0)
+        r_a, r_d = dpc_scheme_oracle(4.0, 2.0, 2.0)
         assert r_a == pytest.approx(0.5, abs=1e-9)
         assert r_d == pytest.approx(0.5 * math.log2(3.0), abs=1e-9)
 
     def test_degenerate_splits(self):
-        r_a, r_d = dpc_scheme_oracle(PowerSplit(0.0, 2.0), 2.0)
+        r_a, r_d = dpc_scheme_oracle(0.0, 2.0, 2.0)
         assert r_a == 0.0
         assert r_d == pytest.approx(0.5 * math.log2(3.0), abs=1e-9)
-        r_a, r_d = dpc_scheme_oracle(PowerSplit(4.0, 0.0), 2.0)
+        r_a, r_d = dpc_scheme_oracle(4.0, 0.0, 2.0)
         assert r_a == pytest.approx(0.5 * math.log2(3.0), abs=1e-9)
         assert r_d == 0.0
 
     def test_array_split_matches_float_entry_by_entry(self):
-        row, _ = maximize_power_split(np.array([1.0, 10.0]), 4.0)
+        row = maximize_power_split(np.array([1.0, 10.0]), 4.0)[:2]
         # P_A = 0, P_D = 0 and Q = 0 entries, alone and together
-        degenerate = PowerSplit(np.array([0.0, 4.0, 4.0, 0.0, 3.0]),
-                                np.array([2.0, 0.0, 2.0, 2.0, 0.0]))
+        degenerate = (np.array([0.0, 4.0, 4.0, 0.0, 3.0]), np.array([2.0, 0.0, 2.0, 2.0, 0.0]))
         for split, q in ((row, 4.0), (degenerate, np.array([2.0, 2.0, 0.0, 0.0, 0.0]))):
             with np.errstate(all="raise"):
-                r_a, r_d = dpc_scheme_oracle(split, q)
-                cov, _ = dpc_covariance(split, q)
+                r_a, r_d = dpc_scheme_oracle(*split, q)
+                cov, _ = dpc_covariance(*split, q)
             for i, q_i in enumerate(np.broadcast_to(q, r_a.shape).tolist()):
-                single = PowerSplit(float(split.p_a[i]), float(split.p_d[i]))
-                assert (r_a[i], r_d[i]) == dpc_scheme_oracle(single, q_i)
-                assert (cov.matrix[i] == dpc_covariance(single, q_i)[0].matrix).all()
-            assert np.all(np.abs(r_a + 0.5 * r_d - rate_of_split(split, q)) < 1e-12)
+                single = (float(split[0][i]), float(split[1][i]), q_i)
+                assert (r_a[i], r_d[i]) == dpc_scheme_oracle(*single)
+                assert (cov.matrix[i] == dpc_covariance(*single)[0].matrix).all()
+            assert np.all(np.abs(r_a + 0.5 * r_d - rate_of_split(*split, q)) < 1e-12)
         assert r_a[0] == 0.0 and r_a[3] == 0.0 and r_d[1] == 0.0 and r_d[4] == 0.0
 
     def test_scheme_rate_is_achieved_at_the_optimal_split(self):
         p, q = 10.0, 4.0
-        split, _ = maximize_power_split(p, q)
-        r_a, r_d = dpc_scheme_oracle(split, q)
+        p_a, p_d, _ = maximize_power_split(p, q)
+        r_a, r_d = dpc_scheme_oracle(p_a, p_d, q)
         assert r_a + 0.5 * r_d == pytest.approx(lower_bound(p, q), abs=1e-5)
 
 
@@ -220,11 +212,7 @@ class TestGapAnalysis:
     def test_regional_maximum_low_q(self):
         # gaussian-universal-gap pins this value at (P*, Q=2) on a coarser sweep
         regional = 0.5 * math.log2((5.0 + math.sqrt(17.0)) / 4.0)
-        sweep = max(
-            gap(float(p), float(q))
-            for p in np.linspace(0.01, 10.0, 150)
-            for q in np.linspace(0.0, 2.0, 101)
-        )
+        sweep = gap(np.linspace(0.01, 10.0, 150)[:, None], np.linspace(0.0, 2.0, 101)).max()
         assert sweep <= regional + 1e-9
 
     def test_grid_supremum_approaches_constant_from_below(self):
@@ -255,11 +243,11 @@ class TestAsymptotesAndFeedback:
 
 class TestSpecType:
     def test_validation(self):
-        assert PowerSplit(1.0, 2.0).total == 3.0
-        with pytest.raises(ValueError):
-            PowerSplit(-1.0, 2.0)
-        with pytest.raises(ValueError):
-            PowerSplit(1.0, -1e-9)
+        # a power split is two plain arguments, checked by each function that takes them
+        with pytest.raises(ValueError, match="^P_A must be finite and nonnegative, got -1.0"):
+            dpc_covariance(-1.0, 2.0, 1.0)
+        with pytest.raises(ValueError, match="^P_D must be finite and nonnegative, got -1e-09"):
+            dpc_scheme_oracle(np.array([1.0, 1.0]), np.array([2.0, -1e-9]), 1.0)
 
     def test_at_rho_guards(self):
         assert upper_i_at_rho(1.0, 0.0, 1.0) == math.inf
@@ -306,12 +294,20 @@ class TestArrayObjectives:
         lambda p, q: awgn_capacity(p), lambda p, q: rate_timeshare(p), rate_interference_as_noise,
         upper_i, upper_ii, upper_envelope, lower_bound, gap,
         lambda p, q: upper_k_raw(p, q, 3), lambda p, q: upper_k(p, q, 3),
+        # correlated's bounds, with Q as the spread Qd
+        lambda p, qd: correlated.t_of_qd(qd), correlated.lower_beta,
+        lambda p, qd: correlated.upper_correlated(p, qd / 4.0, qd / 4.0, qd),
+        lambda p, qd: correlated.upper_correlated(p, 1e300, 1e300, qd),
+        lambda p, qd: correlated.high_sinr_gap_beta(p + 1.0, qd),
+        lambda p, qd: correlated.high_sinr_gap_beta(p + 1.0, qd, 1e300),
     ], ids=["awgn_capacity", "rate_timeshare", "rate_interference_as_noise",
-            "upper_i", "upper_ii", "upper_envelope", "lower_bound", "gap", "upper_k_raw", "upper_k"])
+            "upper_i", "upper_ii", "upper_envelope", "lower_bound", "gap", "upper_k_raw", "upper_k",
+            "t_of_qd", "lower_beta", "upper_correlated", "upper_correlated_big_marginals",
+            "high_sinr_gap_beta", "high_sinr_gap_beta_big_marginals"])
     def test_closed_form_array_matches_float(self, bound):
         powers = np.array(ARRAY_POWERS)
         with np.errstate(all="raise"):
-            # a column of P against a row of Q, Q = 0 included
+            # a column of P against a row of Q, Q = 0 and 1e300 included
             grid = np.broadcast_to(bound(powers[:, None], powers), (len(powers),) * 2)
         points = [(p, q) for p in ARRAY_POWERS for q in ARRAY_POWERS]
         assert_matches_elementwise(grid.ravel(), lambda i: bound(*points[i]))
@@ -322,10 +318,10 @@ class TestArrayObjectives:
             # the scan divides P_A by P_D + Q/2 + 1, which underflows at Q = 1e300
             # for floats of P as well
             with np.errstate(all="raise", under="ignore"):
-                split, bits = maximize_power_split(powers, q)
-            assert isinstance(split.p_a, np.ndarray) and isinstance(split.p_d, np.ndarray)
-            assert rate_of_split(split, q).tolist() == bits.tolist()
-            assert_matches_elementwise(bits, lambda i: maximize_power_split(ARRAY_POWERS[i], q)[1])
+                p_a, p_d, bits = maximize_power_split(powers, q)
+            assert isinstance(p_a, np.ndarray) and isinstance(p_d, np.ndarray)
+            assert rate_of_split(p_a, p_d, q).tolist() == bits.tolist()
+            assert_matches_elementwise(bits, lambda i: maximize_power_split(ARRAY_POWERS[i], q)[2])
 
     def test_split_rate_array_matches_scalar(self):
         share = np.linspace(0.0, 1.0, 2001)
@@ -333,10 +329,9 @@ class TestArrayObjectives:
             for q in ARRAY_POWERS:
                 p_d = share * p
                 with np.errstate(all="raise"):
-                    values = rate_of_split(PowerSplit(p - p_d, p_d), q)
+                    values = rate_of_split(p - p_d, p_d, q)
                 assert_matches_elementwise(
-                    values, lambda i: rate_of_split(PowerSplit(float(p - p_d[i]), float(p_d[i])), q)
-                )
+                    values, lambda i: rate_of_split(float(p - p_d[i]), float(p_d[i]), q))
 
 
 def _row(bound):
@@ -361,21 +356,23 @@ GUARDED = {
     "gap": (gap, ("P", "Q")),
     "rho_upper_i": (gaussian.rho_upper_i, ("Q",)),
     "rho_upper_ii": (gaussian.rho_upper_ii, ("Q",)),
-    "rho_upper_i_row": (_row(gaussian.rho_upper_i), ("Q",)),
-    "rho_upper_ii_row": (_row(gaussian.rho_upper_ii), ("Q",)),
-    **{f"{func.__name__}_row": (_row(func), ("P", "Q")[:count]) for func, count in (
-        (awgn_capacity, 1), (rate_timeshare, 1), (rate_interference_as_noise, 2), (upper_i, 2),
-        (upper_ii, 2), (upper_envelope, 2), (lower_bound, 2), (gap, 2),
+    **{f"{func.__name__}_row": (_row(func), tuple(names.split())) for func, names in (
+        (awgn_capacity, "P"), (rate_timeshare, "P"), (rate_interference_as_noise, "P Q"),
+        (upper_i, "P Q"), (upper_ii, "P Q"), (upper_envelope, "P Q"), (lower_bound, "P Q"),
+        (gap, "P Q"), (gaussian.rho_upper_i, "Q"), (gaussian.rho_upper_ii, "Q"),
+        (rate_of_split, "P_A P_D Q"), (correlated.t_of_qd, "Qd"), (correlated.lower_beta, "P Qd"),
+        (correlated.upper_correlated, "P Q1 Q2 Qd"), (correlated.high_sinr_gap_beta, "P Qd Q"),
     )},
-    "rate_of_split": (lambda q: rate_of_split(PowerSplit(1.0, 1.0), q), ("Q",)),
-    "dpc_covariance": (lambda q: dpc_covariance(PowerSplit(1.0, 1.0), q), ("Q",)),
-    "dpc_scheme_oracle_row": (lambda q: dpc_scheme_oracle(PowerSplit(1.0, 1.0), np.array([1.0, q])),
-                              ("Q",)),
+    "scaled_powers_row": (_row(lambda q0: correlated.scaled_powers(1.0, 1.0, q0)), ("Q0",)),
+    "rate_of_split": (lambda q: rate_of_split(1.0, 1.0, q), ("Q",)),
+    "dpc_covariance": (dpc_covariance, ("P_A", "P_D", "Q")),
+    "dpc_scheme_oracle_row": (_row(dpc_scheme_oracle), ("P_A", "P_D", "Q")),
     "upper_k_raw": (lambda p, q: upper_k_raw(p, q, 3), ("P", "Q")),
     "high_sinr_asymptote": (high_sinr_asymptote, ("P", "Q")),
-    "PowerSplit": (PowerSplit, ("P_A", "P_D")),
-    "CorrelatedSpec": (correlated.CorrelatedSpec, ("P", "Q1", "Q2", "Qd")),
-    "from_scaled": (lambda q0: correlated.CorrelatedSpec.from_scaled(1.0, 1.0, 1.0, q0), ("Q0",)),
+    # argument groups, each checked by the function that takes them
+    "PowerSplit": (lambda p_a, p_d: rate_of_split(p_a, p_d, 1.0), ("P_A", "P_D")),
+    "CorrelatedSpec": (correlated.upper_correlated, ("P", "Q1", "Q2", "Qd")),
+    "from_scaled": (lambda q0: correlated.scaled_powers(1.0, 1.0, q0), ("Q0",)),
     "t_of_qd": (correlated.t_of_qd, ("Qd",)),
     "lower_beta": (correlated.lower_beta, ("P", "Qd")),
     "high_sinr_gap_beta": (correlated.high_sinr_gap_beta, ("P", "Qd")),
@@ -395,10 +392,8 @@ def test_non_finite_arguments_are_rejected_by_name(name, index, bad):
         func(*args)
 
 
-_SPLIT = PowerSplit(1.0, 2.0)
-
-# every public Gaussian function, and correlated's lower_beta, at Python
-# floats, with the names it checks
+# every public function of gaussian and correlated, at Python floats, with
+# the names it checks
 FLOAT_CALLS = {
     "awgn_capacity": (lambda: awgn_capacity(1.0), ["P"]),
     "rate_timeshare": (lambda: rate_timeshare(1.0), ["P"]),
@@ -413,16 +408,20 @@ FLOAT_CALLS = {
     "upper_ii_at_rho": (lambda: (upper_ii_at_rho(1.0, 2.0, 0.5), upper_ii_at_rho(1.0, 2.0, 3.0)), []),
     "rho_upper_i": (lambda: gaussian.rho_upper_i(2.0), ["Q"]),
     "rho_upper_ii": (lambda: gaussian.rho_upper_ii(2.0), ["Q"]),
-    "PowerSplit": (lambda: PowerSplit(1.0, 2.0), ["P_A", "P_D"]),
-    "rate_of_split": (lambda: rate_of_split(_SPLIT, 2.0), ["Q"]),
-    "maximize_power_split": (lambda: maximize_power_split(1.0, 2.0), ["P", "Q", "P_A", "P_D"]),
+    "rate_of_split": (lambda: rate_of_split(1.0, 2.0, 2.0), ["P_A", "P_D", "Q"]),
+    "maximize_power_split": (lambda: maximize_power_split(1.0, 2.0), ["P", "Q"]),
     "minimize_upper_i_rho": (lambda: minimize_upper_i_rho(1.0, 2.0), ["P", "Q"]),
     "minimize_upper_ii_rho": (lambda: minimize_upper_ii_rho(1.0, 2.0), ["P", "Q"]),
-    "dpc_scheme_oracle": (lambda: dpc_scheme_oracle(_SPLIT, 2.0), ["Q"]),
+    "dpc_scheme_oracle": (lambda: dpc_scheme_oracle(1.0, 2.0, 2.0), ["P_A", "P_D", "Q"]),
     "upper_k_raw": (lambda: upper_k_raw(1.0, 2.0, 3), ["K", "P", "Q"]),
     "upper_k": (lambda: upper_k(1.0, 2.0, 3), ["K", "P", "Q"]),
     "universal_gap": (universal_gap, []),
     "lower_beta": (lambda: correlated.lower_beta(1.0, 2.0), ["P", "Qd"]),
+    "t_of_qd": (lambda: correlated.t_of_qd(2.0), ["Qd"]),
+    "upper_correlated": (lambda: correlated.upper_correlated(1.0, 2.0, 2.0, 3.0),
+                         ["Qd", "P", "Q1", "Q2"]),
+    "high_sinr_gap_beta": (lambda: correlated.high_sinr_gap_beta(1.0, 2.0), ["P", "Qd", "Q"]),
+    "scaled_powers": (lambda: correlated.scaled_powers(1.0, -1.0, 2.0), ["Q0", "Qd", "Q1", "Q2"]),
 }
 
 
@@ -436,7 +435,7 @@ def test_each_argument_is_checked_once_per_call(monkeypatch, name):
             check(*pairs)
         return record
 
-    for module, check in ((gaussian, "_check_all_nonnegative"), (gaussian, "_check_integer"),
+    for module, check in ((gaussian, "_check_nonnegative"), (gaussian, "_check_integer"),
                           (correlated, "_check_nonnegative")):
         monkeypatch.setattr(module, check, recording(getattr(module, check)))
     call, names = FLOAT_CALLS[name]
@@ -445,9 +444,7 @@ def test_each_argument_is_checked_once_per_call(monkeypatch, name):
 
 
 def _numbers(result):
-    """The numbers of a result: its entries, and a PowerSplit's fields."""
-    if isinstance(result, PowerSplit):
-        return [result.p_a, result.p_d, result.total]
+    """The numbers of a result: its entries, and those of its tuples."""
     return [x for r in result for x in _numbers(r)] if isinstance(result, tuple) else [result]
 
 
