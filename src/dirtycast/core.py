@@ -197,9 +197,11 @@ class GaussianCov:
 
 
 def _check_nonnegative(name: str, values, *more) -> None:
-    """Raise ValueError naming the first of the (name, values) pairs with an
-    entry that is negative, NaN or infinite; each values is a float or an
-    array."""
+    """Raise ValueError naming the first of the (name, values) pairs whose values
+    is not a real number or a NumPy array, or has an entry that is negative, NaN
+    or infinite.  A list is refused: the formulas would get the list itself."""
+    if not isinstance(values, (float, int, np.floating, np.integer, np.ndarray)):
+        raise ValueError(f"{name} must be a float or a NumPy array, got {type(values).__name__}")
     v = np.asarray(values, dtype=float)
     bad = ~((v >= 0.0) & (v < math.inf))
     if bad.any():

@@ -84,8 +84,9 @@ def high_sinr_gap_beta(p, qd, q=None):
     q is the common marginal interference power Q1 = Q2; the default Qd/4
     is the smallest symmetric value compatible with the spread.  The gap
     tends to 0 as P grows at fixed (q, Qd).  Every entry of P must be positive."""
+    _check_nonnegative("P", p, "Qd", qd)
     q = qd / 4.0 if q is None else q
-    _check_nonnegative("P", p, "Qd", qd, "Q", q)
+    _check_nonnegative("Q", q)
     if np.any(np.equal(p, 0.0)):
         raise ValueError("P must be positive")
     _check_feasible(q, q, qd)

@@ -7,8 +7,10 @@ are stored packed, 64 bits to a uint64 word, and the decoder scores each one
 from the popcount of its XOR with the channel output, over all n bits and
 under the clean half's bit mask.  Without channel noise only the codewords that
 agree with the output on the clean half are scored: every other one has
-likelihood 0.  Trial t's random words are addressed by
-(seed, t) alone: a counter-based hash makes a whole batch's short blocks in one
+likelihood 0.  For a linear code they form one coset, so a noise-free linear
+trial run alone (as every trial at the ML cap is) builds no codebook: GF(2)
+elimination on the clean half finds the coset, and only its members are
+scored.  Trial t's random words are addressed by (seed, t) alone: a counter-based hash makes a whole batch's short blocks in one
 array pass, and a PCG64 keyed by the same hash makes each long one.  A campaign
 is split once into batches of consecutive trials, each run as one set of array
 operations; a batch holds at most DECODE_BLOCK codeword rows, so a trial at the
@@ -154,7 +156,9 @@ def _ml_decode(codebook, y, clean, clean_size, n, noise_q, cross_noisy):
     scores at a time, so no temporary grows with the codebook.  Without noise
     (noise_q = 0) only the codewords that agree with y on the clean half are
     scored, at d = 0; the others keep -inf, and a block where none agrees is
-    skipped, since it cannot hold a strictly better codeword."""
+    skipped, since it cannot hold a strictly better codeword.  A noise-free linear
+    trial in a batch of its own goes to _coset_decode instead, which scores the
+    same survivors without the codebook."""
     trials, m, cw = codebook.shape
     rows = max(1, DECODE_BLOCK // (2 * trials))
     clean, y_clean, clean_size = clean[:, :, None], (y & clean)[:, :, None], clean_size[..., None]
@@ -186,6 +190,68 @@ def _ml_decode(codebook, y, clean, clean_size, n, noise_q, cross_noisy):
         better = top > best_score
         best[better] = start + i[better]
         best_score[better] = top[better]
+    return best
+
+
+def _as_int(words):
+    """A packed row as one Python int: bit i of the row is bit i of the int."""
+    return int.from_bytes(words.tobytes(), "little")
+
+
+def _from_int(value, cw):
+    """The packed row of cw words whose bits are those of value; inverts _as_int."""
+    return np.frombuffer(value.to_bytes(8 * cw, "little"), dtype=np.uint64)
+
+
+def _coset_decode(gens, y, clean, clean_size, n, cross_noisy):
+    """ML message of a linear code for one user's packed word y without noise on its
+    clean half (mask clean, clean_size bits), ties to the lowest index, found without
+    the codebook.  Message bit j selects generator row gens[j], as in the codebook's
+    doubling loop.  Only the messages whose codeword agrees with y on the clean half
+    score above -inf, and for a linear code they form one coset x0 + ker: GF(2)
+    elimination of the rows restricted to the mask, on n-bit ints, gives x0 and a
+    basis of ker (ML decoding over erasures; Burshtein and Miller, IEEE T-IT 2004).
+    The 2^(k - rank) members are scored as _ml_decode scores its survivors, at most
+    DECODE_BLOCK at a time: the low basis vectors span one block of offsets, and each
+    combination of the others shifts it.  As in _ml_decode, with no member above
+    -inf the answer is 0."""
+    mask, target = _as_int(clean), _as_int(y & clean)
+    pivots = {}  # leading bit -> (masked row, message, codeword) of a combination of rows
+    kernel = []  # (message, codeword) of each combination that is 0 on the mask
+    for j, row in enumerate(gens):
+        g = _as_int(row)
+        v, x, c = g & mask, 1 << j, g
+        while v and (p := pivots.get(v.bit_length() - 1)):
+            v, x, c = v ^ p[0], x ^ p[1], c ^ p[2]
+        if v:
+            pivots[v.bit_length() - 1] = (v, x, c)
+        else:
+            kernel.append((x, c))
+    shifts = [(0, 0)]  # (message, codeword) of x0, then of x0 xor each high combination
+    while target:
+        p = pivots.get(target.bit_length() - 1)
+        if p is None:
+            return 0  # no codeword agrees with y on the clean half
+        target, shifts[0] = target ^ p[0], (shifts[0][0] ^ p[1], shifts[0][1] ^ p[2])
+
+    cw = gens.shape[-1]
+    low = min(len(kernel), DECODE_BLOCK.bit_length() - 1)
+    msgs = np.zeros(1 << low, dtype=np.int64)
+    words = np.zeros((1 << low, cw), dtype=np.uint64)
+    for j, (x, c) in enumerate(kernel[:low]):
+        np.bitwise_xor(msgs[: 1 << j], x, out=msgs[1 << j : 2 << j])
+        np.bitwise_xor(words[: 1 << j], _from_int(c, cw), out=words[1 << j : 2 << j])
+    for x, c in kernel[low:]:
+        shifts += [(sx ^ x, sc ^ c) for sx, sc in shifts]
+    best, best_score = 0, -np.inf
+    for sx, sc in shifts:
+        # every member agrees with y on the clean half, so all its disagreements are noisy
+        score = _half_loglik(n - clean_size, cross_noisy, _popcount(words ^ (_from_int(sc, cw) ^ y)))
+        top = score.max()
+        if top > -np.inf and top >= best_score:
+            first = int((msgs[score == top] ^ sx).min())
+            if top > best_score or first < best:
+                best, best_score = first, top
     return best
 
 
@@ -246,16 +312,25 @@ def _run_batch(run: SchemeRun, m, below, noise_q: float, cross_noisy: float, tri
     book = words[:, at + 1 :].reshape(size, rows, cw)  # a view: the cap codebook is not copied
     if n % 64:  # zero the random bits past n, in place, so the decoder need not mask them
         book[..., -1] &= np.uint64((1 << n % 64) - 1)
-    if run.codebook == "linear":
-        # row i is the XOR of the generator rows at the set bits of i, doubled in place
-        gens, book = book, np.zeros((size, m, cw), dtype=np.uint64)
-        for j in range(rows):
-            np.bitwise_xor(book[:, : 1 << j], gens[:, j, None], out=book[:, 1 << j : 2 << j])
-    sent = book[np.arange(size), w]
     packed = _pack(bits).transpose(1, 0, 2)
     # user 1's noisy half is user 2's clean half, and the other way round
-    e1, e2 = _ml_decode(book, packed[:2] ^ sent, packed[2:], np.stack((n - samples, samples)),
-                        n, noise_q, cross_noisy) != w
+    clean_size = np.stack((n - samples, samples))
+    if run.codebook == "linear" and noise_q == 0.0 and size == 1:
+        # one noise-free linear trial: decoded by elimination, its codebook never built
+        gens = book[0]
+        y = packed[:2, 0] ^ np.bitwise_xor.reduce(gens[(w[0] >> np.arange(rows)) & 1 == 1])
+        decoded = np.array([[_coset_decode(gens, y[k], packed[2 + k, 0], clean_size[k, 0], n,
+                                           cross_noisy)] for k in (0, 1)])
+    else:
+        if run.codebook == "linear":
+            # row i is the XOR of the generator rows at the set bits of i, doubled in place
+            gens, book = book, np.zeros((size, m, cw), dtype=np.uint64)
+            for j in range(rows):
+                np.bitwise_xor(book[:, : 1 << j], gens[:, j, None], out=book[:, 1 << j : 2 << j])
+        sent = book[np.arange(size), w]
+        decoded = _ml_decode(book, packed[:2] ^ sent, packed[2:], clean_size, n, noise_q,
+                             cross_noisy)
+    e1, e2 = decoded != w
     counts[2:] = (int(np.count_nonzero(e)) for e in (e1, e2, e1 | e2))
     return counts
 
@@ -266,7 +341,9 @@ def simulate_scheme(spec: BinaryChannelSpec, run: SchemeRun, threads: int = 1) -
     The decoder knows the coin sequence of each trial and performs exact ML:
     perfect agreement is required on its clean half (up to channel noise)
     and disagreements on the interfered half are weighted by the crossover
-    P(S1 xor S2 = 1) convolved with the noise.  At most min(threads,
+    P(S1 xor S2 = 1) convolved with the noise.  A noise-free linear trial in a
+    batch of its own is decoded from its generator rows by GF(2) elimination,
+    with the same result and no codebook.  At most min(threads,
     os.cpu_count()) batches of consecutive trials run at once: as many trials as
     fit DECODE_BLOCK codeword rows (or bits, when nothing is decoded), and one
     at the ML cap.
@@ -286,7 +363,8 @@ def simulate_scheme(spec: BinaryChannelSpec, run: SchemeRun, threads: int = 1) -
     below = np.ceil(np.array(probs) * 2.0**53).astype(np.uint64)
 
     m = run.codewords
-    # a trial at the ML cap is a batch of one: its 8 MB codebook is decoded in place
+    # a trial at the ML cap is a batch of one: an i.i.d. trial's 8 MB codebook is
+    # decoded in place, and a noise-free linear one builds none
     size = max(1, DECODE_BLOCK // max(m or 1, run.n))
     batches = [range(i, min(i + size, run.trials)) for i in range(0, run.trials, size)]
     run_batch = partial(_run_batch, run, m, below, noise_q, cross_noisy)

@@ -392,6 +392,22 @@ def test_non_finite_arguments_are_rejected_by_name(name, index, bad):
         func(*args)
 
 
+@pytest.mark.parametrize(
+    "name, index",
+    # a _row entry builds an array from each argument, so a list never reaches the function
+    [(name, i) for name, (_, args) in GUARDED.items() if not name.endswith("_row")
+     for i in range(len(args))],
+    ids=[f"{name}-{arg}" for name, (_, args) in GUARDED.items() if not name.endswith("_row")
+         for arg in args],
+)
+def test_list_arguments_are_rejected_by_name(name, index):
+    func, names = GUARDED[name]
+    args = [[1.0, 2.0] if i == index else 1.0 for i in range(len(names))]
+    with pytest.raises(ValueError, match=f"^{names[index]} must be a float or a NumPy array, "
+                                         "got list$"):
+        func(*args)
+
+
 # every public function of gaussian and correlated, at Python floats, with
 # the names it checks
 FLOAT_CALLS = {
