@@ -10,8 +10,9 @@ agree with the output on the clean half are scored: every other one has
 likelihood 0.  For a linear code they form one coset, so a noise-free linear
 trial run alone (as every trial at the ML cap is) builds no codebook: GF(2)
 elimination on the clean half finds the coset, and only its members are
-scored.  Trial t's random words are addressed by (seed, t) alone: a counter-based hash makes a whole batch's short blocks in one
-array pass, and a PCG64 keyed by the same hash makes each long one.  A campaign
+scored.  Trial t's random words are addressed by (seed, t) alone: a
+counter-based hash makes a whole batch's short blocks in one array pass, and a
+PCG64 keyed by the same hash makes each long one.  A campaign
 is split once into batches of consecutive trials, each run as one set of array
 operations; a batch holds at most DECODE_BLOCK codeword rows, so a trial at the
 ML cap is a batch of one.  At most min(threads, os.cpu_count()) batches run at
@@ -213,26 +214,28 @@ def _coset_decode(gens, y, clean, clean_size, n, cross_noisy):
     basis of ker (ML decoding over erasures; Burshtein and Miller, IEEE T-IT 2004).
     The 2^(k - rank) members are scored as _ml_decode scores its survivors, at most
     DECODE_BLOCK at a time: the low basis vectors span one block of offsets, and each
-    combination of the others shifts it.  As in _ml_decode, with no member above
-    -inf the answer is 0."""
-    mask, target = _as_int(clean), _as_int(y & clean)
+    combination of the others shifts it.  Ties go to the lowest message explicitly,
+    not by the order of enumeration.  As in _ml_decode, with no member above -inf
+    the answer is 0."""
     pivots = {}  # leading bit -> (masked row, message, codeword) of a combination of rows
+
+    def reduce(v, x, c):
+        while v and (p := pivots.get(v.bit_length() - 1)):
+            v, x, c = v ^ p[0], x ^ p[1], c ^ p[2]
+        return v, x, c
+
+    mask = _as_int(clean)
     kernel = []  # (message, codeword) of each combination that is 0 on the mask
     for j, row in enumerate(gens):
         g = _as_int(row)
-        v, x, c = g & mask, 1 << j, g
-        while v and (p := pivots.get(v.bit_length() - 1)):
-            v, x, c = v ^ p[0], x ^ p[1], c ^ p[2]
+        v, x, c = reduce(g & mask, 1 << j, g)
         if v:
             pivots[v.bit_length() - 1] = (v, x, c)
         else:
             kernel.append((x, c))
-    shifts = [(0, 0)]  # (message, codeword) of x0, then of x0 xor each high combination
-    while target:
-        p = pivots.get(target.bit_length() - 1)
-        if p is None:
-            return 0  # no codeword agrees with y on the clean half
-        target, shifts[0] = target ^ p[0], (shifts[0][0] ^ p[1], shifts[0][1] ^ p[2])
+    rest, x0, c0 = reduce(_as_int(y & clean), 0, 0)
+    if rest:
+        return 0  # no codeword agrees with y on the clean half
 
     cw = gens.shape[-1]
     low = min(len(kernel), DECODE_BLOCK.bit_length() - 1)
@@ -241,12 +244,14 @@ def _coset_decode(gens, y, clean, clean_size, n, cross_noisy):
     for j, (x, c) in enumerate(kernel[:low]):
         np.bitwise_xor(msgs[: 1 << j], x, out=msgs[1 << j : 2 << j])
         np.bitwise_xor(words[: 1 << j], _from_int(c, cw), out=words[1 << j : 2 << j])
+    shifts = [(x0, c0)]
     for x, c in kernel[low:]:
         shifts += [(sx ^ x, sc ^ c) for sx, sc in shifts]
     best, best_score = 0, -np.inf
     for sx, sc in shifts:
         # every member agrees with y on the clean half, so all its disagreements are noisy
-        score = _half_loglik(n - clean_size, cross_noisy, _popcount(words ^ (_from_int(sc, cw) ^ y)))
+        d = _popcount(words ^ (_from_int(sc, cw) ^ y))
+        score = _half_loglik(n - clean_size, cross_noisy, d)
         top = score.max()
         if top > -np.inf and top >= best_score:
             first = int((msgs[score == top] ^ sx).min())
