@@ -274,13 +274,15 @@ def _mix(z):
 def _words(seed, trials, width):
     """Row t - trials.start holds trial t's width words, a function of (seed, t) only
     (Salmon et al., SC 2011): with key_t = mix(mix(seed) + t*gamma), word j is
-    mix(key_t + j*gamma), hashed for the whole batch at once, or, for rows of
+    mix(key_t + (j+1)*gamma), hashed for the whole batch at once, or, for rows of
     _HASH_WORDS or more, where a generator is cheaper per word, the output of a
-    PCG64 seeded by key_t.  A batch of one is a view of its row, never a copy."""
+    PCG64 seeded by key_t.  Words count from 1, as SplitMix64 adds gamma before it
+    mixes: mix maps 0 to 0, and key_t is 0 at seed 0, trial 0.  A batch of one is a
+    view of its row, never a copy."""
     t = np.arange(trials.start, trials.stop, dtype=np.uint64)
     keys = _mix(_mix(np.array([seed], dtype=np.uint64)) + t * _GAMMA)
     if width < _HASH_WORDS:
-        return _mix(keys[:, None] + np.arange(width, dtype=np.uint64) * _GAMMA)
+        return _mix(keys[:, None] + np.arange(1, width + 1, dtype=np.uint64) * _GAMMA)
     rows = [np.random.PCG64(int(k)).random_raw(width) for k in keys]
     return rows[0][None] if len(rows) == 1 else np.stack(rows)
 
