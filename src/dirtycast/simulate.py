@@ -12,7 +12,9 @@ trial run alone (as every trial at the ML cap is) builds no codebook: GF(2)
 elimination on the clean half finds the coset, and only its members are
 scored.  Trial t's random words are addressed by (seed, t) alone: a
 counter-based hash makes a whole batch's short blocks in one array pass, and a
-PCG64 keyed by the same hash makes each long one.  A campaign
+PCG64 keyed by the same hash makes each long one.  An i.i.d. codebook drawn from
+a PCG64 is never held whole: its rows are drawn block by block as the decoder
+scores them, and the sent row by jumping the stream ahead to it.  A campaign
 is split once into batches of consecutive trials, each run as one set of array
 operations; a batch holds at most DECODE_BLOCK codeword rows, so a trial at the
 ML cap is a batch of one.  At most min(threads, os.cpu_count()) batches run at
@@ -146,27 +148,25 @@ def _popcount(words):
     return sum(count[..., j].astype(np.intp) for j in range(count.shape[-1]))
 
 
-def _ml_decode(codebook, y, clean, clean_size, n, noise_q, cross_noisy):
-    """ML codeword index of user k's packed word y[k, b] in trial b's codebook[b],
-    for both users k at once, ties to the lowest index.  A codeword at d
-    disagreements with y[k, b] on the clean half (mask clean[k, b], clean_size[k, b]
-    bits) and d' on the other n - clean_size[k, b] bits scores
+def _ml_decode(blocks, y, clean, clean_size, n, noise_q, cross_noisy):
+    """ML codeword index of user k's packed word y[k, b] in trial b's codebook, for
+    both users k at once, ties to the lowest index.  blocks yields (start, block)
+    pairs in order, block[b] holding trial b's codeword rows from index start on.
+    A codeword at d disagreements with y[k, b] on the clean half (mask clean[k, b],
+    clean_size[k, b] bits) and d' on the other n - clean_size[k, b] bits scores
     _half_loglik(clean_size, noise_q, d) + _half_loglik(n - clean_size, cross_noisy,
     d'); codewords and y are zero past bit n, so d + d' is the popcount of their XOR.
-    Each block of codeword rows is scored for both users in one pass, DECODE_BLOCK
-    scores at a time, so no temporary grows with the codebook.  Without noise
-    (noise_q = 0) only the codewords that agree with y on the clean half are
-    scored, at d = 0; the others keep -inf, and a block where none agrees is
-    skipped, since it cannot hold a strictly better codeword.  A noise-free linear
-    trial in a batch of its own goes to _coset_decode instead, which scores the
-    same survivors without the codebook."""
-    trials, m, cw = codebook.shape
-    rows = max(1, DECODE_BLOCK // (2 * trials))
+    Each block is scored for both users in one pass, so no temporary grows with the
+    codebook.  Without noise (noise_q = 0) only the codewords that agree with y on
+    the clean half are scored, at d = 0; the others keep -inf, and a block where
+    none agrees is skipped, since it cannot hold a strictly better codeword.  A
+    noise-free linear trial in a batch of its own goes to _coset_decode instead,
+    which scores the same survivors without the codebook."""
+    trials, cw = y.shape[1:]
     clean, y_clean, clean_size = clean[:, :, None], (y & clean)[:, :, None], clean_size[..., None]
     best = np.zeros((2, trials), dtype=np.int64)
     best_score = np.full((2, trials), -np.inf)
-    for start in range(0, m, rows):
-        block = codebook[:, start : start + rows]
+    for start, block in blocks:
         if noise_q == 0.0:
             # word by word, as a reduction over the short word axis is slow
             agree = (block[..., 0] & clean[..., 0]) == y_clean[..., 0]
@@ -271,20 +271,53 @@ def _mix(z):
     return z
 
 
-def _words(seed, trials, width):
-    """Row t - trials.start holds trial t's width words, a function of (seed, t) only
-    (Salmon et al., SC 2011): with key_t = mix(mix(seed) + t*gamma), word j is
+def _keys(seed, trials):
+    """key_t = mix(mix(seed) + t*gamma) of each trial t in the range trials, in
+    uint64 array arithmetic, which wraps without a warning."""
+    t = np.arange(trials.start, trials.stop, dtype=np.uint64)
+    return _mix(_mix(np.array([seed], dtype=np.uint64)) + t * _GAMMA)
+
+
+def _raw(gens, count):
+    """The next count words of each PCG64 in gens, one row each; a single row is
+    a view of its draw, never a copy."""
+    rows = [g.random_raw(count) for g in gens]
+    return rows[0][None] if len(rows) == 1 else np.stack(rows)
+
+
+def _zero_past(book, n):
+    """Zero the bits past n of packed rows, in place, so the decoder need not mask
+    them."""
+    if n % 64:
+        book[..., -1] &= np.uint64((1 << n % 64) - 1)
+
+
+def _words(seed, trials, width, head=None):
+    """Row t - trials.start holds the first head (default: all) of trial t's width
+    words, a function of (seed, t) only (Salmon et al., SC 2011): word j is
     mix(key_t + (j+1)*gamma), hashed for the whole batch at once, or, for rows of
     _HASH_WORDS or more, where a generator is cheaper per word, the output of a
-    PCG64 seeded by key_t.  Words count from 1, as SplitMix64 adds gamma before it
-    mixes: mix maps 0 to 0, and key_t is 0 at seed 0, trial 0.  A batch of one is a
-    view of its row, never a copy."""
-    t = np.arange(trials.start, trials.stop, dtype=np.uint64)
-    keys = _mix(_mix(np.array([seed], dtype=np.uint64)) + t * _GAMMA)
+    PCG64 seeded by key_t (see _keys).  Words count from 1, as SplitMix64 adds gamma
+    before it mixes: mix maps 0 to 0, and key_t is 0 at seed 0, trial 0."""
+    keys, head = _keys(seed, trials), width if head is None else head
     if width < _HASH_WORDS:
-        return _mix(keys[:, None] + np.arange(1, width + 1, dtype=np.uint64) * _GAMMA)
-    rows = [np.random.PCG64(int(k)).random_raw(width) for k in keys]
-    return rows[0][None] if len(rows) == 1 else np.stack(rows)
+        return _mix(keys[:, None] + np.arange(1, head + 1, dtype=np.uint64) * _GAMMA)
+    return _raw([np.random.PCG64(int(k)) for k in keys], head)
+
+
+def _pcg_rows(keys, first, m, cw, n, step):
+    """The m packed rows of cw words that the PCG64 keyed by keys[b] draws from its
+    word first[b] on, zeroed past bit n, as (start, block) pairs: block[b] holds rows
+    start to start + step of them (fewer in the last block), drawn only when the
+    block is asked for.  PCG64.advance jumps to a word without drawing the ones
+    before it (O'Neill, HMC-CS-2014-0905)."""
+    gens = [np.random.PCG64(int(k)) for k in keys]
+    for g, at in zip(gens, first):
+        g.advance(int(at))
+    for start in range(0, m, step):
+        block = _raw(gens, min(step, m - start) * cw).reshape(len(gens), -1, cw)
+        _zero_past(block, n)
+        yield start, block
 
 
 def _run_batch(run: SchemeRun, m, below, noise_q: float, cross_noisy: float, trials):
@@ -292,14 +325,19 @@ def _run_batch(run: SchemeRun, m, below, noise_q: float, cross_noisy: float, tri
     frame errors, summed over the given trial indices.  A trial's words hold, in
     order, its coin A^n, packed; the uniforms behind (S1, S2) and any noise; and,
     when decoding, the sent index (word mod m) and the packed i.i.d. codebook or
-    linear generator rows."""
+    linear generator rows.  An i.i.d. codebook drawn from a PCG64 is not drawn with
+    the rest: _pcg_rows draws it as _ml_decode scores it, and the sent row alone
+    from a second generator jumped ahead to it."""
     n, size, cw = run.n, len(trials), -(-run.n // 64)
     uniforms = 4 * n if noise_q > 0.0 else 2 * n
     rows = 0 if m is None else m.bit_length() - 1 if run.codebook == "linear" else m
-    words = _words(run.seed, trials, cw + uniforms + (0 if m is None else 1 + rows * cw))
+    at = cw + uniforms  # the sent index, then the codebook rows
+    width = at + (0 if m is None else 1 + rows * cw)
+    stream = run.codebook == "iid" and m is not None and width >= _HASH_WORDS
+    words = _words(run.seed, trials, width, at + 1 if stream else width)
     mask1 = np.unpackbits(words[:, :cw].view(np.uint8), -1, n, bitorder="little").view(bool)
     noisy1 = ~mask1  # indices where user 1 sees S1 xor S2 (xor Z1)
-    u = words[:, cw : cw + uniforms].reshape(size, -1, n)
+    u = words[:, cw:at].reshape(size, -1, n)
     u >>= 11  # (word >> 11) * 2^-53 < p exactly when word >> 11 < ceil(p * 2^53)
     # S1 from its marginal, then S2 from its law given S1
     s1 = u[:, 0] < below[0]
@@ -314,28 +352,36 @@ def _run_batch(run: SchemeRun, m, below, noise_q: float, cross_noisy: float, tri
     if m is None:
         return counts
 
-    at = cw + uniforms
     w = (words[:, at] % np.uint64(m)).astype(np.int64)
-    book = words[:, at + 1 :].reshape(size, rows, cw)  # a view: the cap codebook is not copied
-    if n % 64:  # zero the random bits past n, in place, so the decoder need not mask them
-        book[..., -1] &= np.uint64((1 << n % 64) - 1)
     packed = _pack(bits).transpose(1, 0, 2)
     # user 1's noisy half is user 2's clean half, and the other way round
     clean_size = np.stack((n - samples, samples))
     if run.codebook == "linear" and noise_q == 0.0 and size == 1:
         # one noise-free linear trial: decoded by elimination, its codebook never built
-        gens = book[0]
+        gens = words[0, at + 1 :].reshape(rows, cw)  # a view: the rows are not copied
+        _zero_past(gens, n)
         y = packed[:2, 0] ^ np.bitwise_xor.reduce(gens[(w[0] >> np.arange(rows)) & 1 == 1])
         decoded = np.array([[_coset_decode(gens, y[k], packed[2 + k, 0], clean_size[k, 0], n,
                                            cross_noisy)] for k in (0, 1)])
     else:
-        if run.codebook == "linear":
-            # row i is the XOR of the generator rows at the set bits of i, doubled in place
-            gens, book = book, np.zeros((size, m, cw), dtype=np.uint64)
-            for j in range(rows):
-                np.bitwise_xor(book[:, : 1 << j], gens[:, j, None], out=book[:, 1 << j : 2 << j])
-        sent = book[np.arange(size), w]
-        decoded = _ml_decode(book, packed[:2] ^ sent, packed[2:], clean_size, n, noise_q,
+        # each block holds step rows of each trial: DECODE_BLOCK scores for both users
+        step = max(1, DECODE_BLOCK // (2 * size))
+        if stream:
+            keys = _keys(run.seed, trials)
+            sent = next(_pcg_rows(keys, at + 1 + w * cw, 1, cw, n, 1))[1][:, 0]
+            blocks = _pcg_rows(keys, [at + 1] * size, m, cw, n, step)
+        else:
+            book = words[:, at + 1 :].reshape(size, rows, cw)  # a view: the rows are not copied
+            _zero_past(book, n)
+            if run.codebook == "linear":
+                # row i is the XOR of the generator rows at the set bits of i, doubled in place
+                gens, book = book, np.zeros((size, m, cw), dtype=np.uint64)
+                for j in range(rows):
+                    np.bitwise_xor(book[:, : 1 << j], gens[:, j, None],
+                                   out=book[:, 1 << j : 2 << j])
+            sent = book[np.arange(size), w]
+            blocks = ((start, book[:, start : start + step]) for start in range(0, m, step))
+        decoded = _ml_decode(blocks, packed[:2] ^ sent, packed[2:], clean_size, n, noise_q,
                              cross_noisy)
     e1, e2 = decoded != w
     counts[2:] = (int(np.count_nonzero(e)) for e in (e1, e2, e1 | e2))
@@ -370,8 +416,8 @@ def simulate_scheme(spec: BinaryChannelSpec, run: SchemeRun, threads: int = 1) -
     below = np.ceil(np.array(probs) * 2.0**53).astype(np.uint64)
 
     m = run.codewords
-    # a trial at the ML cap is a batch of one: an i.i.d. trial's 8 MB codebook is
-    # decoded in place, and a noise-free linear one builds none
+    # a trial at the ML cap is a batch of one: an i.i.d. trial's codebook is drawn
+    # block by block as it is decoded, and a noise-free linear one builds none
     size = max(1, DECODE_BLOCK // max(m or 1, run.n))
     batches = [range(i, min(i + size, run.trials)) for i in range(0, run.trials, size)]
     run_batch = partial(_run_batch, run, m, below, noise_q, cross_noisy)

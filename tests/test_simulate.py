@@ -38,7 +38,9 @@ def ensemble_fer(n, m, noise_q, cross_noisy):
     another word scores above or equal to the sent one, and j words below it in
     index (j uniform on 0..m-1), an i.i.d. codebook decodes correctly with chance
     (1/m) sum_j (1-a-b)^j (1-a)^(m-1-j) = ((1-a)^m - (1-a-b)^m) / (m b),
-    evaluated in log space: the exact value.  The rivals of a linear codebook,
+    evaluated in log space: the exact value.  1 - a is summed directly, as the
+    rival mass at or below the sent score: where it falls below machine epsilon,
+    1.0 - a would round to 0.  The rivals of a linear codebook,
     (i xor w) G, are only pairwise independent, so its FER is bounded on both sides:
     above by the random-coding union bound E[min(1, (m-1)(a+b))] of Polyanskiy, Poor
     and Verdu (IEEE T-IT 2010), below by de Caen's bound (Discrete Math. 1997) on
@@ -57,14 +59,25 @@ def ensemble_fer(n, m, noise_q, cross_noisy):
         s = score[sent > 0][:, None]
         a = np.where(score > s, rival, 0.0).sum(1)
         b = np.where(score == s, rival, 0.0).sum(1)  # > 0: a rival may equal the sent word
+        not_above = np.where(score <= s, rival, 0.0).sum(1)  # 1 - a, >= b
         with np.errstate(divide="ignore"):  # a + b = 1 makes (1-a-b)^m exactly 0
-            tie_share = -np.expm1(m * np.log1p(-b / (1.0 - a)))
-        p = np.exp(m * np.log1p(-a)) * tie_share / (m * b)
+            tie_share = -np.expm1(m * np.log1p(-b / not_above))
+        p = np.exp(m * np.log(not_above)) * tie_share / (m * b)
         weight = math.comb(n, n_clean) / 2.0**n * sent[sent > 0]
         correct += float(weight @ p)
         lower += float(weight @ ((m - 1) * a / (1.0 + (m - 2) * a)))
         upper += float(weight @ np.minimum(1.0, (m - 1) * (a + b)))
     return lower, 1.0 - correct, upper
+
+
+def _traced_peak(spec, run):
+    """Traced peak bytes of simulate_scheme(spec, run), and its report."""
+    tracemalloc.start()
+    try:
+        report = simulate_scheme(spec, run)
+        return tracemalloc.get_traced_memory()[1], report
+    finally:
+        tracemalloc.stop()
 
 
 def _wilson(errors, trials, z):
@@ -166,6 +179,14 @@ class TestEnsembleFer:
             for fer in (report.fer_user1, report.fer_user2):
                 assert abs(fer - exact) <= 5.0 * math.sqrt(exact * (1 - exact) / run.trials)
 
+    @pytest.mark.parametrize("cross_noisy", [0.25, 0.375])  # .375 = 2q(1 - q) at q = .25
+    def test_exact_fer_is_finite_where_ties_are_rare(self, cross_noisy):
+        # at n = 60 and m = 2^14 the tied mass of the worst sent score falls below
+        # machine epsilon; 1.0 - a then rounded to 0 and the exact FER was 0/0
+        lower, exact, upper = ensemble_fer(60, 2**14, 0.0, cross_noisy)
+        assert all(map(math.isfinite, (lower, exact, upper)))
+        assert lower <= exact <= upper
+
     def test_linear_fer_meets_the_ensemble_bounds(self):
         # each user's z = 5 Wilson interval must meet [lower, upper]: a linear
         # codebook has no exact oracle, but both bounds hold for it
@@ -214,7 +235,11 @@ class TestMlDecode:
             size = clean_size[..., None]
             score = (simulate._half_loglik(size, 0.0, d_clean)
                      + simulate._half_loglik(n - size, cross_noisy, d_all - d_clean))
-            got = simulate._ml_decode(book, y, clean, clean_size, n, 0.0, cross_noisy)
+            # blocks of DECODE_BLOCK / (2 * trials) rows, as _run_batch slices them, so
+            # the best score carries from block to block
+            step = simulate.DECODE_BLOCK // (2 * trials)
+            blocks = ((start, book[:, start : start + step]) for start in range(0, m, step))
+            got = simulate._ml_decode(blocks, y, clean, clean_size, n, 0.0, cross_noisy)
             assert (got == score.argmax(-1)).all()
 
             agree = d_clean == 0
@@ -406,16 +431,7 @@ class TestDeterminism:
         # zeroed, user 1's clean half is empty and its coset is the whole code, which
         # is scored DECODE_BLOCK members at a time
         run = SchemeRun(n=40, rate=0.5, trials=1, seed=2020, codebook="linear")
-
-        def peak():
-            tracemalloc.start()
-            try:
-                report = simulate_scheme(SPEC_Q25, run)
-                return tracemalloc.get_traced_memory()[1], report.interfered_samples
-            finally:
-                tracemalloc.stop()
-
-        assert peak()[0] < 2**20
+        assert _traced_peak(SPEC_Q25, run)[0] < 2**20
         draw = simulate._words
 
         def zero_coin(*args):
@@ -424,9 +440,41 @@ class TestDeterminism:
             return words
 
         monkeypatch.setattr(simulate, "_words", zero_coin)
-        empty_half_peak, samples = peak()
-        assert samples == run.n
+        empty_half_peak, report = _traced_peak(SPEC_Q25, run)
+        assert report.interfered_samples == run.n
         assert empty_half_peak < CODEBOOK_CAP * 8
+
+    @pytest.mark.parametrize("noise_q", [None, 0.05])
+    def test_iid_cap_trials_stay_small(self, noise_q):
+        # drawn block by block as it is scored, a cap trial's 8 MiB i.i.d. codebook
+        # is never held whole
+        run = SchemeRun(n=40, rate=0.5, trials=1, seed=2020)
+        assert _traced_peak(BinaryChannelSpec.iid(0.25, noise_q=noise_q), run)[0] < 2 * 2**20
+
+    @pytest.mark.parametrize("n, m", [(40, 21619), (128, 17000)])
+    @pytest.mark.parametrize("trials", [range(5, 6), range(5, 7)])
+    def test_streamed_codebook_is_the_drawn_row(self, n, m, trials):
+        # a long i.i.d. codebook, drawn block by block from word at + 1 of each trial's
+        # PCG64, is the codebook part of the trial's whole row, zeroed past bit n, and
+        # the generator advanced to row w draws row w.  m is no multiple of the block,
+        # so the last block is short; n = 128 spans two words with no bits past n
+        cw, at = -(-n // 64), -(-n // 64) + 2 * n
+        width = at + 1 + m * cw
+        assert width >= simulate._HASH_WORDS
+        whole = simulate._words(7, trials, width)
+        assert (simulate._words(7, trials, width, at + 1) == whole[:, : at + 1]).all()
+        book = whole[:, at + 1 :].reshape(len(trials), m, cw)
+        if n % 64:
+            assert (book[..., -1] >> np.uint64(n % 64)).any()
+            book[..., -1] &= np.uint64((1 << n % 64) - 1)
+        keys, step = simulate._keys(7, trials), simulate.DECODE_BLOCK // (2 * len(trials))
+        starts, blocks = zip(*simulate._pcg_rows(keys, [at + 1] * len(trials), m, cw, n, step))
+        assert starts == tuple(range(0, m, step)) and blocks[-1].shape[1] < step
+        assert (np.concatenate(blocks, axis=1) == book).all()
+        for first in (0, m // 2, m - 1):
+            w = (first + np.arange(len(trials))) % m
+            _, sent = next(simulate._pcg_rows(keys, at + 1 + w * cw, 1, cw, n, 1))
+            assert (sent[:, 0] == book[np.arange(len(trials)), w]).all()
 
     def test_multiword_linear_reports(self):
         # pinned: codewords of 70 and 130 bits span two and three packed words
