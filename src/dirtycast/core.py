@@ -2,9 +2,11 @@
 
 Entropies, jointly-Gaussian mutual information over a whole stack of
 covariance matrices per call, dB conversion, a derivative-free scalar
-minimizer that solves a batch of problems per call, and the argument and
-rate checks, received power and result shaping that the Gaussian modules
-share.  The argument check takes floats or arrays alike.
+minimizer that solves a batch of problems per call (its grid scan hands
+the objective at most `_SCAN_VALUES` values per call, so a large batch
+never holds the whole grid at once), and the argument and rate checks,
+received power and result shaping that the Gaussian modules share.  The
+argument check takes floats or arrays alike.
 All returned rates are bits per channel use (logs base 2); natural-log
 internals are an implementation detail.  Every function here is pure, so
 concurrent use needs no locking.
@@ -307,11 +309,12 @@ _GRID_POINTS = 2001
 _ZOOM = 32  # each zoom narrows the bracket by this factor
 _ZOOM_STEPS = np.arange(-_ZOOM, _ZOOM + 1.0)  # a zoom's 65 points, in units of its spacing
 _XTOL = 1e-10
+_SCAN_VALUES = 2**15  # values per call of f in the grid scan: batch size times points
 
 
 def _argmin(f, points):
     """Index along the last axis and value of the least of f(points), first
-    on ties, once f has kept the array contract of minimize_scalar."""
+    on ties and on NaN, once f has kept the array contract of minimize_scalar."""
     contract = "f must take an array of points and return one value per point"
     try:
         vals = np.asarray(f(points), float)
@@ -322,20 +325,38 @@ def _argmin(f, points):
     return vals.argmin(-1), vals.min(-1)
 
 
+def _scan(f, xs):
+    """_argmin(f, xs) for a 1-D grid xs, in blocks: f at xs[0] gives the
+    batch size, and the other points follow in order, at most _SCAN_VALUES
+    values (one point, if the batch alone is larger) per call.  A block
+    replaces the running best only if strictly less, or if it holds the
+    first NaN, so ties and NaN still go to the first index."""
+    i, v = _argmin(f, xs[:1])
+    step = max(1, _SCAN_VALUES // np.size(v))
+    for start in range(1, len(xs), step):
+        j, w = _argmin(f, xs[start:start + step])
+        better = (w < v) | (np.isnan(w) & ~np.isnan(v))
+        i, v = np.where(better, j + start, i), np.where(better, w, v)
+    return i, v
+
+
 def minimize_scalar(f, domain):
     """Minimize a scalar function on the closed interval domain = (lo, hi).
 
     f takes an array of points and returns its value at each; its own
     parameters may carry leading batch axes that broadcast against the
-    points, so one call minimizes a batch of functions.  A scan calls f once
-    on a grid of 2001 points; each zoom then calls it once on 65 points
-    (batch + (65,)) evenly spread over the two grid cells around the best,
-    clipped to the domain, which narrows the bracket 32-fold.  The zoom
-    count (at most 5) is fixed up front so that the bracket reaches width
-    1e-10 * max(1, |lo|, |hi|).  Derivative-free, so kinked objectives are
-    fine; for a unimodal f the argmin is within 1e-6 * max(1, |lo|, |hi|) of
-    the global minimizer.  Returns (argmin, minimum): floats for one
-    function, arrays of the batch shape for a batch.
+    points, so one call minimizes a batch of functions.  A scan visits a
+    grid of 2001 points once, in order: f at the first point, then the
+    others in blocks of at most 2**15 values (batch size times points) per
+    call of f, so a large batch holds only a block of the grid at a time.
+    Each zoom then calls f once on 65 points (batch + (65,)) evenly spread
+    over the two grid cells around the best, clipped to the domain, which
+    narrows the bracket 32-fold.  The zoom count (at most 5) is fixed up
+    front so that the bracket reaches width 1e-10 * max(1, |lo|, |hi|).
+    Derivative-free, so kinked objectives are fine; for a unimodal f the
+    argmin is within 1e-6 * max(1, |lo|, |hi|) of the global minimizer.
+    Returns (argmin, minimum): floats for one function, arrays of the batch
+    shape for a batch.
     """
     lo, hi = domain
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -346,7 +367,7 @@ def minimize_scalar(f, domain):
     xtol = _XTOL * max(1.0, abs(lo), abs(hi))
     zooms = math.ceil(math.log(2.0 * cell / xtol, _ZOOM)) if 2.0 * cell > xtol else 0
     xs = np.linspace(lo, hi, _GRID_POINTS)
-    i, v = _argmin(f, xs)
+    i, v = _scan(f, xs)
     x = xs[i]
     for _ in range(zooms):
         cell /= _ZOOM

@@ -8,12 +8,14 @@ forms `upper_i` and `upper_ii` are those objectives at the branch rho
 (`rho_upper_i`, `rho_upper_ii`), and numeric minimizers over rho
 cross-check that choice.  An objective takes P, Q and rho as floats or as
 arrays that broadcast; so `minimize_upper_i_rho` and
-`minimize_upper_ii_rho` minimize over rho at a whole array of P, at one Q,
-in one `minimize_scalar` call.  The achievable side is superposition
-dirty-paper coding over the split S_k = A +/- D, with a covariance-based
-oracle that reproduces the two codebook rates from first principles, for
-arrays of splits and Q in one stacked call; `maximize_power_split` likewise
-solves a whole array of P, at one Q, in one call.
+`minimize_upper_ii_rho` minimize over rho at a whole (P, Q) grid in one
+`minimize_scalar` call.  rho is scanned on an axis of its own after those
+of P and Q, so a term in rho alone, or in P and rho, is computed once and
+shared by every Q.  The achievable side is superposition dirty-paper coding
+over the split S_k = A +/- D, with a covariance-based oracle that
+reproduces the two codebook rates from first principles, for arrays of
+splits and Q in one stacked call; `maximize_power_split` likewise solves a
+whole (P, Q) grid in one call.
 
 Every P, Q and split power (P_A, P_D) is a plain float, or an array that
 broadcasts against the others, and takes numpy's path: floats in give a
@@ -85,10 +87,16 @@ def _rho_objective(value, p, q, rho, rho_max):
     """value(p, q, rho) on the open domain -1 < rho < rho_max, where its
     denominators are positive, and +inf outside it.
 
-    Closed entries are evaluated at rho = 0 and then replaced, so no log or
-    sqrt sees a nonpositive argument and no RuntimeWarning is raised."""
+    The formula sees the closed entries too, with the divide and invalid
+    warnings of their logs and sqrts silenced, and they are then set to
+    +inf in place; so rho keeps its own shape and a term in rho is not
+    broadcast against Q.  The arguments are taken as arrays, so that a
+    float rho = -1 divides by zero as NumPy does rather than raising."""
     closed = (rho <= -1.0) | (rho >= rho_max)
-    return _out(np.where(closed, math.inf, value(p, q, np.where(closed, 0.0, rho))))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = np.asarray(value(np.asarray(p), np.asarray(q), np.asarray(rho)))
+    np.copyto(values, math.inf, where=closed)
+    return _out(values)
 
 
 def _upper_i_value(p, q, rho):
@@ -226,53 +234,52 @@ def lower_bound(p, q):
 
 
 def _minimize_over_rho(objective, p, q):
-    """objective(p, q, rho) minimized over rho in [-1, 1] at each entry of P,
-    in one minimize_scalar call."""
+    """objective(p, q, rho) minimized over rho in [-1, 1] at each entry of
+    P and Q broadcast, in one minimize_scalar call.  rho is scanned on a
+    new last axis, after those of P and Q."""
     _check_nonnegative("P", p, "Q", q)
-    p_column = np.reshape(p, (-1, 1))
-    rho, bits = minimize_scalar(lambda rho: objective(p_column, q, rho), (-1.0, 1.0))
-    return _out(np.reshape(rho, np.shape(p))), _out(np.reshape(bits, np.shape(p)))
+    p_scan, q_scan = np.expand_dims(p, -1), np.expand_dims(q, -1)
+    return minimize_scalar(lambda rho: objective(p_scan, q_scan, rho), (-1.0, 1.0))
 
 
-def minimize_upper_i_rho(p, q: float):
-    """Numeric minimizer of the genie bound over rho at a float or a 1-D
-    array of P; returns (rho, bits), floats or arrays like P."""
+def minimize_upper_i_rho(p, q):
+    """Numeric minimizer of the genie bound over rho at each entry of P and
+    Q, floats or arrays that broadcast; returns (rho, bits), floats for
+    floats, else arrays of the broadcast shape."""
     return _minimize_over_rho(upper_i_at_rho, p, q)
 
 
-def minimize_upper_ii_rho(p, q: float):
-    """Numeric minimizer of the joint-output bound over rho at a float or a
-    1-D array of P; returns (rho, bits), floats or arrays like P."""
+def minimize_upper_ii_rho(p, q):
+    """Numeric minimizer of the joint-output bound over rho at each entry of
+    P and Q, floats or arrays that broadcast; returns (rho, bits), floats
+    for floats, else arrays of the broadcast shape."""
     return _minimize_over_rho(upper_ii_at_rho, p, q)
 
 
-def maximize_power_split(p, q: float):
-    """Numeric oracle for the best power split at a float Q; returns
-    (P_A, P_D, bits).
+def maximize_power_split(p, q):
+    """Numeric oracle for the best power split; returns (P_A, P_D, bits).
 
-    P is a float, or a 1-D array whose entries are solved in one
-    minimize_scalar call; then P_A, P_D and bits are arrays, like P.  At
-    fixed P_D the split rate rises with P_A, so no optimum leaves power
-    unspent and the search runs on the full-power line P_A + P_D = P.  It
-    minimizes the negated rate over the log share s = log(1+P_D)/log(1+P)
-    in [0, 1], which resolves an optimal P_D many decades below P; the
-    closed-form optimum is not used."""
+    P and Q are floats, or arrays that broadcast, whose entries are all
+    solved in one minimize_scalar call; then P_A, P_D and bits are arrays
+    of the broadcast shape.  At fixed P_D the split rate rises with P_A, so
+    no optimum leaves power unspent and the search runs on the full-power
+    line P_A + P_D = P.  It minimizes the negated rate over the log share
+    s = log(1+P_D)/log(1+P) in [0, 1], which resolves an optimal P_D many
+    decades below P; the closed-form optimum is not used."""
     _check_nonnegative("P", p, "Q", q)
-    p_flat = np.reshape(p, -1)
-    log_total = np.log1p(p_flat)
 
-    def p_d_at(s, p, log_total):
-        return np.minimum(np.expm1(s * log_total), p)
+    def p_d_at(s, p):
+        return np.minimum(np.expm1(s * np.log1p(p)), p)
 
-    # P is a column of problems against the shares minimize_scalar scans
-    p_col, log_col = p_flat[:, None], log_total[:, None]
+    # the shares are scanned on a new last axis, so P_D is computed once per P
+    p_scan, q_scan = np.expand_dims(p, -1), np.expand_dims(q, -1)
 
     def negated_rate(s):
-        p_d = p_d_at(s, p_col, log_col)
-        return -_split_rate(p_col - p_d, p_d, q)
+        p_d = p_d_at(s, p_scan)
+        return -_split_rate(p_scan - p_d, p_d, q_scan)
 
     s, _ = minimize_scalar(negated_rate, (0.0, 1.0))
-    p_d = _out(np.reshape(p_d_at(s, p_flat, log_total), np.shape(p)))
+    p_d = _out(p_d_at(s, p))
     p_a = p - p_d  # P_D <= P, so no power goes negative
     return p_a, p_d, _out(_split_rate(p_a, p_d, q))
 

@@ -104,22 +104,23 @@ def check_gaussian_mi_properties() -> str:
 
 
 def check_minimizer_rho_map_i() -> str:
-    worst = 0.0
-    for q in RHO_MAP_Q:
-        r, _ = gaussian.minimize_upper_i_rho(np.array(RHO_MAP_P), q)
-        off = float(np.max(np.abs(r - gaussian.rho_upper_i(q))))
-        _require(off < 1e-4, f"upper-I rho map off by {off} at Q={q}")
-        worst = max(worst, off)
+    q = np.array(RHO_MAP_Q)
+    r, _ = gaussian.minimize_upper_i_rho(np.array(RHO_MAP_P)[:, None], q)  # P down, Q across
+    off = np.abs(r - gaussian.rho_upper_i(q))
+    _require_all(off < 1e-4, lambda i, j: f"upper-I rho map off by {off[i, j]} "
+                                          f"at P={RHO_MAP_P[i]}, Q={RHO_MAP_Q[j]}")
+    worst = float(np.max(off))
     return f"upper-I rho map reproduced on {len(RHO_MAP_P)}x{len(RHO_MAP_Q)} grid (worst {worst:.2e})"
 
 
 def check_minimizer_rho_map_ii() -> str:
+    p_col, q_row = np.array(RHO_MAP_P)[:, None], np.array(RHO_MAP_Q)  # P down, Q across
+    r, v = gaussian.minimize_upper_ii_rho(p_col, q_row)
+    columns = zip(RHO_MAP_Q, gaussian.rho_upper_ii(q_row).tolist(), r.T.tolist(), v.T.tolist(),
+                  gaussian.upper_ii(p_col, q_row).T.tolist())
     deviating = 0
-    for q in RHO_MAP_Q:
-        r, v = gaussian.minimize_upper_ii_rho(np.array(RHO_MAP_P), q)
-        rho_star = gaussian.rho_upper_ii(q)
-        closed_row = gaussian.upper_ii(np.array(RHO_MAP_P), q).tolist()
-        for p, r_k, v_k, closed in zip(RHO_MAP_P, r.tolist(), v.tolist(), closed_row):
+    for q, rho_star, r_col, v_col, closed_col in columns:
+        for p, r_k, v_k, closed in zip(RHO_MAP_P, r_col, v_col, closed_col):
             if (p, q) in UPPER_II_CORNER:
                 deviating += 1
                 _require(
@@ -245,22 +246,21 @@ def check_branch_continuity() -> str:
 
 
 def check_lower_bound_vs_grid() -> str:
-    worst = 0.0
-    p = np.array((0.1, 1.0, 3.79, 12.0, 23.4, 263.7, 1.0e4))
-    for q in (0.0, 0.5, 2.0, 4.0, 31.6, 500.0, 1.0e4):  # one P row per call
-        _, _, numeric = gaussian.maximize_power_split(p, q)
-        closed = gaussian.lower_bound(p, q)
-        worst = max(worst, float(np.max(np.abs(closed - numeric) / np.maximum(1.0, closed))))
+    p = np.array((0.1, 1.0, 3.79, 12.0, 23.4, 263.7, 1.0e4))[:, None]  # P down, Q across
+    q = np.array((0.0, 0.5, 2.0, 4.0, 31.6, 500.0, 1.0e4))
+    _, _, numeric = gaussian.maximize_power_split(p, q)  # one call for the grid
+    closed = gaussian.lower_bound(p, q)
+    worst = float(np.max(np.abs(closed - numeric) / np.maximum(1.0, closed)))
     _require(worst <= 1e-12, f"closed lower bound vs power-split oracle differ by {worst} relative")
     return f"closed form equals power-split maximization to 1e-12 relative (worst {worst:.2e})"
 
 
 def check_upper_bounds_vs_rho_min() -> str:
-    p = np.array(P_GRID)
+    p = np.array(P_GRID)[:, None]
 
     def excess(closed, minimize, q_grid):  # the closed form minus the rho-minimum; P down, Q across
-        minima = np.column_stack([minimize(p, q)[1] for q in q_grid])
-        return closed(p[:, None], np.array(q_grid)) - minima
+        q = np.array(q_grid)
+        return closed(p, q) - minimize(p, q)[1]  # one call for the grid
 
     upper_i = (gaussian.upper_i, gaussian.minimize_upper_i_rho)
     upper_ii = (gaussian.upper_ii, gaussian.minimize_upper_ii_rho)

@@ -1,11 +1,12 @@
 """Tests for the scalar kernels: entropies, Gaussian MI, dB, minimizer."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from dirtycast import gaussian
+from dirtycast import core, gaussian
 from dirtycast.core import (
     GaussianCov,
     InvalidDistributionError,
@@ -187,21 +188,58 @@ class TestMinimizeScalar:
         with pytest.raises(ValueError, match="endpoints must be finite"):
             minimize_scalar(lambda t: t, (0.0, math.inf))
 
-    def test_scan_is_one_array_call(self):
+    @pytest.mark.parametrize("bound, batch, step", [
+        (2**15, (), 2000),  # one problem: the other 2000 points in one call
+        (2**15, (3,), 2000),
+        (2**15, (20, 21), 78),  # verify's rho grid: 420 problems, 78 points a call
+        (64, (3,), 21),
+        (64, (100,), 1),  # a batch above the bound: one point a call
+    ], ids=["one-problem", "row", "verify-grid", "small-bound", "batch-above-bound"])
+    def test_scan_visits_the_grid_once_in_bounded_blocks(self, monkeypatch, bound, batch, step):
+        monkeypatch.setattr(core, "_SCAN_VALUES", bound)
         # the bracket after the scan is two cells, 2 * 2/2000, and each zoom
         # narrows it 32-fold until it is at most 1e-10
         zooms = math.ceil(math.log(2.0 * (2.0 / 2000) / 1e-10, 32))
         assert zooms == 5
-        for centre, batch in ((0.3, ()), (np.array([[-0.5], [0.3], [0.9]]), (3,))):
-            shapes = []
+        size = math.prod(batch)
+        centre = np.linspace(-0.5, 0.9, size).reshape(batch + (1,))
+        calls = []
 
-            def f(t):
-                shapes.append(t.shape)
-                return (t - centre) ** 2
+        def f(t):
+            calls.append(t)
+            return (t - centre) ** 2
 
-            x, _ = minimize_scalar(f, (-1.0, 1.0))
-            assert shapes == [(2001,)] + [batch + (65,)] * zooms
-            assert np.shape(x) == batch
+        x, _ = minimize_scalar(f, (-1.0, 1.0))
+        scan, zoom = calls[:-zooms], calls[-zooms:]
+        # the first point, then the other 2000 in order, in blocks of step points
+        assert np.concatenate(scan).tolist() == np.linspace(-1.0, 1.0, 2001).tolist()
+        full, rest = divmod(2000, step)
+        assert [t.size for t in scan] == [1] + [step] * full + [rest] * (rest > 0)
+        assert all(t.ndim == 1 and size * t.size <= max(bound, size) for t in scan)
+        assert [t.shape for t in zoom] == [batch + (65,)] * zooms
+        assert np.shape(x) == batch
+
+    @pytest.mark.parametrize("bound", [1, 64, 2**15])
+    def test_blocked_scan_equals_one_scan(self, monkeypatch, bound):
+        # rows of values on the 2001-point grid, one problem per row
+        xs = np.linspace(-1.0, 1.0, 2001)
+        rows = np.ones((12, 2001))
+        rows[1, [500, 1500]] = 0.0  # a tie across blocks
+        rows[2, [0, 2000]] = 0.0  # a tie between the endpoints
+        rows[3], rows[4] = -xs, xs  # an endpoint minimum, at each end
+        rows[5] = math.inf  # +inf everywhere
+        rows[6, :1999] = math.inf  # +inf, then a minimum in the last block
+        rows[7, [10, 1500]] = 0.5, math.nan  # NaN after the least value
+        rows[8, 0] = math.nan  # NaN at the first point, scanned on its own
+        rows[9, [300, 1800]] = math.nan  # the first of two NaNs
+        rows[10] = math.nan
+        rows[11, 1999:] = -math.inf
+        monkeypatch.setattr(core, "_SCAN_VALUES", bound)
+        i, v = core._scan(lambda t: rows[:, np.searchsorted(xs, t)], xs)
+        # numpy's argmin and min over the whole grid: first on ties, NaN first of all
+        assert i.tolist() == rows.argmin(-1).tolist() == [0, 500, 0, 2000, 0, 0, 1999, 1500, 0,
+                                                          300, 0, 1999]
+        assert np.array_equal(v, rows.min(-1), equal_nan=True)
 
     def test_empty_interval(self):
         assert minimize_scalar(lambda t: (t - 1.0) ** 2, (2.0, 2.0)) == (2.0, 1.0)
@@ -212,7 +250,7 @@ class TestMinimizeScalar:
         with pytest.raises(ValueError, match="f must take an array of points") as info:
             minimize_scalar(lambda t: math.sin(t) ** 2, (0.0, 1.0))
         assert isinstance(info.value.__cause__, TypeError)
-        with pytest.raises(ValueError, match=r"array of points.*shape \(\) for \(2001,\)"):
+        with pytest.raises(ValueError, match=r"array of points.*shape \(\) for \(1,\)"):
             minimize_scalar(lambda t: 1.0, (0.0, 1.0))
 
     def test_wide_domain_terminates(self):
@@ -230,15 +268,23 @@ class TestMinimizeScalar:
         assert abs(x - 3.3e7) < 1e-6 * 1.0e8
 
 
+@functools.cache
+def _rho_map_grid(optimize):
+    """optimize on the whole rho-map grid in one call: P down, Q across."""
+    return optimize(np.array(RHO_MAP_P)[:, None], np.array(RHO_MAP_Q))
+
+
 class TestRhoMaps:
-    """The rho-map checks minimize over rho at the whole P row at once; at
-    each float P a minimizer returns, bit for bit, its entry of that row."""
+    """The rho-map checks minimize over rho on the whole (P, Q) grid at once;
+    at each float P and Q an optimizer returns, bit for bit, its entry of the
+    P row at that Q and its entry (i, j) of the grid."""
 
     @staticmethod
-    def assert_float_is_row_entry(minimize, p, q):
-        rho, bits = minimize(np.array(RHO_MAP_P), q)
-        i = RHO_MAP_P.index(p)
-        assert minimize(p, q) == (rho[i], bits[i])
+    def assert_float_is_row_entry(optimize, p, q):
+        row = optimize(np.array(RHO_MAP_P), q)
+        i, j = RHO_MAP_P.index(p), RHO_MAP_Q.index(q)
+        grid_entry = tuple(values[i, j] for values in _rho_map_grid(optimize))
+        assert optimize(p, q) == tuple(values[i] for values in row) == grid_entry
 
     @pytest.mark.parametrize("p", RHO_MAP_P)
     @pytest.mark.parametrize("q", RHO_MAP_Q)
@@ -249,6 +295,11 @@ class TestRhoMaps:
     @pytest.mark.parametrize("q", RHO_MAP_Q)
     def test_upper_ii_map(self, p, q):
         self.assert_float_is_row_entry(gaussian.minimize_upper_ii_rho, p, q)
+
+    @pytest.mark.parametrize("p", RHO_MAP_P)
+    @pytest.mark.parametrize("q", RHO_MAP_Q)
+    def test_power_split_map(self, p, q):
+        self.assert_float_is_row_entry(gaussian.maximize_power_split, p, q)
 
 
 class TestRateBound:

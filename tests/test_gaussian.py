@@ -339,6 +339,12 @@ def _row(bound):
     return lambda *args: bound(*(np.array([1.0, a]) for a in args))
 
 
+def _grid(optimize):
+    """optimize on a 2x2 (P, Q) grid, P down and Q across, whose second P and
+    second Q are the arguments."""
+    return lambda p, q: optimize(np.array([[1.0], [p]]), np.array([1.0, q]))
+
+
 GUARDED = {
     "awgn_capacity": (awgn_capacity, ("P",)),
     "rate_timeshare": (rate_timeshare, ("P",)),
@@ -352,6 +358,8 @@ GUARDED = {
     "minimize_upper_i_rho_row": (lambda p, q: minimize_upper_i_rho(np.array([1, p]), q), ("P", "Q")),
     "minimize_upper_ii_rho_row": (lambda p, q: minimize_upper_ii_rho(np.array([p, 1]), q), ("P", "Q")),
     "maximize_power_split_row": (lambda p, q: maximize_power_split(np.array([1, p]), q), ("P", "Q")),
+    **{f"{func.__name__}_grid": (_grid(func), ("P", "Q"))
+       for func in (minimize_upper_i_rho, minimize_upper_ii_rho, maximize_power_split)},
     "upper_envelope": (upper_envelope, ("P", "Q")),
     "gap": (gap, ("P", "Q")),
     "rho_upper_i": (gaussian.rho_upper_i, ("Q",)),
@@ -394,11 +402,12 @@ def test_non_finite_arguments_are_rejected_by_name(name, index, bad):
 
 @pytest.mark.parametrize(
     "name, index",
-    # a _row entry builds an array from each argument, so a list never reaches the function
-    [(name, i) for name, (_, args) in GUARDED.items() if not name.endswith("_row")
+    # a _row or _grid entry builds an array from each argument, so a list never
+    # reaches the function
+    [(name, i) for name, (_, args) in GUARDED.items() if not name.endswith(("_row", "_grid"))
      for i in range(len(args))],
-    ids=[f"{name}-{arg}" for name, (_, args) in GUARDED.items() if not name.endswith("_row")
-         for arg in args],
+    ids=[f"{name}-{arg}" for name, (_, args) in GUARDED.items()
+         if not name.endswith(("_row", "_grid")) for arg in args],
 )
 def test_list_arguments_are_rejected_by_name(name, index):
     func, names = GUARDED[name]
@@ -441,7 +450,15 @@ FLOAT_CALLS = {
 }
 
 
-@pytest.mark.parametrize("name", FLOAT_CALLS)
+# those calls, and the optimizers on a (P, Q) grid, which check P and Q once each
+CHECKED_CALLS = {
+    **FLOAT_CALLS,
+    **{f"{func.__name__}_grid": (lambda func=func: _grid(func)(2.0, 0.5), ["P", "Q"])
+       for func in (minimize_upper_i_rho, minimize_upper_ii_rho, maximize_power_split)},
+}
+
+
+@pytest.mark.parametrize("name", CHECKED_CALLS)
 def test_each_argument_is_checked_once_per_call(monkeypatch, name):
     checked = []
 
@@ -454,7 +471,7 @@ def test_each_argument_is_checked_once_per_call(monkeypatch, name):
     for module, check in ((gaussian, "_check_nonnegative"), (gaussian, "_check_integer"),
                           (correlated, "_check_nonnegative")):
         monkeypatch.setattr(module, check, recording(getattr(module, check)))
-    call, names = FLOAT_CALLS[name]
+    call, names = CHECKED_CALLS[name]
     call()
     assert checked == names
 

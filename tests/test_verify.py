@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import dirtycast
-from dirtycast import cli, verify
+from dirtycast import cli, gaussian, verify
 
 
 @pytest.mark.parametrize("name, check", verify.CHECKS, ids=[n for n, _ in verify.CHECKS])
@@ -25,6 +25,26 @@ def test_a_crashing_check_fails(monkeypatch):
     [result] = verify.run_checks()
     assert not result.passed and "boom" in result.detail
     assert cli.main(["verify"]) == 1
+
+
+@pytest.mark.parametrize("name, most", [
+    ("rho-map-upper-i", 1),
+    ("rho-map-upper-ii", 1),
+    ("gaussian-lower-vs-grid", 1),
+    ("gaussian-upper-vs-rho-min", 3),
+])
+def test_optimizer_checks_minimize_once_per_grid(monkeypatch, name, most):
+    # each optimizer call covers a whole (P, Q) grid, not one Q per call
+    minimize, calls = gaussian.minimize_scalar, []
+
+    def counting(f, domain):
+        calls.append(domain)
+        return minimize(f, domain)
+
+    monkeypatch.setattr(gaussian, "minimize_scalar", counting)
+    [result] = verify.run_checks([name])
+    assert result.passed, result.detail
+    assert 1 <= len(calls) <= most
 
 
 def test_unknown_check_names_are_rejected():
