@@ -82,15 +82,13 @@ def check_entropy_basics() -> str:
 
 def check_gaussian_mi_properties() -> str:
     rng = np.random.default_rng(7)
-    groups = {}  # (dim, cut) -> random covariances a a^T
-    for _ in range(60):
-        dim = int(rng.integers(2, 9))
-        a = rng.normal(size=(dim, dim + 2))
-        groups.setdefault((dim, int(rng.integers(1, dim))), []).append(a @ a.T)
+    dims, counts = np.unique(rng.integers(2, 9, size=60), return_counts=True)
     worst_sym, worst_neg = 0.0, 0.0
-    for (dim, cut), matrices in groups.items():  # one call per (dim, cut) and direction
-        cov, a, b = GaussianCov(np.array(matrices)), range(cut), range(cut, dim)
-        fwd, bwd = gaussian_mi(cov, a, b), gaussian_mi(cov, b, a)
+    for dim, count in zip(dims.tolist(), counts.tolist()):  # one stack and cut per dim
+        a = rng.normal(size=(count, dim, dim + 2))  # random covariances a a^T
+        cut = int(rng.integers(1, dim))
+        cov, lo, hi = GaussianCov(a @ np.swapaxes(a, -1, -2)), range(cut), range(cut, dim)
+        fwd, bwd = gaussian_mi(cov, lo, hi), gaussian_mi(cov, hi, lo)
         worst_sym = max(worst_sym, float(np.max(np.abs(fwd - bwd))))
         worst_neg = min(worst_neg, float(np.min(fwd)))
     _require(worst_sym < 1e-9, f"MI symmetry violated by {worst_sym}")
