@@ -2,11 +2,9 @@
 
 Entropies, jointly-Gaussian mutual information over a whole stack of
 covariance matrices per call, dB conversion, a derivative-free scalar
-minimizer that solves a batch of problems per call (its grid scan hands
-the objective at most `_SCAN_VALUES` values per call, so a large batch
-never holds the whole grid at once), and the argument and rate checks,
-received power and result shaping that the Gaussian modules share.  The
-argument check takes floats or arrays alike.
+minimizer that solves a batch of problems per call, and the argument and
+rate checks, received power and result shaping that the Gaussian modules
+share.  The argument check takes floats or arrays alike.
 All returned rates are bits per channel use (logs base 2); natural-log
 internals are an implementation detail.  Every function here is pure, so
 concurrent use needs no locking.
@@ -204,10 +202,11 @@ def _check_nonnegative(name: str, values, *more) -> None:
     or infinite.  A list is refused: the formulas would get the list itself."""
     if not isinstance(values, (float, int, np.floating, np.integer, np.ndarray)):
         raise ValueError(f"{name} must be a float or a NumPy array, got {type(values).__name__}")
-    v = np.asarray(values, dtype=float)
-    bad = ~((v >= 0.0) & (v < math.inf))
-    if bad.any():
-        raise ValueError(f"{name} must be finite and nonnegative, got {float(v[bad][0])!r}")
+    if type(values) is not float or not 0.0 <= values < math.inf:  # a valid float skips NumPy
+        v = np.asarray(values, dtype=float)
+        bad = ~((v >= 0.0) & (v < math.inf))
+        if bad.any():
+            raise ValueError(f"{name} must be finite and nonnegative, got {float(v[bad][0])!r}")
     if more:
         _check_nonnegative(*more)
 
@@ -313,8 +312,8 @@ _SCAN_VALUES = 2**15  # values per call of f in the grid scan: batch size times 
 
 
 def _argmin(f, points):
-    """Index along the last axis and value of the least of f(points), first
-    on ties and on NaN, once f has kept the array contract of minimize_scalar."""
+    """Index along the last axis of the least of f(points), first on ties and
+    on NaN, and the value there, once f has kept minimize_scalar's contract."""
     contract = "f must take an array of points and return one value per point"
     try:
         vals = np.asarray(f(points), float)
@@ -322,15 +321,14 @@ def _argmin(f, points):
         raise ValueError(contract) from exc
     if vals.shape[vals.ndim - points.ndim:] != points.shape:
         raise ValueError(f"{contract}; got shape {vals.shape} for {points.shape} points")
-    return vals.argmin(-1), vals.min(-1)
+    i = vals.argmin(-1)  # not min(-1): a second full pass, and it may give -0.0 for +0.0
+    return i, vals[np.indices(i.shape, sparse=True) + (i,)]
 
 
 def _scan(f, xs):
-    """_argmin(f, xs) for a 1-D grid xs, in blocks: f at xs[0] gives the
-    batch size, and the other points follow in order, at most _SCAN_VALUES
-    values (one point, if the batch alone is larger) per call.  A block
-    replaces the running best only if strictly less, or if it holds the
-    first NaN, so ties and NaN still go to the first index."""
+    """_argmin(f, xs) for a 1-D grid xs, in the blocks minimize_scalar
+    describes.  A block replaces the running best only if strictly less, or
+    if it holds the first NaN, so ties and NaN still go to the first index."""
     i, v = _argmin(f, xs[:1])
     step = max(1, _SCAN_VALUES // np.size(v))
     for start in range(1, len(xs), step):
@@ -346,9 +344,10 @@ def minimize_scalar(f, domain):
     f takes an array of points and returns its value at each; its own
     parameters may carry leading batch axes that broadcast against the
     points, so one call minimizes a batch of functions.  A scan visits a
-    grid of 2001 points once, in order: f at the first point, then the
-    others in blocks of at most 2**15 values (batch size times points) per
-    call of f, so a large batch holds only a block of the grid at a time.
+    grid of 2001 points once, in order: f at the first point, which gives
+    the batch size, then the others in blocks of at most 2**15 values (one
+    point, if the batch alone is larger) per call of f, so a large batch
+    holds only a block of the grid at a time.
     Each zoom then calls f once on 65 points (batch + (65,)) evenly spread
     over the two grid cells around the best, clipped to the domain, which
     narrows the bracket 32-fold.  The zoom count (at most 5) is fixed up

@@ -9,18 +9,18 @@ forms `upper_i` and `upper_ii` are those objectives at the branch rho
 cross-check that choice.  An objective takes P, Q and rho as floats or as
 arrays that broadcast; so `minimize_upper_i_rho` and
 `minimize_upper_ii_rho` minimize over rho at a whole (P, Q) grid in one
-`minimize_scalar` call.  rho is scanned on an axis of its own after those
-of P and Q, so a term in rho alone, or in P and rho, is computed once and
-shared by every Q.  The achievable side is superposition dirty-paper coding
-over the split S_k = A +/- D, with a covariance-based oracle that
-reproduces the two codebook rates from first principles, for arrays of
-splits and Q in one stacked call; `maximize_power_split` likewise solves a
-whole (P, Q) grid in one call.
+`minimize_scalar` call, with rho on an axis of its own after those of P
+and Q (the objectives' kernels say which axes each term is formed on).
+The achievable side is superposition dirty-paper coding over the split
+S_k = A +/- D, with a covariance-based oracle that reproduces the two
+codebook rates from first principles, for arrays of splits and Q in one
+stacked call; `maximize_power_split` likewise solves a whole (P, Q) grid
+in one call.
 
 Every P, Q and split power (P_A, P_D) is a plain float, or an array that
 broadcasts against the others, and takes numpy's path: floats in give a
 Python float out.  A float call thus pays numpy's per-call overhead, about
-4.5 us for `awgn_capacity` and 28 us for `gap` (2 vCPU, numpy 2.4); sweeps
+1.2 us for `awgn_capacity` and 25 us for `gap` (2 vCPU, numpy 2.4); sweeps
 pass arrays.  Each public function checks each argument once and then
 calls private formulas that do not check again.
 """
@@ -88,22 +88,30 @@ def _rho_objective(value, p, q, rho, rho_max):
     denominators are positive, and +inf outside it.
 
     The formula sees the closed entries too, with the divide and invalid
-    warnings of their logs and sqrts silenced, and they are then set to
-    +inf in place; so rho keeps its own shape and a term in rho is not
-    broadcast against Q.  The arguments are taken as arrays, so that a
-    float rho = -1 divides by zero as NumPy does rather than raising."""
+    warnings of their logs and sqrts silenced, and any (a scan block rarely
+    has one) are then set to +inf in place; so rho keeps its own shape and
+    a term in rho is not broadcast against Q.  The arguments are taken as
+    arrays, so a float rho = -1 divides by zero as NumPy does, not raising."""
     closed = (rho <= -1.0) | (rho >= rho_max)
     with np.errstate(divide="ignore", invalid="ignore"):
         values = np.asarray(value(np.asarray(p), np.asarray(q), np.asarray(rho)))
-    np.copyto(values, math.inf, where=closed)
-    return _out(values)
+    if values.ndim == 0:
+        return math.inf if closed else float(values)
+    if np.any(closed):
+        np.copyto(values, math.inf, where=closed)
+    return values
 
 
 def _upper_i_value(p, q, rho):
-    """The upper_i_at_rho formula.  The second log is taken as a difference:
-    the ratio overflows at large P and small Q."""
-    return (0.25 * np.log2((1.0 + p) / (1.0 + rho))
-            + 0.25 * (np.log2(_received_power(p, q)) - np.log2(q / 2.0 + 1.0 - rho)))
+    """The upper_i_at_rho formula: log2(P+Q+1+2 sqrt(PQ))/4 on the axes of P
+    and Q, less log2(Q/2+1-rho)/4 on those of Q and rho (their ratio
+    overflows at large P, small Q), plus log2((1+P)/(1+rho))/4 on those of P
+    and rho.  Scaling each term before the broadcast leaves a scan block two
+    full-size passes, one in place, and is exact: a power of two commutes
+    with rounding, and no log here, nor a difference of two, is subnormal."""
+    value = 0.25 * np.log2(_received_power(p, q)) - 0.25 * np.log2(q / 2.0 + 1.0 - rho)
+    value += 0.25 * np.log2((1.0 + p) / (1.0 + rho))
+    return value
 
 
 def upper_i_at_rho(p, q, rho):
@@ -149,14 +157,19 @@ def _rate_distortion_term(p, q, rho):
     """[log2(Q/(2P+1+rho))/4]^+ for Q > 0, the term upper_ii_at_rho
     subtracts; 0 at Q = 0.  Twice it is the floor under
     I(S+; sqrt2 X + S+ + Z+), with S+ = (S1+S2)/sqrt2 and noise
-    Z+ = (Z1+Z2)/sqrt2 of variance 1+rho."""
-    return np.maximum(0.0, 0.25 * (_log2_q(q) - np.log2(2.0 * p + 1.0 + rho)))
+    Z+ = (Z1+Z2)/sqrt2 of variance 1+rho.  log2(Q)/4 (axes of Q) and
+    log2(2P+1+rho)/4 (P, rho) are each scaled first, exactly as in
+    _upper_i_value, so the difference and the clamp are the full-size passes."""
+    return np.maximum(0.0, 0.25 * _log2_q(q) - 0.25 * np.log2(2.0 * p + 1.0 + rho))
 
 
 def _upper_ii_value(p, q, rho):
-    """The upper_ii_at_rho formula."""
-    return (0.5 * np.log2(_received_power(p, q) / np.sqrt((1.0 + rho) * (q + 1.0 - rho)))
-            - _rate_distortion_term(p, q, rho))
+    """The upper_ii_at_rho formula: half the log of P+Q+1+2 sqrt(PQ) (axes of
+    P, Q) over sqrt((1+rho)(Q+1-rho)) (Q, rho), less _rate_distortion_term,
+    which is subtracted in place."""
+    value = 0.5 * np.log2(_received_power(p, q) / np.sqrt((1.0 + rho) * (q + 1.0 - rho)))
+    value -= _rate_distortion_term(p, q, rho)
+    return value
 
 
 def upper_ii_at_rho(p, q, rho):
@@ -391,9 +404,10 @@ def gap(p, q):
 def high_sinr_asymptote(p, q):
     """Capacity asymptote for P -> infinity at fixed Q:
 
-    log2(P/sqrt(2Q))/2 for Q > 2, log2(P/(1+Q/2))/2 for Q <= 2.  Every
-    entry of P must be positive."""
+    log2(P/sqrt(2Q))/2 for Q > 2, log2(P/(1+Q/2))/2 for Q <= 2, taken as
+    a difference of logs, since the ratio underflows at P = 1e-300,
+    Q = 1e300.  Every entry of P must be positive."""
     _check_nonnegative("P", p, "Q", q)
     if np.any(np.equal(p, 0.0)):
         raise ValueError("P must be positive")
-    return _out(0.5 * np.log2(p / np.where(q > 2.0, np.sqrt(2.0 * q), 1.0 + q / 2.0)))
+    return _out(0.5 * (np.log2(p) - np.log2(np.where(q > 2.0, np.sqrt(2.0 * q), 1.0 + q / 2.0))))

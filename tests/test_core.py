@@ -223,7 +223,7 @@ class TestMinimizeScalar:
     def test_blocked_scan_equals_one_scan(self, monkeypatch, bound):
         # rows of values on the 2001-point grid, one problem per row
         xs = np.linspace(-1.0, 1.0, 2001)
-        rows = np.ones((12, 2001))
+        rows = np.ones((13, 2001))
         rows[1, [500, 1500]] = 0.0  # a tie across blocks
         rows[2, [0, 2000]] = 0.0  # a tie between the endpoints
         rows[3], rows[4] = -xs, xs  # an endpoint minimum, at each end
@@ -234,12 +234,16 @@ class TestMinimizeScalar:
         rows[9, [300, 1800]] = math.nan  # the first of two NaNs
         rows[10] = math.nan
         rows[11, 1999:] = -math.inf
+        rows[12, [700, 1300]] = 0.0, -0.0  # a tie of +0.0 and -0.0
         monkeypatch.setattr(core, "_SCAN_VALUES", bound)
         i, v = core._scan(lambda t: rows[:, np.searchsorted(xs, t)], xs)
-        # numpy's argmin and min over the whole grid: first on ties, NaN first of all
+        # numpy's argmin over the whole grid: first on ties, NaN first of all
         assert i.tolist() == rows.argmin(-1).tolist() == [0, 500, 0, 2000, 0, 0, 1999, 1500, 0,
-                                                          300, 0, 1999]
+                                                          300, 0, 1999, 700]
         assert np.array_equal(v, rows.min(-1), equal_nan=True)
+        # the minimum is the entry at that index, bit for bit: +0.0 in the last
+        # row, where numpy's min(-1) may give -0.0
+        assert v.view(np.uint64).tolist() == rows[range(13), i].view(np.uint64).tolist()
 
     def test_empty_interval(self):
         assert minimize_scalar(lambda t: (t - 1.0) ** 2, (2.0, 2.0)) == (2.0, 1.0)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from dirtycast import correlated, gaussian
+from dirtycast import core, correlated, gaussian, verify
 from dirtycast.gaussian import (
     awgn_capacity,
     dpc_covariance,
@@ -233,7 +233,11 @@ class TestAsymptotesAndFeedback:
         assert high_sinr_asymptote(1.0e6, 8.0) == pytest.approx(8.965784284662087, abs=1e-12)
 
     def test_asymptote_array_matches_float(self):
-        powers, inrs = [1e-3, 1e2, 1e300], [0.0, 2.0, 8.0, 1e300]
+        powers, inrs = [1e-300, 1e-3, 1e2, 1e300], [0.0, 2.0, 8.0, 1e300]
+        # P/sqrt(2Q) underflows to 0 here, so the logs are taken apart
+        expect = 0.5 * (math.log2(1e-300) - 0.5 * math.log2(2e300))
+        assert high_sinr_asymptote(1e-300, 1e300) == pytest.approx(expect, rel=1e-15)
+        assert expect == pytest.approx(-747.6838213496566, rel=1e-15)
         grid = high_sinr_asymptote(np.array(powers)[:, None], np.array(inrs))
         points = [(p, q) for p in powers for q in inrs]
         assert_matches_elementwise(grid.ravel(), lambda i: high_sinr_asymptote(*points[i]))
@@ -289,6 +293,22 @@ class TestArrayObjectives:
         # rho = 1 closes Q/2 + 1 - rho (upper-I) and Q + 1 - rho (upper-II) at Q = 0
         assert upper_i_at_rho(1.0, 0.0, self.RHOS)[2000] == math.inf
         assert upper_ii_at_rho(1.0, 0.0, self.RHOS)[2000] == math.inf
+
+    @pytest.mark.parametrize("minimize", [minimize_upper_i_rho, minimize_upper_ii_rho])
+    def test_rho_minimum_does_not_depend_on_the_scan_block(self, monkeypatch, minimize):
+        # verify's two 20x21 grids, and P, Q in {0, 1e-300, 1e300}; 2**6 values
+        # make blocks of one point (a batch is 9 or 420 problems), 2**15 of 78
+        # points on the 20x21 grids, and 2**20 one block after the first point.
+        # At Q = 0 the last block holds the closed rho = 1, the others none.
+        extreme = np.array([0.0, 1e-300, 1e300])
+        grids = [(np.array(verify.P_GRID)[:, None], np.array(verify.Q_GRID_LINEAR)),
+                 (np.array(verify.P_GRID)[:, None], np.array(verify.Q_GRID_LOG)),
+                 (extreme[:, None], extreme)]
+        results = []
+        for size in (2**6, 2**15, 2**20):
+            monkeypatch.setattr(core, "_SCAN_VALUES", size)
+            results.append([np.stack(minimize(p, q)).view(np.uint64).tolist() for p, q in grids])
+        assert results[0] == results[1] == results[2]
 
     @pytest.mark.parametrize("bound", [
         lambda p, q: awgn_capacity(p), lambda p, q: rate_timeshare(p), rate_interference_as_noise,
