@@ -14,8 +14,9 @@ import sys
 
 from . import __version__, binary, correlated, figures, gaussian, verify
 from .core import db_to_linear
-from .figures import format_number as _fmt
 from .simulate import SchemeRun, simulate_scheme
+
+_fmt = figures.format_number  # every number is printed as the figure CSVs print it
 
 
 def _resolve_db_pair(parser, linear, in_db, name, quantity):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,19 +197,31 @@ class GaussianCov:
         return cls((c * v[..., None, :]) @ np.swapaxes(c, -2, -1))
 
 
-def _check_nonnegative(name: str, values, *more) -> None:
-    """Raise ValueError naming the first of the (name, values) pairs whose values
-    is not a real number or a NumPy array, or has an entry that is negative, NaN
-    or infinite.  A list is refused: the formulas would get the list itself."""
+def _check_in(name: str, values, top: float, rule: str) -> None:
+    """Raise ValueError naming name if values is not a real number or a NumPy
+    array, or has an entry outside [0, top] (NaN included): the first such entry,
+    and the rule it breaks.  A list is refused: the formulas would get the list
+    itself."""
     if not isinstance(values, (float, int, np.floating, np.integer, np.ndarray)):
         raise ValueError(f"{name} must be a float or a NumPy array, got {type(values).__name__}")
-    if type(values) is not float or not 0.0 <= values < math.inf:  # a valid float skips NumPy
+    if type(values) is not float or not 0.0 <= values <= top:  # a valid float skips NumPy
         v = np.asarray(values, dtype=float)
-        bad = ~((v >= 0.0) & (v < math.inf))
+        bad = ~((v >= 0.0) & (v <= top))
         if bad.any():
-            raise ValueError(f"{name} must be finite and nonnegative, got {float(v[bad][0])!r}")
+            raise ValueError(f"{name} must {rule}, got {float(v[bad][0])!r}")
+
+
+def _check_nonnegative(name: str, values, *more) -> None:
+    """_check_in for each (name, values) pair in turn: every entry finite and
+    nonnegative."""
+    _check_in(name, values, sys.float_info.max, "be finite and nonnegative")
     if more:
         _check_nonnegative(*more)
+
+
+def _check_probability(name: str, values) -> None:
+    """_check_in for a probability: every entry in [0, 1]."""
+    _check_in(name, values, 1.0, "lie in [0, 1]")
 
 
 def _check_integer(name: str, value, *more) -> None:
@@ -236,14 +249,21 @@ def _received_power(p, q):
     return p + q + 1.0 + 2.0 * np.sqrt(p) * np.sqrt(q)
 
 
-def binary_entropy(q: float) -> float:
-    """Entropy in bits of a Bernoulli(q) symbol, with 0*log0 := 0."""
-    q = float(q)
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"probability must lie in [0, 1], got {q}")
-    if q == 0.0 or q == 1.0:
-        return 0.0
-    return -(q * math.log2(q) + (1.0 - q) * math.log2(1.0 - q))
+def _entropy(q):
+    """binary_entropy of a checked q: -(q log2 q + (1-q) log2 (1-q)), and 0
+    where q is 0 or 1."""
+    q = np.asarray(q, dtype=float)
+    r = 1.0 - q
+    # every q > 0 is at least 5e-324, the least float, so only 0 moves, to a
+    # finite log; 0 - (...) is +0 at the ends, where -(...) would be -0
+    return 0.0 - (q * np.log2(np.maximum(q, 5e-324)) + r * np.log2(np.maximum(r, 5e-324)))
+
+
+def binary_entropy(q):
+    """Entropy in bits of a Bernoulli(q) symbol, with 0*log0 := 0, for a float
+    or an array of q: a float for a float."""
+    _check_probability("probability", q)
+    return _out(_entropy(q))
 
 
 def pmf_entropy(pmf: JointPmf) -> float:

@@ -21,26 +21,31 @@ from .core import db_to_linear
 __all__ = ["FIGURES", "figure_table", "format_number", "render_csv", "write_csv", "write_svg"]
 
 
+_NUMBER = ".9g"  # every CSV number: 9 significant digits
+
+
 def format_number(x: float) -> str:
-    return format(float(x), ".9g")
+    return format(float(x), _NUMBER)
 
 
 def _binary_two_user(qs):
-    specs = [binary.BinaryChannelSpec.iid(q) for q in qs]
+    """The two-user binary columns at a list of q, one call per column."""
+    spec = binary.BinaryChannelSpec.iid(np.array(qs))
     return {
-        "capacity": [binary.capacity_two_user(spec) for spec in specs],
-        "timeshare": [binary.rate_timeshare(2)] * len(specs),
-        "ignore_si": [binary.rate_ignore_side_info(spec) for spec in specs],
+        "capacity": binary.capacity_two_user(spec).tolist(),
+        "timeshare": [binary.rate_timeshare(2)] * len(qs),
+        "ignore_si": binary.rate_ignore_side_info(spec).tolist(),
     }
 
 
 def _binary_three_user(qs):
-    specs = [binary.BinaryChannelSpec.iid(q, k=3) for q in qs]
+    """The three-user binary columns at a list of q, one call per column."""
+    spec = binary.BinaryChannelSpec.iid(np.array(qs), k=3)
     return {
-        "upper_k3": [binary.upper_bound_k(spec) for spec in specs],
-        "lower_k3": [binary.lower_bound_k(spec) for spec in specs],
-        "timeshare": [binary.rate_timeshare(3)] * len(specs),
-        "ignore_si": [binary.rate_ignore_side_info(spec) for spec in specs],
+        "upper_k3": binary.upper_bound_k(spec).tolist(),
+        "lower_k3": binary.lower_bound_k(spec).tolist(),
+        "timeshare": [binary.rate_timeshare(3)] * len(qs),
+        "ignore_si": binary.rate_ignore_side_info(spec).tolist(),
     }
 
 
@@ -90,10 +95,10 @@ def figure_table(name: str):
 
 
 def render_csv(header, rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_number(v) for v in row))
-    return "\n".join(lines) + "\n"
+    """The CSV text: the header line, then each row formatted as format_number
+    formats each cell, by one % operation of a format string for the table."""
+    row_format = ",".join(["%" + _NUMBER] * len(header))
+    return "\n".join([",".join(header), *(row_format % tuple(row) for row in rows)]) + "\n"
 
 
 def write_csv(path, header, rows):

@@ -31,7 +31,7 @@ from functools import partial
 
 import numpy as np
 
-from .binary import BinaryChannelSpec, precancellation_rate, xor_convolve
+from .binary import BinaryChannelSpec, _one_channel, precancellation_rate, xor_convolve
 from .core import _check_integer
 
 __all__ = ["InfeasibleRunError", "SchemeRun", "simulate_scheme"]
@@ -155,37 +155,55 @@ def _ml_decode(blocks, y, clean, clean_size, n, noise_q, cross_noisy):
     A codeword at d disagreements with y[k, b] on the clean half (mask clean[k, b],
     clean_size[k, b] bits) and d' on the other n - clean_size[k, b] bits scores
     _half_loglik(clean_size, noise_q, d) + _half_loglik(n - clean_size, cross_noisy,
-    d'); codewords and y are zero past bit n, so d + d' is the popcount of their XOR.
-    Each block is scored for both users in one pass, so no temporary grows with the
-    codebook.  Without noise (noise_q = 0) only the codewords that agree with y on
-    the clean half are scored, at d = 0; the others keep -inf, and a block where
-    none agrees is skipped, since it cannot hold a strictly better codeword.  A
-    noise-free linear trial in a batch of its own goes to _coset_decode instead,
-    which scores the same survivors without the codebook."""
+    d'); y is zero past bit n, and so are the codewords of a noisy decode, so
+    d + d' is the popcount of their XOR.  Each block is scored for both users in one
+    pass, so no temporary grows with the codebook.  Without noise (noise_q = 0) only
+    the codewords that agree with y on the clean half are scored, at d = 0, with
+    their XOR masked past bit n: the clean masks already end at bit n, so those
+    blocks need not be zeroed there.  The agreement of a block is formed in two
+    buffers kept across blocks, and a block where no codeword agrees is skipped,
+    since it cannot hold a strictly better codeword.  A noise-free linear trial in a
+    batch of its own goes to _coset_decode instead, which scores the same survivors
+    without the codebook."""
     trials, cw = y.shape[1:]
     clean, y_clean, clean_size = clean[:, :, None], (y & clean)[:, :, None], clean_size[..., None]
     best = np.zeros((2, trials), dtype=np.int64)
     best_score = np.full((2, trials), -np.inf)
+    masked = agree = hit = None  # the noise-free buffers, (2, trials, rows of the first block)
     for start, block in blocks:
         if noise_q == 0.0:
-            # word by word, as a reduction over the short word axis is slow
-            agree = (block[..., 0] & clean[..., 0]) == y_clean[..., 0]
+            rows = block.shape[1]
+            if masked is None:
+                masked = np.empty((2, trials, rows), dtype=np.uint64)
+                agree, hit = np.empty(masked.shape, dtype=bool), np.empty(masked.shape, dtype=bool)
+            # word by word into the buffers, as a reduction over the short word axis is slow
+            word = np.bitwise_and(block[..., 0], clean[..., 0], out=masked[..., :rows])
+            ok = np.equal(word, y_clean[..., 0], out=agree[..., :rows])
             for j in range(1, cw):
-                agree &= (block[..., j] & clean[..., j]) == y_clean[..., j]
-            if not agree.any():
+                np.bitwise_and(block[..., j], clean[..., j], out=word)
+                ok &= np.equal(word, y_clean[..., j], out=hit[..., :rows])
+            if not ok.any():
                 continue
-            k, b, r = np.nonzero(agree)
-            score = np.full(agree.shape, -np.inf)
-            score[k, b, r] = _half_loglik(n - clean_size[k, b, 0], cross_noisy,
-                                          _popcount(block[b, r] ^ y[k, b]))
-        else:
-            diff = block ^ y[:, :, None]
-            d_all = _popcount(diff)
-            diff &= clean
-            d_clean = _popcount(diff)
-            del diff  # before the score temporaries, each as large
-            score = _half_loglik(clean_size, noise_q, d_clean)
-            score += _half_loglik(n - clean_size, cross_noisy, d_all - d_clean)
+            k, b, r = np.nonzero(ok)
+            diff = block[b, r] ^ y[k, b]
+            _zero_past(diff, n)
+            score = _half_loglik(n - clean_size[k, b, 0], cross_noisy, _popcount(diff))
+            # the best survivor of each (user, trial), the first on ties, as argmax picks
+            slot = k * trials + b
+            lead = np.lexsort((-score, slot))
+            lead = lead[np.r_[True, slot[lead[1:]] != slot[lead[:-1]]]]
+            slot, top = slot[lead], score[lead]
+            better = top > best_score.ravel()[slot]
+            best.ravel()[slot[better]] = start + r[lead[better]]
+            best_score.ravel()[slot[better]] = top[better]
+            continue
+        diff = block ^ y[:, :, None]
+        d_all = _popcount(diff)
+        diff &= clean
+        d_clean = _popcount(diff)
+        del diff  # before the score temporaries, each as large
+        score = _half_loglik(clean_size, noise_q, d_clean)
+        score += _half_loglik(n - clean_size, cross_noisy, d_all - d_clean)
         i = score.argmax(-1)
         top = np.take_along_axis(score, i[..., None], -1)[..., 0]
         better = top > best_score
@@ -307,16 +325,17 @@ def _words(seed, trials, width, head=None):
 
 def _pcg_rows(keys, first, m, cw, n, step):
     """The m packed rows of cw words that the PCG64 keyed by keys[b] draws from its
-    word first[b] on, zeroed past bit n, as (start, block) pairs: block[b] holds rows
-    start to start + step of them (fewer in the last block), drawn only when the
-    block is asked for.  PCG64.advance jumps to a word without drawing the ones
-    before it (O'Neill, HMC-CS-2014-0905)."""
+    word first[b] on, zeroed past bit n unless n is None, as (start, block) pairs:
+    block[b] holds rows start to start + step of them (fewer in the last block),
+    drawn only when the block is asked for.  PCG64.advance jumps to a word without
+    drawing the ones before it (O'Neill, HMC-CS-2014-0905)."""
     gens = [np.random.PCG64(int(k)) for k in keys]
     for g, at in zip(gens, first):
         g.advance(int(at))
     for start in range(0, m, step):
         block = _raw(gens, min(step, m - start) * cw).reshape(len(gens), -1, cw)
-        _zero_past(block, n)
+        if n is not None:
+            _zero_past(block, n)
         yield start, block
 
 
@@ -369,7 +388,8 @@ def _run_batch(run: SchemeRun, m, below, noise_q: float, cross_noisy: float, tri
         if stream:
             keys = _keys(run.seed, trials)
             sent = next(_pcg_rows(keys, at + 1 + w * cw, 1, cw, n, 1))[1][:, 0]
-            blocks = _pcg_rows(keys, [at + 1] * size, m, cw, n, step)
+            # a noise-free decode masks what it scores past bit n itself
+            blocks = _pcg_rows(keys, [at + 1] * size, m, cw, n if noise_q > 0.0 else None, step)
         else:
             book = words[:, at + 1 :].reshape(size, rows, cw)  # a view: the rows are not copied
             _zero_past(book, n)
@@ -403,6 +423,7 @@ def simulate_scheme(spec: BinaryChannelSpec, run: SchemeRun, threads: int = 1) -
     """
     if spec.k != 2:
         raise ValueError("the scheme simulation covers two users")
+    _one_channel(spec, "simulate_scheme")
     _check_integer("threads", threads)
     if threads < 1:
         raise ValueError("threads must be >= 1")

@@ -72,8 +72,8 @@ RHO_MAP_Q = (0.1, 0.5, 1.0, 2.0, 4.0, 8.0, 100.0)
 def check_entropy_basics() -> str:
     _require(binary_entropy(0.5) == 1.0, "H(1/2) must be 1")
     _require(binary_entropy(0.0) == 0.0 and binary_entropy(1.0) == 0.0, "H endpoint")
-    for q in np.linspace(0.0, 1.0, 101):
-        _require(abs(binary_entropy(q) - binary_entropy(1 - q)) < 1e-12, "H symmetry")
+    q = np.linspace(0.0, 1.0, 101)
+    _require(np.all(np.abs(binary_entropy(q) - binary_entropy(1 - q)) < 1e-12), "H symmetry")
     for m in range(2, 65):
         h = pmf_entropy(JointPmf.uniform(range(m)))
         _require(abs(h - math.log2(m)) < 1e-12, f"uniform({m}) entropy {h}")
@@ -137,42 +137,39 @@ def check_minimizer_rho_map_ii() -> str:
 
 
 def check_binary_bounds_ordered() -> str:
-    for k in range(2, 11):
-        for q in np.arange(0.0, 0.51, 0.05):
-            spec = binary.BinaryChannelSpec.iid(float(q), k=k)
-            lo = binary.lower_bound_k(spec)
-            hi = binary.upper_bound_k(spec)
-            _require(lo <= hi + 1e-12, f"K={k}, q={q}: lower {lo} > upper {hi}")
+    q = np.arange(0.0, 0.51, 0.05)
+    for k in range(2, 11):  # one sweep of q per K
+        spec = binary.BinaryChannelSpec.iid(q, k=k)
+        lo = binary.lower_bound_k(spec)
+        hi = binary.upper_bound_k(spec)
+        _require_all(lo <= hi + 1e-12, lambda i: f"K={k}, q={q[i]}: lower {lo[i]} > upper {hi[i]}")
     return "lower <= upper for K in 2..10, q in 0..0.5"
 
 
 def check_binary_sandwich() -> str:
+    q = np.arange(0.0, 0.51, 0.05)
+    h = binary_entropy(q)
     for k in range(2, 11):
-        for q in np.arange(0.0, 0.51, 0.05):
-            h = binary_entropy(float(q))
-            mid = binary.joint_xor_entropy(k, float(q)) / k
-            _require(
-                (1 - 1 / k) * h - 1e-12 <= mid <= h + 1e-12,
-                f"sandwich fails at K={k}, q={q}",
-            )
+        mid = binary.joint_xor_entropy(k, q) / k
+        _require_all(((1 - 1 / k) * h - 1e-12 <= mid) & (mid <= h + 1e-12),
+                     lambda i: f"sandwich fails at K={k}, q={q[i]}")
     return "(1-1/K)H(q) <= H_joint/K <= H(q) on the grid"
 
 
 def check_binary_large_k() -> str:
-    for q in np.arange(0.05, 0.51, 0.05):
-        h = binary_entropy(float(q))
-        spec = binary.BinaryChannelSpec.iid(float(q), k=64)
-        gap = abs(binary.upper_bound_k(spec) - (1.0 - h))
-        _require(gap <= h / 64.0 + 1e-9, f"K=64 limit off by {gap} at q={q}")
+    q = np.arange(0.05, 0.51, 0.05)
+    h = binary_entropy(q)
+    gap = np.abs(binary.upper_bound_k(binary.BinaryChannelSpec.iid(q, k=64)) - (1.0 - h))
+    _require_all(gap <= h / 64.0 + 1e-9, lambda i: f"K=64 limit off by {gap[i]} at q={q[i]}")
     return "K=64 upper bound within H(q)/64 of 1-H(q)"
 
 
 def check_weight_enumeration() -> str:
+    q = (0.0, 0.1, 0.25, 0.5, 0.7)
     for k in (2, 3, 5, 8, 12):
-        for q in (0.0, 0.1, 0.25, 0.5, 0.7):
-            fast = binary.joint_xor_entropy(k, q)
-            brute = binary.joint_xor_entropy_brute(k, q)
-            _require(abs(fast - brute) < 1e-12, f"K={k}, q={q}: {fast} vs {brute}")
+        fast = binary.joint_xor_entropy(k, np.array(q))
+        for i, brute in enumerate(binary.joint_xor_entropy_brute(k, p) for p in q):
+            _require(abs(fast[i] - brute) < 1e-12, f"K={k}, q={q[i]}: {fast[i]} vs {brute}")
     return "weight-class joint entropy equals brute-force enumeration to 1e-12"
 
 

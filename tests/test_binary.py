@@ -1,5 +1,8 @@
 """Tests for the binary multicast bounds and the binning-rate evaluator."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from dirtycast.binary import (
     joint_xor_entropy_brute,
     lower_bound_k,
     noisy_two_user_bounds,
+    precancellation_rate,
     rate_ignore_side_info,
     rate_timeshare,
     upper_bound_k,
@@ -19,6 +23,7 @@ from dirtycast.binary import (
     xor_convolve,
 )
 from dirtycast.core import InvalidDistributionError, JointPmf, binary_entropy
+from dirtycast.simulate import SchemeRun, simulate_scheme
 
 ASYMMETRIC_PAIRS = (
     JointPmf({(0, 0): 0.5, (0, 1): 0.2, (1, 0): 0.1, (1, 1): 0.2}),
@@ -54,6 +59,37 @@ class TestSpecValidation:
         for both_or_neither in ({"pair": spec.pair, "q": 0.25}, {}):
             with pytest.raises(ValueError, match="exactly one"):
                 BinaryChannelSpec(2, **both_or_neither)
+
+    @pytest.mark.parametrize("q, noise_q, bad", [
+        (np.array([0.2, 1.5, -1.0]), None, "interference probability must lie in [0, 1], got 1.5"),
+        (np.array([[0.2], [math.nan]]), None,
+         "interference probability must lie in [0, 1], got nan"),
+        (0.2, np.array([0.0, -0.5]), "noise crossover must lie in [0, 1], got -0.5"),
+        ([0.2, 0.3], None, "interference probability must be a float or a NumPy array, got list"),
+    ])
+    def test_array_names_its_first_bad_entry(self, q, noise_q, bad):
+        with pytest.raises(ValueError, match=f"^{re.escape(bad)}$"):
+            BinaryChannelSpec.iid(q, noise_q=noise_q)
+
+    def test_one_channel_callers_refuse_an_array_spec(self):
+        sweep = BinaryChannelSpec.iid(np.array([0.1, 0.2]))
+        run = SchemeRun(n=8, rate=0.5, trials=2, seed=1)
+        for call, caller in ((lambda: simulate_scheme(sweep, run), "simulate_scheme"),
+                             (lambda: capacity_achieving_joint(sweep), "capacity_achieving_joint")):
+            with pytest.raises(ValueError, match=f"^{caller} needs one channel, got an array q "
+                                                 r"of shape \(2,\)$"):
+                call()
+        noisy = BinaryChannelSpec.iid(0.2, noise_q=np.array([0.0, 0.1]))
+        with pytest.raises(ValueError, match="got an array noise_q of shape"):
+            simulate_scheme(noisy, run)
+        # a joint of array probabilities is the law of an array q
+        joint = JointPmf._of_valid({(0, 0, 0, 0, 0): np.array([1.0, 1.0])})
+        with pytest.raises(ValueError, match="array q"):
+            gp_rate(joint, TestGpRate.CHANNELS)
+
+    def test_array_spec_is_not_hashable(self):
+        with pytest.raises(TypeError):
+            hash(BinaryChannelSpec.iid(np.array([0.1, 0.2])))
 
     def test_marginals(self):
         spec = BinaryChannelSpec.pair_joint(ASYMMETRIC_PAIRS[0])
@@ -226,3 +262,68 @@ class TestGpRate:
     def test_wrong_arity_rejected(self):
         with pytest.raises(ValueError):
             gp_rate(JointPmf({(0, 0): 1.0}), self.CHANNELS)
+
+
+# q from the ends inwards, and K from the smallest to a large one
+SWEEP_Q = np.array(sorted({0.0, 1e-300, 1e-16, 0.5, 1.0 - 1e-16, 1.0}
+                          | {0.005 * i for i in range(201)}))
+SWEEP_K = (2, 3, 10, 64, 1000)
+# each binary closed form as a function of q alone
+AT_Q = {
+    "binary_entropy": binary_entropy,
+    "xor_convolve_a": lambda q: xor_convolve(q, 0.1),
+    "xor_convolve_b": lambda q: xor_convolve(0.3, q),
+    "precancellation_rate": lambda q: precancellation_rate(q, 0.05),
+    "precancellation_rate_noise": lambda q: precancellation_rate(0.2, q),
+    "capacity_two_user": lambda q: capacity_two_user(BinaryChannelSpec.iid(q)),
+    **{f"noisy_two_user_bounds_{i}":
+       lambda q, i=i: noisy_two_user_bounds(BinaryChannelSpec.iid(q, noise_q=0.1))[i] for i in (0, 1)},
+    **{f"joint_xor_entropy_k{k}": lambda q, k=k: joint_xor_entropy(k, q) for k in SWEEP_K},
+    **{f"{bound.__name__}_k{k}": lambda q, b=bound, k=k: b(BinaryChannelSpec.iid(q, k=k))
+       for k in SWEEP_K for bound in (upper_bound_k, lower_bound_k, rate_ignore_side_info)},
+}
+
+
+@pytest.mark.parametrize("name", AT_Q)
+def test_array_call_equals_float_calls(name):
+    # entry by entry, bit for bit: a sweep takes the same NumPy path as a float
+    floats = [AT_Q[name](float(q)) for q in SWEEP_Q]
+    assert all(type(v) is float for v in floats)
+    got = AT_Q[name](SWEEP_Q)
+    assert isinstance(got, np.ndarray) and got.shape == SWEEP_Q.shape
+    assert (got.view(np.uint64) == np.array(floats).view(np.uint64)).all()
+    # arrays broadcast: a column of q gives a column of rates
+    assert (AT_Q[name](SWEEP_Q[:, None])[:, 0].view(np.uint64) == got.view(np.uint64)).all()
+
+
+def test_noise_array_broadcasts_against_q():
+    q, noise = np.array([0.1, 0.25, 0.4])[:, None], np.array([0.0, 0.05, 0.2])
+    lo, hi = noisy_two_user_bounds(BinaryChannelSpec.iid(q, noise_q=noise))
+    assert lo.shape == hi.shape == (3, 3)
+    for i, j in np.ndindex(3, 3):
+        one = noisy_two_user_bounds(BinaryChannelSpec.iid(float(q[i, 0]), noise_q=float(noise[j])))
+        assert (lo[i, j], hi[i, j]) == one
+
+
+def test_weight_classes_match_the_scalar_loop():
+    # the loop the w-axis pass replaced, summed in weight order: the pass sums
+    # pairwise and takes NumPy's logs, so it agrees to rounding, not bit for bit
+    def loop(k, q):
+        m, log_q, log_r = k - 1, math.log(q), math.log1p(-q)
+        log_comb = posterior = 0.0
+        for w in range(m + 1):
+            if w:
+                log_comb += math.log((m - w + 1) / w)
+            a = (m + 1 - w) * log_r + w * log_q
+            b = (m + 1 - w) * log_q + w * log_r
+            a, b = max(a, b), min(a, b)
+            tail = math.exp(b - a)
+            spread = math.log1p(tail)
+            posterior += math.exp(log_comb + a + spread) * (spread + (a - b) * tail / (1.0 + tail))
+        h = -(q * math.log2(q) + (1 - q) * math.log2(1 - q))
+        return k * h - posterior / math.log(2.0)
+
+    for k in (2, 3, 10, 64):
+        q = SWEEP_Q[(SWEEP_Q > 0.0) & (SWEEP_Q < 1.0)]
+        want = np.array([loop(k, float(p)) for p in q])
+        assert np.max(np.abs(joint_xor_entropy(k, q) - want)) <= 1e-14

@@ -27,6 +27,9 @@ class TestBinaryEntropy:
         assert binary_entropy(0.5) == 1.0
         assert binary_entropy(0.0) == 0.0
         assert binary_entropy(1.0) == 0.0
+        # +0 at the ends, not -0, which a CSV prints as "-0"
+        assert not np.signbit([binary_entropy(0.0), binary_entropy(1.0)]).any()
+        assert not np.signbit(binary_entropy(np.array([0.0, 1.0]))).any()
         # two-term sum evaluated independently: H(3/8)
         assert binary_entropy(0.375) == pytest.approx(0.954434002924965, abs=1e-12)
 
@@ -34,6 +37,10 @@ class TestBinaryEntropy:
     def test_domain(self, bad):
         with pytest.raises(ValueError):
             binary_entropy(bad)
+
+    def test_array_names_its_first_bad_entry(self):
+        with pytest.raises(ValueError, match=r"^probability must lie in \[0, 1\], got nan$"):
+            binary_entropy(np.array([[0.5, math.nan], [2.0, 0.1]]))
 
 
 class TestJointPmf:

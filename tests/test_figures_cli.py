@@ -1,11 +1,13 @@
 """Tests for figure generation, CSV/SVG serialization and the CLI."""
 
 import hashlib
+import math
 import os
 
+import numpy as np
 import pytest
 
-from dirtycast import cli, figures, simulate, verify
+from dirtycast import binary, cli, figures, simulate, verify
 
 # the figure CSVs, byte for byte: a change of any digit, row or column moves these
 FIGURE_SHA256 = {
@@ -57,6 +59,23 @@ class TestFigureTables:
         assert last[1] == pytest.approx(1.0 / 3.0, abs=1e-12)
         assert last[2] == pytest.approx(1.0 / 3.0, abs=1e-12)
 
+    @pytest.mark.parametrize("name, columns", [
+        ("fig2", ("capacity_two_user", "rate_timeshare", "rate_ignore_side_info")),
+        ("fig4", ("upper_bound_k", "lower_bound_k", "rate_timeshare", "rate_ignore_side_info")),
+    ])
+    def test_binary_figures_make_one_call_per_column(self, monkeypatch, name, columns):
+        # a sweep is one array call per column, not one call per q
+        calls = []
+        for bound in columns:
+            def counting(*args, bound=bound, call=getattr(binary, bound)):
+                calls.append(bound)
+                return call(*args)
+            monkeypatch.setattr(binary, bound, counting)
+        header, rows = figures.figure_table(name)
+        assert sorted(calls) == sorted(columns) and len(rows) == 101
+        assert hashlib.sha256(figures.render_csv(header, rows).encode()).hexdigest() == \
+            FIGURE_SHA256[name]
+
     def test_fig5_high_inr_tail(self):
         # at the right edge the achievable rate has collapsed onto time-sharing
         _, rows = figures.figure_table("fig5")
@@ -73,6 +92,14 @@ class TestCsv:
         assert figures.format_number(0.5) == "0.5"
         assert figures.format_number(1995.2623149688789) == "1995.26231"
         assert figures.format_number(1.0 / 3.0) == "0.333333333"
+
+    def test_render_formats_each_cell_as_format_number(self):
+        cells = [0.0, -0.0, 5e-324, 1e300, math.inf, -math.inf, math.nan, np.float64(1.0 / 3.0),
+                 7, 10**20, True, False, 1995.2623149688789]
+        rows = [cells, cells[::-1]]
+        header = [f"c{i}" for i in range(len(cells))]
+        joined = [",".join(header)] + [",".join(figures.format_number(v) for v in r) for r in rows]
+        assert figures.render_csv(header, rows) == "\n".join(joined) + "\n"
 
     def test_render_deterministic(self, tmp_path):
         header, rows = figures.figure_table("fig6")

@@ -476,6 +476,15 @@ class TestDeterminism:
             _, sent = next(simulate._pcg_rows(keys, at + 1 + w * cw, 1, cw, n, 1))
             assert (sent[:, 0] == book[np.arange(len(trials)), w]).all()
 
+    def test_streamed_noisy_report(self):
+        # pinned: a noisy decode counts every bit of a streamed codeword, so its
+        # blocks are zeroed past bit n (n = 40 leaves 24 drawn bits in each word)
+        run = SchemeRun(n=40, rate=math.log2(5000) / 40, trials=20, seed=3)
+        assert 1 + 4 * run.n + 1 + run.codewords >= simulate._HASH_WORDS  # streamed
+        report = simulate_scheme(BinaryChannelSpec.iid(0.25, noise_q=0.05), run)
+        assert (report.codewords, report.interfered_samples) == (5000, 420)
+        assert (report.fer_user1, report.fer_user2, report.frame_error_rate) == (0.0, 0.05, 0.05)
+
     def test_multiword_linear_reports(self):
         # pinned: codewords of 70 and 130 bits span two and three packed words
         specs = (BinaryChannelSpec.iid(0.25, noise_q=0.1), BinaryChannelSpec.iid(0.5, noise_q=0.2))

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import dirtycast
-from dirtycast import cli, gaussian, verify
+from dirtycast import binary, cli, gaussian, verify
 
 
 @pytest.mark.parametrize("name, check", verify.CHECKS, ids=[n for n, _ in verify.CHECKS])
@@ -45,6 +45,34 @@ def test_optimizer_checks_minimize_once_per_grid(monkeypatch, name, most):
     [result] = verify.run_checks([name])
     assert result.passed, result.detail
     assert 1 <= len(calls) <= most
+
+
+@pytest.mark.parametrize("name, ks", [
+    ("binary-bounds-ordered", range(2, 11)),
+    ("binary-entropy-sandwich", range(2, 11)),
+    ("binary-large-k-limit", [64]),
+    ("binary-weight-enumeration", [2, 3, 5, 8, 12]),
+])
+def test_binary_checks_sweep_q_once_per_k(monkeypatch, name, ks):
+    # each K's q grid is one array call, not one call per q
+    joint, calls = binary.joint_xor_entropy, []
+
+    def counting(k, q):
+        calls.append(k)
+        return joint(k, q)
+
+    monkeypatch.setattr(binary, "joint_xor_entropy", counting)
+    [result] = verify.run_checks([name])
+    assert result.passed, result.detail
+    assert calls == list(ks)
+
+
+def test_entropy_symmetry_is_one_sweep(monkeypatch):
+    entropy, calls = verify.binary_entropy, []
+    monkeypatch.setattr(verify, "binary_entropy", lambda q: calls.append(q) or entropy(q))
+    [result] = verify.run_checks(["entropy-basics"])
+    assert result.passed, result.detail
+    assert len(calls) == 5  # H(1/2), H(0), H(1), and the q and 1 - q sweeps
 
 
 def test_unknown_check_names_are_rejected():
