@@ -12,8 +12,9 @@ array, and arrays broadcast: BinaryChannelSpec.iid(q) with an array q is a
 whole sweep, and each closed form returns one rate per entry, an array for an
 array and a Python float for floats, through the same NumPy code.  The user
 count K stays an integer.  A float call pays NumPy's per-call cost, about
-10 us for capacity_two_user, against under 1 us for the old math-module form;
-a sweep of 101 q costs about the same as one float.
+14 us for capacity_two_user and 40 us for upper_bound_k at K = 3 (2 vCPU
+x86-64, numpy 2.4), and a column of 101 q costs about as much as one float,
+so a sweep passes its q as one array.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ class BinaryChannelSpec:
             _check_probability("noise crossover", self.noise_q)
 
     @classmethod
-    def iid(cls, q: float, k: int = 2, noise_q: float | None = None) -> "BinaryChannelSpec":
+    def iid(cls, q, k: int = 2, noise_q=None) -> "BinaryChannelSpec":
         return cls(k, noise_q=noise_q, q=q)
 
     @classmethod
@@ -129,6 +130,7 @@ def xor_convolve(a, b):
 
 
 def _precancellation(crossover, noise_q=0.0):
+    """precancellation_rate of checked arguments."""
     return 1.0 - 0.5 * _entropy(crossover) - 0.5 * _entropy(noise_q)
 
 

@@ -3,8 +3,11 @@
 Entropies, jointly-Gaussian mutual information over a whole stack of
 covariance matrices per call, dB conversion, a derivative-free scalar
 minimizer that solves a batch of problems per call, and the argument and
-rate checks, received power and result shaping that the Gaussian modules
-share.  The argument check takes floats or arrays alike.
+rate checks, received power and result shaping that the Gaussian and binary
+modules share.  The argument checks take floats or arrays alike, and so does
+binary_entropy: a float gives a Python float and an array an array, from the
+same NumPy code, so a float call costs about 5 us (2 vCPU x86-64, numpy 2.4)
+and a sweep should pass its q as one array.
 All returned rates are bits per channel use (logs base 2); natural-log
 internals are an implementation detail.  Every function here is pure, so
 concurrent use needs no locking.

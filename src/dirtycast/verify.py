@@ -167,9 +167,9 @@ def check_binary_large_k() -> str:
 def check_weight_enumeration() -> str:
     q = (0.0, 0.1, 0.25, 0.5, 0.7)
     for k in (2, 3, 5, 8, 12):
-        fast = binary.joint_xor_entropy(k, np.array(q))
-        for i, brute in enumerate(binary.joint_xor_entropy_brute(k, p) for p in q):
-            _require(abs(fast[i] - brute) < 1e-12, f"K={k}, q={q[i]}: {fast[i]} vs {brute}")
+        for p, fast in zip(q, binary.joint_xor_entropy(k, np.array(q)).tolist()):
+            brute = binary.joint_xor_entropy_brute(k, p)
+            _require(abs(fast - brute) < 1e-12, f"K={k}, q={p}: {fast} vs {brute}")
     return "weight-class joint entropy equals brute-force enumeration to 1e-12"
 
 

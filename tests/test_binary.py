@@ -306,8 +306,9 @@ def test_noise_array_broadcasts_against_q():
 
 
 def test_weight_classes_match_the_scalar_loop():
-    # the loop the w-axis pass replaced, summed in weight order: the pass sums
-    # pairwise and takes NumPy's logs, so it agrees to rounding, not bit for bit
+    # the reference: the weight classes one at a time in math, summed in weight
+    # order; the array pass sums pairwise and takes NumPy's logs, so the two
+    # agree to rounding, not bit for bit
     def loop(k, q):
         m, log_q, log_r = k - 1, math.log(q), math.log1p(-q)
         log_comb = posterior = 0.0
