@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -278,14 +279,16 @@ def _coset_decode(gens, y, clean, clean_size, n, cross_noisy):
     return best
 
 
-def _mix(z):
+def _mix(z, t=None):
     """The SplitMix64 finalizer (Steele, Lea and Flood, OOPSLA 2014), in place on
-    a uint64 array, whose arithmetic wraps without a warning."""
-    z ^= z >> 30
+    a uint64 array, whose arithmetic wraps without a warning; t, if given, is a
+    scratch array of z's shape that takes the shifts."""
+    t = np.empty_like(z) if t is None else t
+    z ^= np.right_shift(z, 30, out=t)
     z *= np.uint64(0xBF58476D1CE4E5B9)
-    z ^= z >> 27
+    z ^= np.right_shift(z, 27, out=t)
     z *= np.uint64(0x94D049BB133111EB)
-    z ^= z >> 31
+    z ^= np.right_shift(z, 31, out=t)
     return z
 
 
@@ -310,17 +313,29 @@ def _zero_past(book, n):
         book[..., -1] &= np.uint64((1 << n % 64) - 1)
 
 
-def _words(seed, trials, width, head=None):
+def _words(seed, trials, width, head=None, held=None):
     """Row t - trials.start holds the first head (default: all) of trial t's width
     words, a function of (seed, t) only (Salmon et al., SC 2011): word j is
     mix(key_t + (j+1)*gamma), hashed for the whole batch at once, or, for rows of
     _HASH_WORDS or more, where a generator is cheaper per word, the output of a
     PCG64 seeded by key_t (see _keys).  Words count from 1, as SplitMix64 adds gamma
-    before it mixes: mix maps 0 to 0, and key_t is 0 at seed 0, trial 0."""
+    before it mixes: mix maps 0 to 0, and key_t is 0 at seed 0, trial 0.
+    Hashed rows and their scratch go to two buffers kept in held (a
+    threading.local) when it is given, so that a thread allocates them once, not
+    once a batch: a fresh 0.3 MB block a batch was returned to the system when
+    freed and refaulted by the next batch, in some process layouts only."""
     keys, head = _keys(seed, trials), width if head is None else head
-    if width < _HASH_WORDS:
-        return _mix(keys[:, None] + np.arange(1, head + 1, dtype=np.uint64) * _GAMMA)
-    return _raw([np.random.PCG64(int(k)) for k in keys], head)
+    if width >= _HASH_WORDS:
+        return _raw([np.random.PCG64(int(k)) for k in keys], head)
+    size = len(keys) * head
+    buffers = getattr(held, "words", None)
+    if buffers is None or buffers.shape[1] < size:
+        buffers = np.empty((2, size), dtype=np.uint64)
+        if held is not None:
+            held.words = buffers
+    z, t = (b[:size].reshape(len(keys), head) for b in buffers)
+    np.add(keys[:, None], np.arange(1, head + 1, dtype=np.uint64) * _GAMMA, out=z)
+    return _mix(z, t)
 
 
 def _pcg_rows(keys, first, m, cw, n, step):
@@ -339,21 +354,22 @@ def _pcg_rows(keys, first, m, cw, n, step):
         yield start, block
 
 
-def _run_batch(run: SchemeRun, m, below, noise_q: float, cross_noisy: float, trials):
+def _run_batch(run: SchemeRun, m, below, noise_q: float, cross_noisy: float, held, trials):
     """Interfered-half mismatches, interfered samples, and user-1, user-2 and union
     frame errors, summed over the given trial indices.  A trial's words hold, in
     order, its coin A^n, packed; the uniforms behind (S1, S2) and any noise; and,
     when decoding, the sent index (word mod m) and the packed i.i.d. codebook or
     linear generator rows.  An i.i.d. codebook drawn from a PCG64 is not drawn with
     the rest: _pcg_rows draws it as _ml_decode scores it, and the sent row alone
-    from a second generator jumped ahead to it."""
+    from a second generator jumped ahead to it.  held keeps the calling thread's
+    buffers of hashed words between its batches (see _words)."""
     n, size, cw = run.n, len(trials), -(-run.n // 64)
     uniforms = 4 * n if noise_q > 0.0 else 2 * n
     rows = 0 if m is None else m.bit_length() - 1 if run.codebook == "linear" else m
     at = cw + uniforms  # the sent index, then the codebook rows
     width = at + (0 if m is None else 1 + rows * cw)
     stream = run.codebook == "iid" and m is not None and width >= _HASH_WORDS
-    words = _words(run.seed, trials, width, at + 1 if stream else width)
+    words = _words(run.seed, trials, width, at + 1 if stream else width, held)
     mask1 = np.unpackbits(words[:, :cw].view(np.uint8), -1, n, bitorder="little").view(bool)
     noisy1 = ~mask1  # indices where user 1 sees S1 xor S2 (xor Z1)
     u = words[:, cw:at].reshape(size, -1, n)
@@ -441,7 +457,8 @@ def simulate_scheme(spec: BinaryChannelSpec, run: SchemeRun, threads: int = 1) -
     # block by block as it is decoded, and a noise-free linear one builds none
     size = max(1, DECODE_BLOCK // max(m or 1, run.n))
     batches = [range(i, min(i + size, run.trials)) for i in range(0, run.trials, size)]
-    run_batch = partial(_run_batch, run, m, below, noise_q, cross_noisy)
+    # each thread keeps its hashed words' buffers from batch to batch
+    run_batch = partial(_run_batch, run, m, below, noise_q, cross_noisy, threading.local())
 
     # each worker holds one batch at a time, so run no more workers than cores
     workers = min(threads, len(batches), os.cpu_count() or 1)

@@ -3,6 +3,7 @@ determinism and the reproducible-parallelism contract."""
 
 import math
 import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -475,6 +476,15 @@ class TestDeterminism:
             w = (first + np.arange(len(trials))) % m
             _, sent = next(simulate._pcg_rows(keys, at + 1 + w * cw, 1, cw, n, 1))
             assert (sent[:, 0] == book[np.arange(len(trials)), w]).all()
+
+    def test_hashed_words_reuse_the_threads_buffers(self):
+        held = threading.local()
+        first = simulate._words(7, range(4), 100, held=held)
+        assert (first == simulate._words(7, range(4), 100)).all()
+        # a shorter batch and head, as a campaign's last batch, is written in place
+        later = simulate._words(9, range(4, 7), 100, 60, held=held)
+        assert np.shares_memory(first, later)
+        assert (later == simulate._words(9, range(4, 7), 100, 60)).all()
 
     def test_streamed_noisy_report(self):
         # pinned: a noisy decode counts every bit of a streamed codeword, so its
