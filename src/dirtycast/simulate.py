@@ -11,8 +11,9 @@ likelihood 0.  For a linear code they form one coset, so a noise-free linear
 trial run alone (as every trial at the ML cap is) builds no codebook: GF(2)
 elimination on the clean half finds the coset, and only its members are
 scored.  Trial t's random words are addressed by (seed, t) alone: a
-counter-based hash makes a whole batch's short blocks in one array pass, and a
-PCG64 keyed by the same hash makes each long one.  An i.i.d. codebook drawn from
+counter-based hash makes a whole batch's short blocks in one array pass, into
+buffers each thread keeps across its batches, and a PCG64 keyed by the same hash
+makes each long one.  An i.i.d. codebook drawn from
 a PCG64 is never held whole: its rows are drawn block by block as the decoder
 scores them, and the sent row by jumping the stream ahead to it.  A campaign
 is split once into batches of consecutive trials, each run as one set of array
