@@ -13,13 +13,13 @@ elimination on the clean half finds the coset, and only its members are
 scored.  Trial t's random words are addressed by (seed, t) alone: a
 counter-based hash makes a whole batch's short blocks in one array pass, into
 buffers each thread keeps across its batches, and a PCG64 keyed by the same hash
-makes each long one.  An i.i.d. codebook drawn from
-a PCG64 is never held whole: its rows are drawn block by block as the decoder
-scores them, and the sent row by jumping the stream ahead to it.  A campaign
-is split once into batches of consecutive trials, each run as one set of array
-operations; a batch holds at most DECODE_BLOCK codeword rows, so a trial at the
-ML cap is a batch of one.  At most min(threads, os.cpu_count()) batches run at
-once.  Results are bit-identical however trials are batched or threaded.
+makes each long one.  An i.i.d. codebook drawn from a PCG64 is never held whole:
+its rows are drawn block by block as the decoder scores them, and the sent row
+by jumping the stream ahead to it.  A campaign is split once into batches of
+consecutive trials, each run as one set of array operations; a batch holds at
+most DECODE_BLOCK codeword rows, so a trial at the ML cap is a batch of one.  At
+most min(threads, os.cpu_count()) batches run at once.  Results are
+bit-identical however trials are batched or threaded.
 """
 
 from __future__ import annotations
@@ -323,8 +323,9 @@ def _words(seed, trials, width, head=None, held=None):
     before it mixes: mix maps 0 to 0, and key_t is 0 at seed 0, trial 0.
     Hashed rows and their scratch go to two buffers kept in held (a
     threading.local) when it is given, so that a thread allocates them once, not
-    once a batch: a fresh 0.3 MB block a batch was returned to the system when
-    freed and refaulted by the next batch, in some process layouts only."""
+    once a batch: depending on the heap's layout, the allocator can return a
+    block of that size (0.3 MB at 256 trials) to the system when it is freed,
+    and the next batch then faults it in again."""
     keys, head = _keys(seed, trials), width if head is None else head
     if width >= _HASH_WORDS:
         return _raw([np.random.PCG64(int(k)) for k in keys], head)
