@@ -162,7 +162,7 @@ def _ml_decode(blocks, y, clean, clean_size, n, noise_q, cross_noisy):
     pass, so no temporary grows with the codebook.  Without noise (noise_q = 0) only
     the codewords that agree with y on the clean half are scored, at d = 0, with
     their XOR masked past bit n: the clean masks already end at bit n, so those
-    blocks need not be zeroed there.  The agreement of a block is formed in two
+    blocks need not be zeroed there.  The agreement of a block is formed in
     buffers kept across blocks, and a block where no codeword agrees is skipped,
     since it cannot hold a strictly better codeword.  A noise-free linear trial in a
     batch of its own goes to _coset_decode instead, which scores the same survivors
