@@ -75,7 +75,8 @@ class BinaryChannelSpec:
             q, r = self.q, 1.0 - self.q
             law = {(0, 0): r * r, (0, 1): r * q, (1, 0): q * r, (1, 1): q * q}
             object.__setattr__(self, "pair", JointPmf._of_valid(law))
-        elif self.k != 2 or set(self.pair.prob) - {(0, 0), (0, 1), (1, 0), (1, 1)}:
+        elif (self.k != 2 or not isinstance(self.pair, JointPmf)
+              or set(self.pair.prob) - {(0, 0), (0, 1), (1, 0), (1, 1)}):
             raise ValueError("a pair law is a JointPmf over {0,1}^2 for K=2")
         if self.noise_q is not None:
             _check_probability("noise crossover", self.noise_q)
@@ -93,8 +94,8 @@ class BinaryChannelSpec:
         cls, q: float, flip: bool = False, noise_q: float | None = None
     ) -> "BinaryChannelSpec":
         """S1 ~ Bernoulli(q) with S2 = S1, or S2 = 1 - S1 when flip is set."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("interference probability must lie in [0, 1]")
+        _check_probability("interference probability", q)
+        _one_channel("fully_correlated", q)
         return cls(2, JointPmf({(0, int(flip)): 1.0 - q, (1, int(not flip)): q}), noise_q)
 
     @property
@@ -113,10 +114,10 @@ class BinaryChannelSpec:
         return self.pair.prob.get((0, 1), 0.0) + self.pair.prob.get((1, 0), 0.0)
 
 
-def _one_channel(spec: BinaryChannelSpec, caller: str) -> None:
-    """Raise ValueError naming the array q or noise_q of an array spec, which
-    caller cannot take: it needs one channel."""
-    for name, value in (("q", spec.q), ("noise_q", spec.noise_q)):
+def _one_channel(caller: str, q, noise_q=None) -> None:
+    """Raise ValueError naming q or noise_q, of a spec or a constructor, if it
+    is an array, which caller cannot take: it needs one channel."""
+    for name, value in (("q", q), ("noise_q", noise_q)):
         if np.ndim(value):
             raise ValueError(f"{caller} needs one channel, got an array {name} "
                              f"of shape {np.shape(value)}")
@@ -330,7 +331,7 @@ def capacity_achieving_joint(spec: BinaryChannelSpec) -> JointPmf:
     """
     if spec.k != 2:
         raise ValueError("the construction is for K=2")
-    _one_channel(spec, "capacity_achieving_joint")
+    _one_channel("capacity_achieving_joint", spec.q, spec.noise_q)
     atoms: dict = {}
     for (s1, s2), ps in spec.pair.atoms():
         for a in (0, 1):

@@ -84,7 +84,11 @@ class JointPmf:
                 arity = len(key)
             elif len(key) != arity:
                 raise InvalidDistributionError("atoms must share one arity")
-            p = float(p)
+            try:
+                p = float(p)
+            except (TypeError, ValueError):
+                raise InvalidDistributionError(
+                    f"probability at {key} must be a number, got {type(p).__name__}") from None
             if p < -1e-15 or not math.isfinite(p):
                 raise InvalidDistributionError(f"negative/invalid probability {p} at {key}")
             items.append((key, max(p, 0.0)))
@@ -200,13 +204,18 @@ class GaussianCov:
         return cls((c * v[..., None, :]) @ np.swapaxes(c, -2, -1))
 
 
-def _check_in(name: str, values, top: float, rule: str) -> None:
+def _check_number(name: str, values) -> None:
     """Raise ValueError naming name if values is not a real number or a NumPy
-    array, or has an entry outside [0, top] (NaN included): the first such entry,
-    and the rule it breaks.  A list is refused: the formulas would get the list
-    itself."""
+    array.  A list is refused: the formulas would get the list itself."""
     if not isinstance(values, (float, int, np.floating, np.integer, np.ndarray)):
         raise ValueError(f"{name} must be a float or a NumPy array, got {type(values).__name__}")
+
+
+def _check_in(name: str, values, top: float, rule: str) -> None:
+    """_check_number, then raise ValueError naming name if values has an entry
+    outside [0, top] (NaN included): the first such entry, and the rule it
+    breaks."""
+    _check_number(name, values)
     if type(values) is not float or not 0.0 <= values <= top:  # a valid float skips NumPy
         v = np.asarray(values, dtype=float)
         bad = ~((v >= 0.0) & (v <= top))

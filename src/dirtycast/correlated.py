@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import _check_nonnegative, _first, _out, _rates, _received_power
+from .core import _check_nonnegative, _check_number, _first, _out, _rates, _received_power
 from .gaussian import _log2_q, _lower_bound
 
 __all__ = ["scaled_powers", "t_of_qd", "upper_correlated", "lower_beta", "high_sinr_gap_beta"]
@@ -23,6 +23,8 @@ def scaled_powers(beta1, beta2, q0):
     """(Q1, Q2, Qd) of the interferences beta1*S0 and beta2*S0, with S0 of
     power Q0: beta1^2 Q0, beta2^2 Q0 and (beta1 - beta2)^2 Q0."""
     _check_nonnegative("Q0", q0)
+    _check_number("beta1", beta1)
+    _check_number("beta2", beta2)
     spread = beta1 - beta2
     q1, q2, qd = beta1 * beta1 * q0, beta2 * beta2 * q0, spread * spread * q0
     _check_nonnegative("Qd", qd, "Q1", q1, "Q2", q2)  # a NaN or overflowing beta

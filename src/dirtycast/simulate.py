@@ -441,7 +441,7 @@ def simulate_scheme(spec: BinaryChannelSpec, run: SchemeRun, threads: int = 1) -
     """
     if spec.k != 2:
         raise ValueError("the scheme simulation covers two users")
-    _one_channel(spec, "simulate_scheme")
+    _one_channel("simulate_scheme", spec.q, spec.noise_q)
     _check_integer("threads", threads)
     if threads < 1:
         raise ValueError("threads must be >= 1")

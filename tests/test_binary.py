@@ -75,7 +75,9 @@ class TestSpecValidation:
         sweep = BinaryChannelSpec.iid(np.array([0.1, 0.2]))
         run = SchemeRun(n=8, rate=0.5, trials=2, seed=1)
         for call, caller in ((lambda: simulate_scheme(sweep, run), "simulate_scheme"),
-                             (lambda: capacity_achieving_joint(sweep), "capacity_achieving_joint")):
+                             (lambda: capacity_achieving_joint(sweep), "capacity_achieving_joint"),
+                             (lambda: BinaryChannelSpec.fully_correlated(sweep.q),
+                              "fully_correlated")):
             with pytest.raises(ValueError, match=f"^{caller} needs one channel, got an array q "
                                                  r"of shape \(2,\)$"):
                 call()

@@ -59,6 +59,9 @@ class TestJointPmf:
             JointPmf({})
         with pytest.raises(InvalidDistributionError):
             JointPmf({(0, 0): 0.5, (1,): 0.5})
+        with pytest.raises(InvalidDistributionError,
+                           match=r"^probability at \(0,\) must be a number, got ndarray$"):
+            JointPmf({(0,): np.array([0.5, 0.5]), (1,): 0.5})
 
     def test_marginal_and_mi(self):
         joint = JointPmf({(0, 0): 0.2, (0, 1): 0.3, (1, 0): 0.3, (1, 1): 0.2})
