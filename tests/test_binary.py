@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+import test_api as api
 
 from dirtycast.binary import (
     BinaryChannelSpec,
@@ -15,7 +16,6 @@ from dirtycast.binary import (
     joint_xor_entropy_brute,
     lower_bound_k,
     noisy_two_user_bounds,
-    precancellation_rate,
     rate_ignore_side_info,
     rate_timeshare,
     upper_bound_k,
@@ -230,18 +230,6 @@ class TestGpRate:
         atoms = {(x, 0, 0, 0, x): 0.5 for x in (0, 1)}
         assert gp_rate(JointPmf(atoms), self.CHANNELS) == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("q", [0.1, 0.25, 0.4])
-    def test_construction_achieves_capacity_iid(self, q):
-        spec = BinaryChannelSpec.iid(q)
-        rate = gp_rate(capacity_achieving_joint(spec), self.CHANNELS)
-        assert rate == pytest.approx(capacity_two_user(spec), abs=1e-9)
-
-    @pytest.mark.parametrize("pair", ASYMMETRIC_PAIRS)
-    def test_construction_achieves_capacity_asymmetric(self, pair):
-        spec = BinaryChannelSpec.pair_joint(pair)
-        rate = gp_rate(capacity_achieving_joint(spec), self.CHANNELS)
-        assert rate == pytest.approx(capacity_two_user(spec), abs=1e-9)
-
     def test_auxiliary_is_independent_of_state(self):
         joint = capacity_achieving_joint(BinaryChannelSpec.iid(0.25))
         assert joint.mutual_information((0,), (2, 3)) == pytest.approx(0.0, abs=1e-12)
@@ -266,45 +254,27 @@ class TestGpRate:
             gp_rate(JointPmf({(0, 0): 1.0}), self.CHANNELS)
 
 
-# q from the ends inwards, and K from the smallest to a large one
-SWEEP_Q = np.array(sorted({0.0, 1e-300, 1e-16, 0.5, 1.0 - 1e-16, 1.0}
-                          | {0.005 * i for i in range(201)}))
-SWEEP_K = (2, 3, 10, 64, 1000)
-# each binary closed form as a function of q alone
-AT_Q = {
-    "binary_entropy": binary_entropy,
-    "xor_convolve_a": lambda q: xor_convolve(q, 0.1),
-    "xor_convolve_b": lambda q: xor_convolve(0.3, q),
-    "precancellation_rate": lambda q: precancellation_rate(q, 0.05),
-    "precancellation_rate_noise": lambda q: precancellation_rate(0.2, q),
-    "capacity_two_user": lambda q: capacity_two_user(BinaryChannelSpec.iid(q)),
-    **{f"noisy_two_user_bounds_{i}":
-       lambda q, i=i: noisy_two_user_bounds(BinaryChannelSpec.iid(q, noise_q=0.1))[i] for i in (0, 1)},
-    **{f"joint_xor_entropy_k{k}": lambda q, k=k: joint_xor_entropy(k, q) for k in SWEEP_K},
-    **{f"{bound.__name__}_k{k}": lambda q, b=bound, k=k: b(BinaryChannelSpec.iid(q, k=k))
-       for k in SWEEP_K for bound in (upper_bound_k, lower_bound_k, rate_ignore_side_info)},
-}
+# clauses 1, 2, 3 and 5 of tests/test_api.py over core's and binary's rows
+@api.refusal_cases(api.BINARY)
+def test_non_finite_arguments_are_rejected_by_name(row, values, arg):
+    api.assert_refused(row, values, arg)
 
 
-@pytest.mark.parametrize("name", AT_Q)
-def test_array_call_equals_float_calls(name):
-    # entry by entry, bit for bit: a sweep takes the same NumPy path as a float
-    floats = [AT_Q[name](float(q)) for q in SWEEP_Q]
-    assert all(type(v) is float for v in floats)
-    got = AT_Q[name](SWEEP_Q)
-    assert isinstance(got, np.ndarray) and got.shape == SWEEP_Q.shape
-    assert (got.view(np.uint64) == np.array(floats).view(np.uint64)).all()
-    # arrays broadcast: a column of q gives a column of rates
-    assert (AT_Q[name](SWEEP_Q[:, None])[:, 0].view(np.uint64) == got.view(np.uint64)).all()
+@api.list_cases(api.BINARY)
+def test_list_arguments_are_rejected_by_name(row, arg):
+    api.assert_list_refused(row, arg)
 
 
-def test_noise_array_broadcasts_against_q():
-    q, noise = np.array([0.1, 0.25, 0.4])[:, None], np.array([0.0, 0.05, 0.2])
-    lo, hi = noisy_two_user_bounds(BinaryChannelSpec.iid(q, noise_q=noise))
-    assert lo.shape == hi.shape == (3, 3)
-    for i, j in np.ndindex(3, 3):
-        one = noisy_two_user_bounds(BinaryChannelSpec.iid(float(q[i, 0]), noise_q=float(noise[j])))
-        assert (lo[i, j], hi[i, j]) == one
+@api.float_cases(api.BINARY)
+def test_float_arguments_give_python_floats(row):
+    api.assert_floats(row)
+
+
+# a sweep takes the same NumPy path as a float, for each K from the smallest
+# to a large one
+@api.array_cases(api.BINARY, each_k=True)
+def test_array_call_equals_float_calls(row, scalars):
+    api.assert_array_matches_floats(row, scalars)
 
 
 def test_weight_classes_match_the_scalar_loop():
@@ -326,7 +296,7 @@ def test_weight_classes_match_the_scalar_loop():
         h = -(q * math.log2(q) + (1 - q) * math.log2(1 - q))
         return k * h - posterior / math.log(2.0)
 
+    q = np.array([p for p in api.SWEEP_Q if 0.0 < p < 1.0])
     for k in (2, 3, 10, 64):
-        q = SWEEP_Q[(SWEEP_Q > 0.0) & (SWEEP_Q < 1.0)]
         want = np.array([loop(k, float(p)) for p in q])
         assert np.max(np.abs(joint_xor_entropy(k, q) - want)) <= 1e-14

@@ -5,8 +5,9 @@ import math
 
 import numpy as np
 import pytest
+import test_api as api
 
-from dirtycast import core, correlated, gaussian, verify
+from dirtycast import core, verify
 from dirtycast.gaussian import (
     awgn_capacity,
     dpc_covariance,
@@ -29,6 +30,9 @@ from dirtycast.gaussian import (
     upper_k,
     upper_k_raw,
 )
+
+# the objectives minimize_scalar scans
+OBJECTIVES = ("upper_i_at_rho", "upper_ii_at_rho")
 
 
 class TestBaselines:
@@ -209,12 +213,6 @@ class TestGapAnalysis:
             assert gap(p, q) >= 0.0
         assert np.all(gap(np.array([1e10, 1e160]), np.array([1e300, 1e5])) >= 0.0)
 
-    def test_regional_maximum_low_q(self):
-        # gaussian-universal-gap pins this value at (P*, Q=2) on a coarser sweep
-        regional = 0.5 * math.log2((5.0 + math.sqrt(17.0)) / 4.0)
-        sweep = gap(np.linspace(0.01, 10.0, 150)[:, None], np.linspace(0.0, 2.0, 101)).max()
-        assert sweep <= regional + 1e-9
-
     def test_grid_supremum_approaches_constant_from_below(self):
         # along Q = 2(P+1) the gap climbs toward the universal constant
         ridge = [gap(p, 2.0 * (p + 1.0)) for p in (1e2, 1e4, 1e6, 1e8)]
@@ -233,14 +231,10 @@ class TestAsymptotesAndFeedback:
         assert high_sinr_asymptote(1.0e6, 8.0) == pytest.approx(8.965784284662087, abs=1e-12)
 
     def test_asymptote_array_matches_float(self):
-        powers, inrs = [1e-300, 1e-3, 1e2, 1e300], [0.0, 2.0, 8.0, 1e300]
         # P/sqrt(2Q) underflows to 0 here, so the logs are taken apart
         expect = 0.5 * (math.log2(1e-300) - 0.5 * math.log2(2e300))
         assert high_sinr_asymptote(1e-300, 1e300) == pytest.approx(expect, rel=1e-15)
         assert expect == pytest.approx(-747.6838213496566, rel=1e-15)
-        grid = high_sinr_asymptote(np.array(powers)[:, None], np.array(inrs))
-        points = [(p, q) for p in powers for q in inrs]
-        assert_matches_elementwise(grid.ravel(), lambda i: high_sinr_asymptote(*points[i]))
         with pytest.raises(ValueError, match="^P must be positive"):
             high_sinr_asymptote(np.array([1.0, 0.0]), 2.0)
 
@@ -254,45 +248,24 @@ class TestSpecType:
             dpc_scheme_oracle(np.array([1.0, 1.0]), np.array([2.0, -1e-9]), 1.0)
 
     def test_at_rho_guards(self):
-        assert upper_i_at_rho(1.0, 0.0, 1.0) == math.inf
-        assert upper_ii_at_rho(1.0, 1.0, -1.0) == math.inf
+        # rho = -1 closes 1 + rho; rho = 1 closes Q/2 + 1 - rho (upper-I) and
+        # Q + 1 - rho (upper-II) at Q = 0
+        for objective in (upper_i_at_rho, upper_ii_at_rho):
+            assert objective(1.0, 1.0, -1.0) == math.inf
+            assert objective(1.0, 0.0, 1.0) == math.inf
 
 
 ARRAY_POWERS = (0.0, 0.1, 2.0, 1e4, 1e300)
 
 
-def assert_matches_elementwise(values, scalar_at):
-    """values, computed from an array, equal scalar_at(i) for every element
-    to 1e-12 relative; infinities must match exactly."""
-    assert isinstance(values, np.ndarray)
-    for i, value in enumerate(values):
-        expected = scalar_at(i)
-        assert math.isclose(value, expected, rel_tol=1e-12), (i, value, expected)
-
-
 class TestArrayObjectives:
-    """Every objective minimize_scalar scans gives, on an array, the values
-    of its float formula."""
+    """Every objective minimize_scalar scans, and every other Gaussian and
+    correlated function, gives on an array the values of its float calls:
+    clause 5 of tests/test_api.py, bit for bit."""
 
-    # [-1, 1], whose ends are closed, plus points outside it: closed ones,
-    # and 5e3, which is open for Q >= 1e4
-    RHOS = np.concatenate([np.linspace(-1.0, 1.0, 2001), [-3.0, 1.5, 5e3]])
-
-    @pytest.mark.parametrize("objective", [upper_i_at_rho, upper_ii_at_rho])
-    def test_rho_objective_array_matches_scalar(self, objective):
-        rhos = self.RHOS
-        for q in ARRAY_POWERS:
-            with np.errstate(all="raise"):
-                # a column of P against the rho row: one row of values per P
-                rows = objective(np.array(ARRAY_POWERS)[:, None], q, rhos)
-                for p, row in zip(ARRAY_POWERS, rows):
-                    values = objective(p, q, rhos)
-                    assert values[0] == math.inf  # rho = -1 closes 1 + rho
-                    assert_matches_elementwise(values, lambda i: objective(p, q, float(rhos[i])))
-                    assert row.tolist() == values.tolist()
-        # rho = 1 closes Q/2 + 1 - rho (upper-I) and Q + 1 - rho (upper-II) at Q = 0
-        assert upper_i_at_rho(1.0, 0.0, self.RHOS)[2000] == math.inf
-        assert upper_ii_at_rho(1.0, 0.0, self.RHOS)[2000] == math.inf
+    @api.array_cases({name: api.GAUSSIAN[name] for name in OBJECTIVES})
+    def test_rho_objective_array_matches_scalar(self, row, scalars):
+        api.assert_array_matches_floats(row, scalars)
 
     @pytest.mark.parametrize("minimize", [minimize_upper_i_rho, minimize_upper_ii_rho])
     def test_rho_minimum_does_not_depend_on_the_scan_block(self, monkeypatch, minimize):
@@ -310,27 +283,9 @@ class TestArrayObjectives:
             results.append([np.stack(minimize(p, q)).view(np.uint64).tolist() for p, q in grids])
         assert results[0] == results[1] == results[2]
 
-    @pytest.mark.parametrize("bound", [
-        lambda p, q: awgn_capacity(p), lambda p, q: rate_timeshare(p), rate_interference_as_noise,
-        upper_i, upper_ii, upper_envelope, lower_bound, gap,
-        lambda p, q: upper_k_raw(p, q, 3), lambda p, q: upper_k(p, q, 3),
-        # correlated's bounds, with Q as the spread Qd
-        lambda p, qd: correlated.t_of_qd(qd), correlated.lower_beta,
-        lambda p, qd: correlated.upper_correlated(p, qd / 4.0, qd / 4.0, qd),
-        lambda p, qd: correlated.upper_correlated(p, 1e300, 1e300, qd),
-        lambda p, qd: correlated.high_sinr_gap_beta(p + 1.0, qd),
-        lambda p, qd: correlated.high_sinr_gap_beta(p + 1.0, qd, 1e300),
-    ], ids=["awgn_capacity", "rate_timeshare", "rate_interference_as_noise",
-            "upper_i", "upper_ii", "upper_envelope", "lower_bound", "gap", "upper_k_raw", "upper_k",
-            "t_of_qd", "lower_beta", "upper_correlated", "upper_correlated_big_marginals",
-            "high_sinr_gap_beta", "high_sinr_gap_beta_big_marginals"])
-    def test_closed_form_array_matches_float(self, bound):
-        powers = np.array(ARRAY_POWERS)
-        with np.errstate(all="raise"):
-            # a column of P against a row of Q, Q = 0 and 1e300 included
-            grid = np.broadcast_to(bound(powers[:, None], powers), (len(powers),) * 2)
-        points = [(p, q) for p in ARRAY_POWERS for q in ARRAY_POWERS]
-        assert_matches_elementwise(grid.ravel(), lambda i: bound(*points[i]))
+    @api.array_cases({name: row for name, row in api.GAUSSIAN.items() if name not in OBJECTIVES})
+    def test_closed_form_array_matches_float(self, row, scalars):
+        api.assert_array_matches_floats(row, scalars)
 
     def test_power_split_row_matches_float(self):
         powers = np.array(ARRAY_POWERS)
@@ -341,168 +296,36 @@ class TestArrayObjectives:
                 p_a, p_d, bits = maximize_power_split(powers, q)
             assert isinstance(p_a, np.ndarray) and isinstance(p_d, np.ndarray)
             assert rate_of_split(p_a, p_d, q).tolist() == bits.tolist()
-            assert_matches_elementwise(bits, lambda i: maximize_power_split(ARRAY_POWERS[i], q)[2])
 
     def test_split_rate_array_matches_scalar(self):
+        # along the splits P_A + P_D = P that the power split scans
         share = np.linspace(0.0, 1.0, 2001)
         for p in ARRAY_POWERS:
             for q in ARRAY_POWERS:
                 p_d = share * p
                 with np.errstate(all="raise"):
                     values = rate_of_split(p - p_d, p_d, q)
-                assert_matches_elementwise(
-                    values, lambda i: rate_of_split(float(p - p_d[i]), float(p_d[i]), q))
+                for i, value in enumerate(values):
+                    expected = rate_of_split(float(p - p_d[i]), float(p_d[i]), q)
+                    assert math.isclose(value, expected, rel_tol=1e-12), (i, value, expected)
 
 
-def _row(bound):
-    """bound with each argument in an array beside a valid entry."""
-    return lambda *args: bound(*(np.array([1.0, a]) for a in args))
+# clauses 1 to 4 of tests/test_api.py over the Gaussian and correlated rows
+@api.refusal_cases(api.GAUSSIAN, api.GROUPS)
+def test_non_finite_arguments_are_rejected_by_name(row, values, arg):
+    api.assert_refused(row, values, arg)
 
 
-def _grid(optimize):
-    """optimize on a 2x2 (P, Q) grid, P down and Q across, whose second P and
-    second Q are the arguments."""
-    return lambda p, q: optimize(np.array([[1.0], [p]]), np.array([1.0, q]))
+@api.list_cases(api.GAUSSIAN, api.GROUPS)
+def test_list_arguments_are_rejected_by_name(row, arg):
+    api.assert_list_refused(row, arg)
 
 
-GUARDED = {
-    "awgn_capacity": (awgn_capacity, ("P",)),
-    "rate_timeshare": (rate_timeshare, ("P",)),
-    "rate_interference_as_noise": (rate_interference_as_noise, ("P", "Q")),
-    "upper_i": (upper_i, ("P", "Q")),
-    "upper_ii": (upper_ii, ("P", "Q")),
-    "lower_bound": (lower_bound, ("P", "Q")),
-    "maximize_power_split": (maximize_power_split, ("P", "Q")),
-    "minimize_upper_i_rho": (minimize_upper_i_rho, ("P", "Q")),
-    "minimize_upper_ii_rho": (minimize_upper_ii_rho, ("P", "Q")),
-    "minimize_upper_i_rho_row": (lambda p, q: minimize_upper_i_rho(np.array([1, p]), q), ("P", "Q")),
-    "minimize_upper_ii_rho_row": (lambda p, q: minimize_upper_ii_rho(np.array([p, 1]), q), ("P", "Q")),
-    "maximize_power_split_row": (lambda p, q: maximize_power_split(np.array([1, p]), q), ("P", "Q")),
-    **{f"{func.__name__}_grid": (_grid(func), ("P", "Q"))
-       for func in (minimize_upper_i_rho, minimize_upper_ii_rho, maximize_power_split)},
-    "upper_envelope": (upper_envelope, ("P", "Q")),
-    "gap": (gap, ("P", "Q")),
-    "rho_upper_i": (gaussian.rho_upper_i, ("Q",)),
-    "rho_upper_ii": (gaussian.rho_upper_ii, ("Q",)),
-    **{f"{func.__name__}_row": (_row(func), tuple(names.split())) for func, names in (
-        (awgn_capacity, "P"), (rate_timeshare, "P"), (rate_interference_as_noise, "P Q"),
-        (upper_i, "P Q"), (upper_ii, "P Q"), (upper_envelope, "P Q"), (lower_bound, "P Q"),
-        (gap, "P Q"), (gaussian.rho_upper_i, "Q"), (gaussian.rho_upper_ii, "Q"),
-        (rate_of_split, "P_A P_D Q"), (correlated.t_of_qd, "Qd"), (correlated.lower_beta, "P Qd"),
-        (correlated.upper_correlated, "P Q1 Q2 Qd"), (correlated.high_sinr_gap_beta, "P Qd Q"),
-    )},
-    "scaled_powers_row": (_row(lambda q0: correlated.scaled_powers(1.0, 1.0, q0)), ("Q0",)),
-    "rate_of_split": (lambda q: rate_of_split(1.0, 1.0, q), ("Q",)),
-    "dpc_covariance": (dpc_covariance, ("P_A", "P_D", "Q")),
-    "dpc_scheme_oracle_row": (_row(dpc_scheme_oracle), ("P_A", "P_D", "Q")),
-    "upper_k_raw": (lambda p, q: upper_k_raw(p, q, 3), ("P", "Q")),
-    "high_sinr_asymptote": (high_sinr_asymptote, ("P", "Q")),
-    # argument groups, each checked by the function that takes them
-    "PowerSplit": (lambda p_a, p_d: rate_of_split(p_a, p_d, 1.0), ("P_A", "P_D")),
-    "CorrelatedSpec": (correlated.upper_correlated, ("P", "Q1", "Q2", "Qd")),
-    "from_scaled": (lambda q0: correlated.scaled_powers(1.0, 1.0, q0), ("Q0",)),
-    "t_of_qd": (correlated.t_of_qd, ("Qd",)),
-    "lower_beta": (correlated.lower_beta, ("P", "Qd")),
-    "high_sinr_gap_beta": (correlated.high_sinr_gap_beta, ("P", "Qd")),
-}
+@api.float_cases(api.GAUSSIAN)
+def test_float_arguments_give_python_floats(row):
+    api.assert_floats(row)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
-@pytest.mark.parametrize(
-    "name, index",
-    [(name, i) for name, (_, args) in GUARDED.items() for i in range(len(args))],
-    ids=[f"{name}-{arg}" for name, (_, args) in GUARDED.items() for arg in args],
-)
-def test_non_finite_arguments_are_rejected_by_name(name, index, bad):
-    func, names = GUARDED[name]
-    args = [bad if i == index else 1.0 for i in range(len(names))]
-    with pytest.raises(ValueError, match=f"^{names[index]} must be finite and nonnegative"):
-        func(*args)
-
-
-@pytest.mark.parametrize(
-    "name, index",
-    # a _row or _grid entry builds an array from each argument, so a list never
-    # reaches the function
-    [(name, i) for name, (_, args) in GUARDED.items() if not name.endswith(("_row", "_grid"))
-     for i in range(len(args))],
-    ids=[f"{name}-{arg}" for name, (_, args) in GUARDED.items()
-         if not name.endswith(("_row", "_grid")) for arg in args],
-)
-def test_list_arguments_are_rejected_by_name(name, index):
-    func, names = GUARDED[name]
-    args = [[1.0, 2.0] if i == index else 1.0 for i in range(len(names))]
-    with pytest.raises(ValueError, match=f"^{names[index]} must be a float or a NumPy array, "
-                                         "got list$"):
-        func(*args)
-
-
-# every public function of gaussian and correlated, at Python floats, with
-# the names it checks
-FLOAT_CALLS = {
-    "awgn_capacity": (lambda: awgn_capacity(1.0), ["P"]),
-    "rate_timeshare": (lambda: rate_timeshare(1.0), ["P"]),
-    "rate_interference_as_noise": (lambda: rate_interference_as_noise(1.0, 2.0), ["P", "Q"]),
-    "upper_i": (lambda: upper_i(1.0, 2.0), ["P", "Q"]),
-    "upper_ii": (lambda: upper_ii(1.0, 0.0), ["P", "Q"]),
-    "upper_envelope": (lambda: upper_envelope(1.0, 2.0), ["P", "Q"]),
-    "lower_bound": (lambda: lower_bound(1.0, 2.0), ["P", "Q"]),
-    "gap": (lambda: gap(1.0, 2.0), ["P", "Q"]),
-    "high_sinr_asymptote": (lambda: high_sinr_asymptote(1.0, 3.0), ["P", "Q"]),
-    "upper_i_at_rho": (lambda: (upper_i_at_rho(1.0, 2.0, 0.5), upper_i_at_rho(1.0, 2.0, -1.0)), []),
-    "upper_ii_at_rho": (lambda: (upper_ii_at_rho(1.0, 2.0, 0.5), upper_ii_at_rho(1.0, 2.0, 3.0)), []),
-    "rho_upper_i": (lambda: gaussian.rho_upper_i(2.0), ["Q"]),
-    "rho_upper_ii": (lambda: gaussian.rho_upper_ii(2.0), ["Q"]),
-    "rate_of_split": (lambda: rate_of_split(1.0, 2.0, 2.0), ["P_A", "P_D", "Q"]),
-    "maximize_power_split": (lambda: maximize_power_split(1.0, 2.0), ["P", "Q"]),
-    "minimize_upper_i_rho": (lambda: minimize_upper_i_rho(1.0, 2.0), ["P", "Q"]),
-    "minimize_upper_ii_rho": (lambda: minimize_upper_ii_rho(1.0, 2.0), ["P", "Q"]),
-    "dpc_scheme_oracle": (lambda: dpc_scheme_oracle(1.0, 2.0, 2.0), ["P_A", "P_D", "Q"]),
-    "upper_k_raw": (lambda: upper_k_raw(1.0, 2.0, 3), ["K", "P", "Q"]),
-    "upper_k": (lambda: upper_k(1.0, 2.0, 3), ["K", "P", "Q"]),
-    "universal_gap": (universal_gap, []),
-    "lower_beta": (lambda: correlated.lower_beta(1.0, 2.0), ["P", "Qd"]),
-    "t_of_qd": (lambda: correlated.t_of_qd(2.0), ["Qd"]),
-    "upper_correlated": (lambda: correlated.upper_correlated(1.0, 2.0, 2.0, 3.0),
-                         ["Qd", "P", "Q1", "Q2"]),
-    "high_sinr_gap_beta": (lambda: correlated.high_sinr_gap_beta(1.0, 2.0), ["P", "Qd", "Q"]),
-    "scaled_powers": (lambda: correlated.scaled_powers(1.0, -1.0, 2.0), ["Q0", "Qd", "Q1", "Q2"]),
-}
-
-
-# those calls, and the optimizers on a (P, Q) grid, which check P and Q once each
-CHECKED_CALLS = {
-    **FLOAT_CALLS,
-    **{f"{func.__name__}_grid": (lambda func=func: _grid(func)(2.0, 0.5), ["P", "Q"])
-       for func in (minimize_upper_i_rho, minimize_upper_ii_rho, maximize_power_split)},
-}
-
-
-@pytest.mark.parametrize("name", CHECKED_CALLS)
-def test_each_argument_is_checked_once_per_call(monkeypatch, name):
-    checked = []
-
-    def recording(check):
-        def record(*pairs):
-            checked.extend(pairs[::2])
-            check(*pairs)
-        return record
-
-    for module, check in ((gaussian, "_check_nonnegative"), (gaussian, "_check_integer"),
-                          (correlated, "_check_nonnegative")):
-        monkeypatch.setattr(module, check, recording(getattr(module, check)))
-    call, names = CHECKED_CALLS[name]
-    call()
-    assert checked == names
-
-
-def _numbers(result):
-    """The numbers of a result: its entries, and those of its tuples."""
-    return [x for r in result for x in _numbers(r)] if isinstance(result, tuple) else [result]
-
-
-@pytest.mark.parametrize("name", FLOAT_CALLS)
-def test_float_arguments_give_python_floats(name):
-    # not np.float64 nor a 0-d array: the CLI and verify's messages print their repr
-    for value in _numbers(FLOAT_CALLS[name][0]()):
-        assert type(value) is float, type(value)
+@api.check_cases(api.GAUSSIAN)
+def test_each_argument_is_checked_once_per_call(monkeypatch, row, values):
+    api.assert_checked_once(monkeypatch, row, values)
