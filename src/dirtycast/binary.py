@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _LN2, InvalidDistributionError, JointPmf, _check_integer, _check_probability
-from .core import _entropy, _out, _rate, _rates
+from .core import _LN2, InvalidDistributionError, JointPmf, _check_integer, _check_k
+from .core import _check_probability, _entropy, _out, _rate, _rates
 
 __all__ = [
     "BinaryChannelSpec",
@@ -65,9 +65,7 @@ class BinaryChannelSpec:
     q: float | None = None
 
     def __post_init__(self):
-        _check_integer("K", self.k)
-        if self.k < 1:
-            raise ValueError("user count must be >= 1")
+        _check_k(self.k, 1)
         if (self.q is None) == (self.pair is None):
             raise ValueError("give exactly one of q (i.i.d. interference) and a pair law")
         if self.q is not None:
@@ -154,9 +152,7 @@ def capacity_two_user(spec: BinaryChannelSpec):
 
 def rate_timeshare(k: int) -> float:
     """Precancel one user at a time over 1/K of the uses: rate 1/K."""
-    _check_integer("K", k)
-    if k < 1:
-        raise ValueError("user count must be >= 1")
+    _check_k(k, 1)
     return _rate(1.0 / k)
 
 
@@ -179,9 +175,7 @@ def joint_xor_entropy(k: int, q):
     every q are scored in one array pass along a new last axis, so a call costs
     O(K) array work per q and holds a few (q, K) arrays.
     """
-    _check_integer("K", k)
-    if k < 2:
-        raise ValueError("need at least two users")
+    _check_k(k, 2)
     _check_probability("probability", q)
     q = np.asarray(q, dtype=float)[..., None]  # the weight w runs along the last axis
     ends = (q == 0.0) | (q == 1.0)  # H(D) = 0; any inner q keeps the logs finite
@@ -213,8 +207,8 @@ def joint_xor_entropy_brute(k: int, q: float) -> float:
     q (1-q)^w q^(m-w), m = K-1, from its two preimages S1 = 0 and S1 = 1.
     The patterns are listed as integers, 2^16 at a time, and each one's
     weight is its popcount; no weight class is formed."""
-    _check_integer("K", k)
-    if k < 2 or k > 24:
+    _check_k(k, 2)
+    if k > 24:
         raise ValueError("brute-force enumeration supported for 2 <= K <= 24")
     m = k - 1
     r = 1.0 - q
@@ -231,8 +225,7 @@ def _check_k_user(spec: BinaryChannelSpec) -> None:
     K >= 2 and a noiseless channel."""
     if spec.q is None:
         raise ValueError("the K-user bound is stated for i.i.d. interference")
-    if spec.k < 2:
-        raise ValueError("need at least two users")
+    _check_k(spec.k, 2)
     if not spec.noiseless:
         raise ValueError("the K-user bounds are stated for the noiseless channel")
 

@@ -248,6 +248,13 @@ def _check_integer(name: str, value, *more) -> None:
         _check_integer(*more)
 
 
+def _check_k(k, least: int) -> None:
+    """_check_integer for a user count K, then raise ValueError unless K >= least."""
+    _check_integer("K", k)
+    if k < least:
+        raise ValueError(f"K must be >= {least}, got {k}")
+
+
 def _out(values):
     """A result as the caller's arguments shaped it: a Python float when it
     is 0-d, as from float arguments, else the array."""

@@ -32,7 +32,7 @@ import math
 import numpy as np
 
 from .core import GaussianCov, gaussian_mi, minimize_scalar
-from .core import _check_integer, _check_nonnegative
+from .core import _check_k, _check_nonnegative
 from .core import _out, _rates, _received_power
 
 __all__ = [
@@ -369,9 +369,7 @@ def upper_k_raw(p, q, k: int):
 
     log2(P+Q+1+2 sqrt(PQ))/2 - (K-1)/(2K) log2 Q - log2(K)/(2K)
       - [log2(Q/(K(P+1)))/(2K)]^+."""
-    _check_integer("K", k)
-    if k < 2:
-        raise ValueError("user count must be >= 2")
+    _check_k(k, 2)
     _check_nonnegative("P", p, "Q", q)
     log2_q = _log2_q(q)
     return _out(

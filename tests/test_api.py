@@ -58,8 +58,11 @@ NOISE = PROBABILITY._replace(grid=(0.0, 1e-300, 1e-16, 0.1, 0.5, 1.0 - 1e-16, 1.
 RHO = Domain(0.5, (), grid=(-3.0, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 5e3))
 # scaled_powers' beta: a NaN or an overflowing beta is refused as the Qd it gives
 BETA = RHO._replace(valid=1.0, grid=RHO.grid[:-1])
-K = Domain(3, (math.nan, 2.5, 3.0), "must be an integer, got ", (2, 3, 10, 64, 1000),
-           array=False, number=False)
+# K is refused as a non-integer, or below its least value: 2, or 1 where one
+# user is a channel (the spec and rate_timeshare)
+K = Domain(3, (math.nan, 2.5, 3.0, 0, 1), "must be (an integer|>= [12]), got ",
+           (2, 3, 10, 64, 1000), array=False, number=False)
+ONE_OR_MORE = K._replace(bad=K.bad[:-1])
 # fully_correlated's q: one channel (test_binary: an array is refused by name)
 ONE_PROBABILITY = PROBABILITY._replace(grid=(), array=False)
 PAIR_LAW = Domain(BinaryChannelSpec.iid(0.25).pair,
@@ -108,14 +111,16 @@ BINARY = {
     **_rows({"probability": PROBABILITY}, core.binary_entropy),
     **_rows({"a": PROBABILITY, "b": NOISE}, binary.xor_convolve, errstate=UNDERFLOW),
     **_rows({"crossover": PROBABILITY, "noise_q": NOISE}, binary.precancellation_rate),
-    **_rows({"K": K}, binary.rate_timeshare),
+    **_rows({"K": ONE_OR_MORE}, binary.rate_timeshare),
     **_rows({"K": K, "probability": PROBABILITY}, binary.joint_xor_entropy, errstate=UNDERFLOW),
     # the brute-force oracle takes one float q, unchecked
     **_rows({"K": K, "q": Domain(0.25, (), array=False, number=False)},
             binary.joint_xor_entropy_brute),
     **_spec_rows(BinaryChannelSpec.iid, IID, binary.capacity_two_user, errstate=UNDERFLOW),
-    **_spec_rows(BinaryChannelSpec.iid, {**IID, "K": K}, binary.rate_ignore_side_info,
-                 binary.upper_bound_k, binary.lower_bound_k, errstate=UNDERFLOW),
+    **_spec_rows(BinaryChannelSpec.iid, {**IID, "K": ONE_OR_MORE}, binary.rate_ignore_side_info,
+                 errstate=UNDERFLOW),
+    **_spec_rows(BinaryChannelSpec.iid, {**IID, "K": K}, binary.upper_bound_k, binary.lower_bound_k,
+                 errstate=UNDERFLOW),
     **_spec_rows(lambda q, noise_q: BinaryChannelSpec.iid(q, 2, noise_q),
                  {**IID, "noise crossover": NOISE}, binary.noisy_two_user_bounds,
                  errstate=UNDERFLOW),
@@ -219,7 +224,7 @@ def _variants(row, arg, value):
 
 
 def _label(value):
-    return str(value) if isinstance(value, float) else type(value).__name__
+    return str(value) if isinstance(value, (float, int)) else type(value).__name__
 
 
 def refusal_cases(rows, groups=None):
@@ -285,7 +290,7 @@ def check_cases(rows):
 def assert_checked_once(monkeypatch, row, values):
     checked = []
     for module, check in ((core, "_check_number"), (correlated, "_check_number"),
-                          (gaussian, "_check_integer")):
+                          (core, "_check_integer")):
         monkeypatch.setattr(module, check, lambda arg, *rest, check=getattr(module, check):
                             checked.append(arg) or check(arg, *rest))
     row.call(*values)

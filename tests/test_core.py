@@ -1,6 +1,5 @@
 """Tests for the scalar kernels: entropies, Gaussian MI, dB, minimizer."""
 
-import functools
 import math
 
 import numpy as np
@@ -19,7 +18,6 @@ from dirtycast.core import (
     minimize_scalar,
     pmf_entropy,
 )
-from dirtycast.verify import RHO_MAP_P, RHO_MAP_Q
 
 
 class TestBinaryEntropy:
@@ -280,40 +278,6 @@ class TestMinimizeScalar:
 
         x, _ = minimize_scalar(f, (0.0, 1.0e8))
         assert abs(x - 3.3e7) < 1e-6 * 1.0e8
-
-
-@functools.cache
-def _rho_map_grid(optimize):
-    """optimize on the whole rho-map grid in one call: P down, Q across."""
-    return optimize(np.array(RHO_MAP_P)[:, None], np.array(RHO_MAP_Q))
-
-
-class TestRhoMaps:
-    """The rho-map checks minimize over rho on the whole (P, Q) grid at once;
-    at each float P and Q an optimizer returns, bit for bit, its entry of the
-    P row at that Q and its entry (i, j) of the grid."""
-
-    @staticmethod
-    def assert_float_is_row_entry(optimize, p, q):
-        row = optimize(np.array(RHO_MAP_P), q)
-        i, j = RHO_MAP_P.index(p), RHO_MAP_Q.index(q)
-        grid_entry = tuple(values[i, j] for values in _rho_map_grid(optimize))
-        assert optimize(p, q) == tuple(values[i] for values in row) == grid_entry
-
-    @pytest.mark.parametrize("p", RHO_MAP_P)
-    @pytest.mark.parametrize("q", RHO_MAP_Q)
-    def test_upper_i_map(self, p, q):
-        self.assert_float_is_row_entry(gaussian.minimize_upper_i_rho, p, q)
-
-    @pytest.mark.parametrize("p", RHO_MAP_P)
-    @pytest.mark.parametrize("q", RHO_MAP_Q)
-    def test_upper_ii_map(self, p, q):
-        self.assert_float_is_row_entry(gaussian.minimize_upper_ii_rho, p, q)
-
-    @pytest.mark.parametrize("p", RHO_MAP_P)
-    @pytest.mark.parametrize("q", RHO_MAP_Q)
-    def test_power_split_map(self, p, q):
-        self.assert_float_is_row_entry(gaussian.maximize_power_split, p, q)
 
 
 class TestRateBound:

@@ -2,6 +2,7 @@
 seams, asymptotics, the DPC covariance oracle and the gap analysis."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -120,14 +121,17 @@ class TestLowerBound:
         assert rate_of_split(4.0, 2.0, 2.0) == pytest.approx(0.896240625180289, abs=1e-12)
 
     def test_closed_form_matches_grid_search(self):
-        # the sweep reaches optimal P_D many decades below P, e.g. 5e9 at
-        # (P, Q) = (1e100, 1e10)
+        # verify's 20 x 21 grid, and a sweep of extremes that reaches optimal P_D
+        # many decades below P, e.g. 5e9 at (P, Q) = (1e100, 1e10)
         sweep = np.array((0.0, 1e-300, 1e-3, 1.0, 3.0, 10.0, 1e4, 1e10, 1e100, 1e300))
-        for q in sweep.tolist():  # one P row per call
-            p_a, p_d, numeric = maximize_power_split(sweep, q)
-            closed = lower_bound(sweep, q)
-            assert np.all(np.abs(closed - numeric) <= 1e-12 * np.maximum(1.0, closed)), q
-            assert p_a + p_d == pytest.approx(sweep, rel=1e-12, abs=0)
+        start = time.perf_counter()
+        for p, q in ((verify.P_GRID, verify.Q_GRID_LINEAR), (sweep, sweep)):
+            p, q = np.array(p)[:, None], np.array(q)  # P down, Q across: one call per grid
+            p_a, p_d, numeric = maximize_power_split(p, q)
+            closed = lower_bound(p, q)
+            assert np.all(np.abs(closed - numeric) <= 1e-12 * np.maximum(1.0, closed))
+            assert p_a + p_d == pytest.approx(np.broadcast_to(p, closed.shape), rel=1e-12, abs=0)
+        assert time.perf_counter() - start < 30.0
 
 
 class TestDpcOracle:
@@ -190,13 +194,6 @@ class TestKUserBound:
         # Q/(K(P+1)) underflows to 0 here; the penalty is taken in logs
         assert upper_k(1.0e100, 1.0e-300, 3) == awgn_capacity(1.0e100)
         assert upper_k_raw(1.0e100, 1.0e-300, 3) > awgn_capacity(1.0e100)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            upper_k(1.0, 1.0, 1)
-        for k in (2.5, 3.0):
-            with pytest.raises(ValueError, match=f"^K must be an integer, got {k}"):
-                upper_k(10.0, 100.0, k)
 
 
 class TestGapAnalysis:
@@ -296,18 +293,6 @@ class TestArrayObjectives:
                 p_a, p_d, bits = maximize_power_split(powers, q)
             assert isinstance(p_a, np.ndarray) and isinstance(p_d, np.ndarray)
             assert rate_of_split(p_a, p_d, q).tolist() == bits.tolist()
-
-    def test_split_rate_array_matches_scalar(self):
-        # along the splits P_A + P_D = P that the power split scans
-        share = np.linspace(0.0, 1.0, 2001)
-        for p in ARRAY_POWERS:
-            for q in ARRAY_POWERS:
-                p_d = share * p
-                with np.errstate(all="raise"):
-                    values = rate_of_split(p - p_d, p_d, q)
-                for i, value in enumerate(values):
-                    expected = rate_of_split(float(p - p_d[i]), float(p_d[i]), q)
-                    assert math.isclose(value, expected, rel_tol=1e-12), (i, value, expected)
 
 
 # clauses 1 to 4 of tests/test_api.py over the Gaussian and correlated rows

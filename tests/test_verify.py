@@ -1,9 +1,12 @@
-"""The cross-verification suite as pytest items, one per check, and the
-package's export lists."""
+"""The cross-verification suite as pytest items, one per check, the claim
+table that maps the paper's abstract onto the checks, and the package's
+export lists."""
 
 import ast
 import importlib
+import math
 import pkgutil
+import time
 from pathlib import Path
 
 import pytest
@@ -12,9 +15,39 @@ import dirtycast
 from dirtycast import binary, cli, gaussian, verify
 
 
+ROOT = Path(__file__).parent.parent
+# the wall time a check must stay within, in seconds, where it has a budget
+BUDGET_S = {"binary-binning-rate": 1.0, "scheme-mi-estimate": 5.0}
+
+
 @pytest.mark.parametrize("name, check", verify.CHECKS, ids=[n for n, _ in verify.CHECKS])
 def test_check(name, check):
+    start = time.perf_counter()
     check()
+    assert time.perf_counter() - start < BUDGET_S.get(name, math.inf)
+
+
+def test_each_claim_is_quoted_and_checked():
+    paper = (ROOT / "PAPER.md").read_text(encoding="utf-8")
+    assert [text for text, _ in verify.CLAIMS if text not in paper] == []
+    assert [text for text, checks in verify.CLAIMS if not checks] == []
+    backed = {name for _, checks in verify.CLAIMS for name in checks}
+    names = {name for name, _ in verify.CHECKS}
+    assert backed - names == set()  # a name that is not a check
+    assert names - backed == set()  # a check that backs no claim
+
+
+def claim_list():
+    """README's claim list, rendered from verify.CLAIMS."""
+    return "".join(f'{i}. "{text}"\n   Checks: {", ".join(f"`{name}`" for name in checks)}.\n'
+                   for i, (text, checks) in enumerate(verify.CLAIMS, 1))
+
+
+def test_readme_lists_the_claims():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    start, end = "<!-- claims: rendered from verify.CLAIMS -->\n", "<!-- /claims -->"
+    block = readme[readme.index(start) + len(start):readme.index(end)]
+    assert block == claim_list(), "README's claim list differs; paste in:\n" + claim_list()
 
 
 def test_a_crashing_check_fails(monkeypatch):
@@ -50,7 +83,7 @@ def test_optimizer_checks_minimize_once_per_grid(monkeypatch, name, most):
 @pytest.mark.parametrize("name, ks", [
     ("binary-bounds-ordered", range(2, 11)),
     ("binary-entropy-sandwich", range(2, 11)),
-    ("binary-large-k-limit", [64]),
+    ("binary-large-k-limit", [2, 3, 10, 64, 1000]),
     ("binary-weight-enumeration", [2, 3, 5, 8, 12]),
 ])
 def test_binary_checks_sweep_q_once_per_k(monkeypatch, name, ks):
