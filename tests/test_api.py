@@ -44,11 +44,12 @@ class Domain(NamedTuple):
 SWEEP_Q = tuple(sorted({0.0, 1e-300, 1e-16, 0.5, 1.0 - 1e-16, 1.0}
                        | {0.005 * i for i in range(201)}))
 POWERS = (0.0, 1e-300, 0.1, 2.0, 4.0, 1e4, 1e300)
-POWER = Domain(1.0, (math.nan, math.inf, -math.inf, -1.0), "must be finite and nonnegative, got ",
-               POWERS)
-POSITIVE = Domain(1.0, (math.nan, math.inf, -1.0, 0.0),
+# the bad values end with the nearest floats outside the domain
+POWER = Domain(1.0, (math.nan, math.inf, -math.inf, -1.0, -5e-324),
+               "must be finite and nonnegative, got ", POWERS)
+POSITIVE = Domain(1.0, (math.nan, math.inf, -1.0, 0.0, -5e-324),
                   "must be (finite and nonnegative, got |positive$)", POWERS[1:])
-PROBABILITY = Domain(0.25, (math.nan, math.inf, -math.inf, -0.1, 1.5),
+PROBABILITY = Domain(0.25, (math.nan, math.inf, -math.inf, -0.1, 1.5, -5e-324, 1 + 2 ** -52),
                      r"must lie in \[0, 1\], got ", SWEEP_Q)
 # a row's second probability takes the ends and a few inner points, so that a
 # row makes about 1500 float calls, not 207 ** 2
