@@ -1,10 +1,8 @@
 """Command-line front end: `dirtycast {bounds|figure|simulate|verify}`.
 
-All output is deterministic for fixed flags and seed; `--threads` only
-changes how many batches of Monte Carlo trials run at once, never the
-results.  Exit codes: 0 success, 1 failed verify check, 2 invalid flags or a
-value the library rejects (the message is the library's, e.g. naming P, Q,
-Qd or K), 3 I/O failure.
+All output is deterministic for fixed flags and seed.  Exit codes: 0 success,
+1 failed verify check, 2 invalid flags or a value the library rejects (the
+message is the library's, e.g. naming P, Q, Qd or K), 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -92,7 +90,7 @@ def _cmd_simulate(_parser, args) -> int:
     spec = binary.BinaryChannelSpec.iid(args.q, noise_q=args.noise_q)
     trials = args.trials if args.trials is not None else (1 if args.mi_only else 1000)
     run = SchemeRun(n=args.n, rate=args.rate, trials=trials, seed=args.seed, codebook=args.codebook)
-    report = simulate_scheme(spec, run, threads=args.threads)
+    report = simulate_scheme(spec, run)
 
     lines = [
         f"scheme simulation: q={_fmt(args.q)}, n={report.n}, trials={report.trials}, "
@@ -181,8 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="skip decoding; measure crossover/MI")
     s.add_argument("--trials", type=int, default=None, help="default 1000 (1 with --mi-only)")
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--threads", type=int, default=1,
-                   help="batches of trials run at once (default 1, capped at the CPU count)")
     s.add_argument("--codebook", choices=("iid", "linear"), default="iid")
     s.add_argument("--csv", default=None, help="also write the report metrics as CSV")
 

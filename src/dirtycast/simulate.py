@@ -12,24 +12,20 @@ trial run alone (as every trial at the ML cap is) builds no codebook: GF(2)
 elimination on the clean half finds the coset, and only its members are
 scored.  Trial t's random words are addressed by (seed, t) alone: a
 counter-based hash makes a whole batch's short blocks in one array pass, into
-buffers each thread keeps across its batches, and a PCG64 keyed by the same hash
-makes each long one.  An i.i.d. codebook drawn from a PCG64 is never held whole:
+buffers the campaign allocates once, and a PCG64 keyed by the same hash makes
+each long one.  An i.i.d. codebook drawn from a PCG64 is never held whole:
 its rows are drawn block by block as the decoder scores them, and the sent row
 by jumping the stream ahead to it.  A campaign is split once into batches of
-consecutive trials, each run as one set of array operations; a batch holds at
-most DECODE_BLOCK codeword rows, so a trial at the ML cap is a batch of one.  At
-most min(threads, os.cpu_count()) batches run at once.  Results are
-bit-identical however trials are batched or threaded.
+consecutive trials, run one after another in the calling thread, each as one set
+of array operations; a batch holds at most DECODE_BLOCK codeword rows, so a trial
+at the ML cap is a batch of one.  Results are bit-identical however trials are
+batched.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -314,28 +310,28 @@ def _zero_past(book, n):
         book[..., -1] &= np.uint64((1 << n % 64) - 1)
 
 
-def _words(seed, trials, width, head=None, held=None):
+def _words(seed, trials, width, head=None, buffers=None):
     """Row t - trials.start holds the first head (default: all) of trial t's width
     words, a function of (seed, t) only (Salmon et al., SC 2011): word j is
     mix(key_t + (j+1)*gamma), hashed for the whole batch at once, or, for rows of
     _HASH_WORDS or more, where a generator is cheaper per word, the output of a
     PCG64 seeded by key_t (see _keys).  Words count from 1, as SplitMix64 adds gamma
     before it mixes: mix maps 0 to 0, and key_t is 0 at seed 0, trial 0.
-    Hashed rows and their scratch go to two buffers kept in held (a
-    threading.local) when it is given, so that a thread allocates them once, not
-    once a batch: depending on the heap's layout, the allocator can return a
-    block of that size (0.3 MB at 256 trials) to the system when it is freed,
-    and the next batch then faults it in again."""
+    Hashed rows and their scratch go to a pair of buffers, the one item of the
+    list buffers when it is given: a call that finds the list empty, or its pair
+    too short, puts a new pair there.  A campaign passes one list to all its
+    batches, so that it allocates the buffers once, not once a batch: depending
+    on the heap's layout, the allocator can return a block of that size (0.3 MB
+    at 256 trials) to the system when it is freed, and the next batch then
+    faults it in again."""
     keys, head = _keys(seed, trials), width if head is None else head
     if width >= _HASH_WORDS:
         return _raw([np.random.PCG64(int(k)) for k in keys], head)
     size = len(keys) * head
-    buffers = getattr(held, "words", None)
-    if buffers is None or buffers.shape[1] < size:
-        buffers = np.empty((2, size), dtype=np.uint64)
-        if held is not None:
-            held.words = buffers
-    z, t = (b[:size].reshape(len(keys), head) for b in buffers)
+    buffers = [] if buffers is None else buffers
+    if not buffers or buffers[0].shape[1] < size:
+        buffers[:] = [np.empty((2, size), dtype=np.uint64)]
+    z, t = (b[:size].reshape(len(keys), head) for b in buffers[0])
     np.add(keys[:, None], np.arange(1, head + 1, dtype=np.uint64) * _GAMMA, out=z)
     return _mix(z, t)
 
@@ -356,22 +352,22 @@ def _pcg_rows(keys, first, m, cw, n, step):
         yield start, block
 
 
-def _run_batch(run: SchemeRun, m, below, noise_q: float, cross_noisy: float, held, trials):
+def _run_batch(run: SchemeRun, m, below, noise_q: float, cross_noisy: float, buffers, trials):
     """Interfered-half mismatches, interfered samples, and user-1, user-2 and union
     frame errors, summed over the given trial indices.  A trial's words hold, in
     order, its coin A^n, packed; the uniforms behind (S1, S2) and any noise; and,
     when decoding, the sent index (word mod m) and the packed i.i.d. codebook or
     linear generator rows.  An i.i.d. codebook drawn from a PCG64 is not drawn with
     the rest: _pcg_rows draws it as _ml_decode scores it, and the sent row alone
-    from a second generator jumped ahead to it.  held keeps the calling thread's
-    buffers of hashed words between its batches (see _words)."""
+    from a second generator jumped ahead to it.  buffers holds the campaign's
+    buffers of hashed words from batch to batch (see _words)."""
     n, size, cw = run.n, len(trials), -(-run.n // 64)
     uniforms = 4 * n if noise_q > 0.0 else 2 * n
     rows = 0 if m is None else m.bit_length() - 1 if run.codebook == "linear" else m
     at = cw + uniforms  # the sent index, then the codebook rows
     width = at + (0 if m is None else 1 + rows * cw)
     stream = run.codebook == "iid" and m is not None and width >= _HASH_WORDS
-    words = _words(run.seed, trials, width, at + 1 if stream else width, held)
+    words = _words(run.seed, trials, width, at + 1 if stream else width, buffers)
     mask1 = np.unpackbits(words[:, :cw].view(np.uint8), -1, n, bitorder="little").view(bool)
     noisy1 = ~mask1  # indices where user 1 sees S1 xor S2 (xor Z1)
     u = words[:, cw:at].reshape(size, -1, n)
@@ -434,10 +430,11 @@ def simulate_scheme(spec: BinaryChannelSpec, run: SchemeRun, threads: int = 1) -
     and disagreements on the interfered half are weighted by the crossover
     P(S1 xor S2 = 1) convolved with the noise.  A noise-free linear trial in a
     batch of its own is decoded from its generator rows by GF(2) elimination,
-    with the same result and no codebook.  At most min(threads,
-    os.cpu_count()) batches of consecutive trials run at once: as many trials as
-    fit DECODE_BLOCK codeword rows (or bits, when nothing is decoded), and one
-    at the ML cap.
+    with the same result and no codebook.  Batches of consecutive trials run one
+    after another in the calling thread: as many trials as fit DECODE_BLOCK
+    codeword rows (or bits, when nothing is decoded), and one at the ML cap.
+    threads must be an integer >= 1 and changes nothing: it is kept only for
+    callers that still pass it.
     """
     if spec.k != 2:
         raise ValueError("the scheme simulation covers two users")
@@ -459,18 +456,8 @@ def simulate_scheme(spec: BinaryChannelSpec, run: SchemeRun, threads: int = 1) -
     # block by block as it is decoded, and a noise-free linear one builds none
     size = max(1, DECODE_BLOCK // max(m or 1, run.n))
     batches = [range(i, min(i + size, run.trials)) for i in range(0, run.trials, size)]
-    # each thread keeps its hashed words' buffers from batch to batch
-    run_batch = partial(_run_batch, run, m, below, noise_q, cross_noisy, threading.local())
-
-    # each worker holds one batch at a time, so run no more workers than cores
-    workers = min(threads, len(batches), os.cpu_count() or 1)
-    if workers == 1:
-        # in the calling thread: a new thread may get a new malloc arena, which
-        # keeps a freed codebook resident, so peak memory would vary by run
-        totals = map(run_batch, batches)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            totals = list(pool.map(run_batch, batches))
+    buffers = []  # the hashed words' buffers, allocated by the first batch, the largest
+    totals = [_run_batch(run, m, below, noise_q, cross_noisy, buffers, b) for b in batches]
     mismatches, samples, e1, e2, eu = (sum(c) for c in zip(*totals))
 
     q_hat = mismatches / samples if samples else 0.0

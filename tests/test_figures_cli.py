@@ -2,12 +2,11 @@
 
 import hashlib
 import math
-import os
 
 import numpy as np
 import pytest
 
-from dirtycast import binary, cli, figures, simulate, verify
+from dirtycast import binary, cli, figures, verify
 
 # the figure CSVs, byte for byte: a change of any digit, row or column moves these
 FIGURE_SHA256 = {
@@ -250,7 +249,7 @@ class TestCliBounds:
             ["bounds", "--gaussian", "--snr-db", "4000", "--inr", "1"],
             ["bounds", "--gaussian", "--snr", "1", "--inr", "1", "--k", "0"],
             ["bounds", "--gaussian", "--snr", "1", "--inr", "1", "--k", "1"],
-            ["simulate", "--q", "0.2", "--n", "24", "--rate", "0.25", "--threads", "0"],
+            ["simulate", "--q", "0.2", "--n", "24", "--rate", "0.25", "--trials", "0"],
             ["bounds", "--correlated", "--snr", "10", "--qd", "nan"],
             ["simulate", "--q", "0.25", "--n", "24", "--rate", "0.25", "--mi-only"],
             ["simulate", "--q", "0.25", "--n", "24", "--mi-only", "--codebook", "linear"],
@@ -310,21 +309,6 @@ class TestCliFigure:
 
 
 class TestCliSimulate:
-    def test_deterministic_across_threads(self, capsys, monkeypatch):
-        seen, pool = [], simulate.ThreadPoolExecutor
-        monkeypatch.setattr(simulate, "ThreadPoolExecutor",
-                            lambda max_workers: seen.append(max_workers) or pool(max_workers))
-        monkeypatch.setattr(simulate, "DECODE_BLOCK", 640)  # 20 batches of 10 trials
-        argv = ["simulate", "--q", "0.25", "--n", "24", "--rate", "0.25",
-                "--trials", "200", "--seed", "7"]
-        assert cli.main(argv + ["--threads", "1"]) == 0
-        first = capsys.readouterr().out
-        assert cli.main(argv + ["--threads", str(os.cpu_count() + 1)]) == 0
-        second = capsys.readouterr().out
-        assert seen == ([os.cpu_count()] if os.cpu_count() > 1 else [])
-        assert first == second
-        assert "frame error rate" in first
-
     def test_mi_only(self, capsys):
         argv = ["simulate", "--q", "0.25", "--n", "100000", "--mi-only", "--seed", "7"]
         assert cli.main(argv) == 0

@@ -1,9 +1,7 @@
 """Tests for the Monte Carlo scheme simulator: statistics, decoding,
-determinism and the reproducible-parallelism contract."""
+determinism and its invariance to how trials are batched."""
 
 import math
-import os
-import threading
 import tracemalloc
 
 import numpy as np
@@ -329,31 +327,14 @@ class TestNoisyScheme:
 
 
 class TestDeterminism:
-    def test_thread_count_does_not_change_results(self):
-        pair = BinaryChannelSpec.pair_joint(JointPmf({(0, 0): 0.6, (0, 1): 0.3, (1, 1): 0.1}))
-        runs = [
-            SchemeRun(n=24, rate=0.25, trials=500, seed=3),
-            SchemeRun(n=24, rate=0.25, trials=3, seed=3),  # fewer trials than threads
-            SchemeRun(n=130, rate=0.08, trials=40, seed=3),  # three-word codewords
-            # 4146 words a trial, drawn by a keyed PCG64, four trials a batch
-            SchemeRun(n=24, rate=0.5, trials=10, seed=3),
-            # 3041 words a trial, two-word codewords, hashed, eleven trials a batch
-            SchemeRun(n=70, rate=0.15, trials=30, seed=3),
-            # linear trials at the ML cap, each a batch of one decoded by elimination
-            SchemeRun(n=40, rate=0.5, trials=3, seed=3, codebook="linear"),
-        ]
-        for run in runs:
-            for spec in (SPEC_Q25, BinaryChannelSpec.fully_correlated(0.3, flip=True), pair):
-                reports = {t: simulate_scheme(spec, run, threads=t) for t in (1, 2, 4, 7)}
-                assert len({repr(r) for r in reports.values()}) == 1
-
     def test_decode_block_size_does_not_change_results(self, monkeypatch):
         # 2 and 10 score blocks of 1 and 5 rows for both users, which split the
         # 64 codewords at every index and mid-block; 64, 192 and 448 run batches
         # of 1, 3 and 7 trials (2, 8 and 18 when nothing is decoded), the last
         # one short; the anticorrelated spec scores most codewords -inf (ties).
         # n = 2048 draws 4128 words or more a trial from a keyed PCG64, eight trials
-        # a batch by default; n = 70 hashes two-word codewords, all in one batch
+        # a batch by default; n = 70 hashes two-word codewords, all in one batch,
+        # and n = 130 three-word ones, its 1351 rows split by every block size
         specs = (
             SPEC_Q25,
             BinaryChannelSpec.iid(0.25, noise_q=0.05),
@@ -367,10 +348,15 @@ class TestDeterminism:
         # n = 2: a quarter of the rows have an empty clean half, so every codeword agrees
         runs += [SchemeRun(n=2, rate=1.0, trials=40, seed=4, codebook=kind)
                  for kind in ("iid", "linear")]
-        expected = [repr(simulate_scheme(spec, run)) for spec in specs for run in runs]
+        cases = [(spec, run) for spec in specs for run in runs]
+        # a pair law with S2 drawn from its law given S1, and three-word codewords
+        pair = BinaryChannelSpec.pair_joint(JointPmf({(0, 0): 0.6, (0, 1): 0.3, (1, 1): 0.1}))
+        cases += [(pair, runs[0]), (pair, runs[1]),
+                  (SPEC_Q25, SchemeRun(n=130, rate=0.08, trials=3, seed=3))]
+        expected = [repr(simulate_scheme(spec, run)) for spec, run in cases]
         for block in (2, 10, 64, 192, 448):
             monkeypatch.setattr(simulate, "DECODE_BLOCK", block)
-            assert [repr(simulate_scheme(spec, run)) for spec in specs for run in runs] == expected
+            assert [repr(simulate_scheme(spec, run)) for spec, run in cases] == expected
 
     def test_iid_report(self):
         # pinned: a change of draw order, codeword bits or decoder scores moves it
@@ -482,14 +468,21 @@ class TestDeterminism:
             _, sent = next(simulate._pcg_rows(keys, at + 1 + w * cw, 1, cw, n, 1))
             assert (sent[:, 0] == book[np.arange(len(trials)), w]).all()
 
-    def test_hashed_words_reuse_the_threads_buffers(self):
-        held = threading.local()
-        first = simulate._words(7, range(4), 100, held=held)
+    def test_hashed_words_reuse_the_campaigns_buffers(self, monkeypatch):
+        buffers = []
+        first = simulate._words(7, range(4), 100, buffers=buffers)
         assert (first == simulate._words(7, range(4), 100)).all()
         # a shorter batch and head, as a campaign's last batch, is written in place
-        later = simulate._words(9, range(4, 7), 100, 60, held=held)
+        later = simulate._words(9, range(4, 7), 100, 60, buffers)
         assert np.shares_memory(first, later)
         assert (later == simulate._words(9, range(4, 7), 100, 60)).all()
+        # a campaign of six hashed batches, the last one short, allocates them once
+        draw, drawn = simulate._words, []
+        monkeypatch.setattr(simulate, "_words", lambda *a: drawn.append(draw(*a)) or drawn[-1])
+        monkeypatch.setattr(simulate, "DECODE_BLOCK", 640)  # ten trials a batch
+        simulate_scheme(SPEC_Q25, SchemeRun(n=24, rate=0.25, trials=55, seed=5))
+        assert len(drawn) == 6
+        assert all(np.shares_memory(drawn[0], words) for words in drawn[1:])
 
     def test_streamed_noisy_report(self):
         # pinned: a noisy decode counts every bit of a streamed codeword, so its
@@ -556,17 +549,8 @@ class TestPreconditions:
         for threads in (0, -1, 1.5):
             with pytest.raises(ValueError, match="threads"):
                 simulate_scheme(SPEC_Q25, run, threads=threads)
-
-    def test_concurrent_trials_capped_at_cpu_count(self, monkeypatch):
-        seen, pool = [], simulate.ThreadPoolExecutor
-        monkeypatch.setattr(simulate, "ThreadPoolExecutor",
-                            lambda max_workers: seen.append(max_workers) or pool(max_workers))
-        monkeypatch.setattr(simulate, "DECODE_BLOCK", 64)  # a batch per trial
-        run = SchemeRun(n=24, rate=0.25, trials=max(40, 2 * os.cpu_count()), seed=5)
-        many = simulate_scheme(SPEC_Q25, run, threads=os.cpu_count() + 5)
-        # more batches than cores: one worker per core, and no pool on one core
-        assert seen == ([os.cpu_count()] if os.cpu_count() > 1 else [])
-        assert repr(many) == repr(simulate_scheme(SPEC_Q25, run, threads=1))
+        # a valid count changes nothing
+        assert len({repr(simulate_scheme(SPEC_Q25, run, threads=t)) for t in (1, 2, 7)}) == 1
 
     def test_pair_joint_model_supported(self):
         spec = BinaryChannelSpec.pair_joint(
