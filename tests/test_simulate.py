@@ -2,6 +2,7 @@
 determinism and its invariance to how trials are batched."""
 
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -327,6 +328,10 @@ class TestNoisyScheme:
 
 
 class TestDeterminism:
+    def test_thread_count_does_not_change_results(self):
+        run = SchemeRun(n=24, rate=0.25, trials=20, seed=3)
+        assert len({repr(simulate_scheme(SPEC_Q25, run, threads=t)) for t in (1, 2, 4, 7)}) == 1
+
     def test_decode_block_size_does_not_change_results(self, monkeypatch):
         # 2 and 10 score blocks of 1 and 5 rows for both users, which split the
         # 64 codewords at every index and mid-block; 64, 192 and 448 run batches
@@ -549,8 +554,14 @@ class TestPreconditions:
         for threads in (0, -1, 1.5):
             with pytest.raises(ValueError, match="threads"):
                 simulate_scheme(SPEC_Q25, run, threads=threads)
-        # a valid count changes nothing
-        assert len({repr(simulate_scheme(SPEC_Q25, run, threads=t)) for t in (1, 2, 7)}) == 1
+
+    def test_campaign_runs_in_the_calling_thread(self, monkeypatch):
+        run_batch, seen, before = simulate._run_batch, [], threading.active_count()
+        monkeypatch.setattr(simulate, "_run_batch",
+                            lambda *a: seen.append(threading.get_ident()) or run_batch(*a))
+        monkeypatch.setattr(simulate, "DECODE_BLOCK", 64)  # a batch per trial, one after another
+        simulate_scheme(SPEC_Q25, SchemeRun(n=24, rate=0.25, trials=12, seed=5), threads=4)
+        assert seen == [threading.get_ident()] * 12 and threading.active_count() == before
 
     def test_pair_joint_model_supported(self):
         spec = BinaryChannelSpec.pair_joint(
