@@ -6,8 +6,9 @@ both users by exact maximum likelihood over the whole codebook.  Codewords
 are stored packed, 64 bits to a uint64 word, and the decoder scores each one
 from the popcount of its XOR with the channel output, over all n bits and
 under the clean half's bit mask.  Without channel noise only the codewords that
-agree with the output on the clean half are scored: every other one has
-likelihood 0.  For a linear code they form one coset, so a noise-free linear
+agree with the output on the clean half are scored, as every other one has
+likelihood 0: they are held as they are found and scored a bounded number at a
+time.  For a linear code they form one coset, so a noise-free linear
 trial run alone (as every trial at the ML cap is) builds no codebook: GF(2)
 elimination on the clean half finds the coset, and only its members are
 scored.  Trial t's random words are addressed by (seed, t) alone: a
@@ -76,10 +77,10 @@ class SchemeRun:
         if self.rate is not None:
             if not 0.0 < self.rate <= 1.0:
                 raise ValueError("rate must lie in (0, 1]")
-            if self.codewords > CODEBOOK_CAP:
-                raise InfeasibleRunError(
-                    f"{self.codewords} codewords exceed the ML cap of {CODEBOOK_CAP}"
-                )
+            huge = self.rate > 64 / self.n  # n * rate > 64, where 2.0 ** (n * rate) may overflow
+            if huge or self.codewords > CODEBOOK_CAP:
+                count = "over 2^64" if huge else self.codewords
+                raise InfeasibleRunError(f"{count} codewords exceed the ML cap of {CODEBOOK_CAP}")
 
     @property
     def codewords(self) -> int | None:
@@ -159,14 +160,32 @@ def _ml_decode(blocks, y, clean, clean_size, n, noise_q, cross_noisy):
     the codewords that agree with y on the clean half are scored, at d = 0, with
     their XOR masked past bit n: the clean masks already end at bit n, so those
     blocks need not be zeroed there.  The agreement of a block is formed in
-    buffers kept across blocks, and a block where no codeword agrees is skipped,
-    since it cannot hold a strictly better codeword.  A noise-free linear trial in a
-    batch of its own goes to _coset_decode instead, which scores the same survivors
-    without the codebook."""
+    buffers kept across blocks, and its survivors are copied out and held, to be
+    scored together against the best so far at the end and whenever DECODE_BLOCK // 4
+    are held: the hold stays under 1.25 DECODE_BLOCK rows even where every codeword
+    survives.  Each scoring keeps the highest score of each (user, trial), the lowest
+    index on ties, by one lexsort on (slot, -score, index).  A noise-free linear trial
+    in a batch of its own goes to _coset_decode instead, which scores the same
+    survivors without the codebook."""
     trials, cw = y.shape[1:]
     clean, y_clean, clean_size = clean[:, :, None], (y & clean)[:, :, None], clean_size[..., None]
     best = np.zeros((2, trials), dtype=np.int64)
     best_score = np.full((2, trials), -np.inf)
+    held, count = [], 0  # noise-free survivors as (slot, index, row) arrays, and their number
+
+    def score_held():
+        slot, index, rows = (np.concatenate(part) for part in zip(*held))
+        held.clear()
+        diff = rows ^ y.reshape(-1, cw)[slot]
+        _zero_past(diff, n)
+        score = _half_loglik(n - clean_size.ravel()[slot], cross_noisy, _popcount(diff))
+        lead = np.lexsort((index, -score, slot))  # each slot's best, the lowest index on ties
+        lead = lead[np.r_[True, slot[lead[1:]] != slot[lead[:-1]]]]
+        slot, top = slot[lead], score[lead]
+        better = top > best_score.ravel()[slot]
+        best.ravel()[slot[better]] = index[lead[better]]
+        best_score.ravel()[slot[better]] = top[better]
+
     masked = agree = hit = None  # the noise-free buffers, (2, trials, rows of the first block)
     for start, block in blocks:
         if noise_q == 0.0:
@@ -180,20 +199,14 @@ def _ml_decode(blocks, y, clean, clean_size, n, noise_q, cross_noisy):
             for j in range(1, cw):
                 np.bitwise_and(block[..., j], clean[..., j], out=word)
                 ok &= np.equal(word, y_clean[..., j], out=hit[..., :rows])
-            if not ok.any():
-                continue
-            k, b, r = np.nonzero(ok)
-            diff = block[b, r] ^ y[k, b]
-            _zero_past(diff, n)
-            score = _half_loglik(n - clean_size[k, b, 0], cross_noisy, _popcount(diff))
-            # the best survivor of each (user, trial), the first on ties, as argmax picks
-            slot = k * trials + b
-            lead = np.lexsort((-score, slot))
-            lead = lead[np.r_[True, slot[lead[1:]] != slot[lead[:-1]]]]
-            slot, top = slot[lead], score[lead]
-            better = top > best_score.ravel()[slot]
-            best.ravel()[slot[better]] = start + r[lead[better]]
-            best_score.ravel()[slot[better]] = top[better]
+            i = ok.ravel().nonzero()[0]  # np.flatnonzero, without its wrapper's cost
+            if i.size:
+                slot, r = np.divmod(i, rows)  # slot k * trials + b of user k, trial b
+                held.append((slot, start + r, block[slot % trials, r]))
+                count += i.size
+                if count >= DECODE_BLOCK // 4:
+                    score_held()
+                    count = 0
             continue
         diff = block ^ y[:, :, None]
         d_all = _popcount(diff)
@@ -207,6 +220,8 @@ def _ml_decode(blocks, y, clean, clean_size, n, noise_q, cross_noisy):
         better = top > best_score
         best[better] = start + i[better]
         best_score[better] = top[better]
+    if held:
+        score_held()
     return best
 
 

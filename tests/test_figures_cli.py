@@ -250,6 +250,7 @@ class TestCliBounds:
             ["bounds", "--gaussian", "--snr", "1", "--inr", "1", "--k", "0"],
             ["bounds", "--gaussian", "--snr", "1", "--inr", "1", "--k", "1"],
             ["simulate", "--q", "0.2", "--n", "24", "--rate", "0.25", "--trials", "0"],
+            ["simulate", "--q", "0.25", "--n", "2000", "--rate", "1"],
             ["simulate", "--q", "0.2", "--n", "24", "--rate", "0.25", "--threads", "1"],
             ["bounds", "--correlated", "--snr", "10", "--qd", "nan"],
             ["simulate", "--q", "0.25", "--n", "24", "--rate", "0.25", "--mi-only"],

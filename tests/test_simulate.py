@@ -80,6 +80,19 @@ def _traced_peak(spec, run):
         tracemalloc.stop()
 
 
+def _zero_coin(monkeypatch):
+    """Zero every trial's first coin word, so that user 1's clean half is empty
+    when n <= 64."""
+    draw = simulate._words
+
+    def zero_coin(*args):
+        words = draw(*args)
+        words[:, 0] = 0
+        return words
+
+    monkeypatch.setattr(simulate, "_words", zero_coin)
+
+
 def _wilson(errors, trials, z):
     """Wilson score interval of errors out of trials at z standard errors."""
     centre = (errors + z * z / 2.0) / (trials + z * z)
@@ -109,6 +122,10 @@ class TestSchemeRunValidation:
     def test_codebook_cap(self):
         with pytest.raises(InfeasibleRunError):
             SchemeRun(n=100, rate=0.5, trials=1, seed=0)
+        # far past the cap, refused before 2.0 ** (n * rate) overflows, in a short message
+        for n, rate, kind in ((2000, 1.0, "iid"), (2000, 1.0, "linear"), (128, 0.5, "linear")):
+            with pytest.raises(InfeasibleRunError, match="^.{1,80}$"):
+                SchemeRun(n=n, rate=rate, trials=1, seed=0, codebook=kind)
         # measurement-only runs may exceed the cap because nothing is decoded
         run = SchemeRun(n=100_000, rate=None, trials=1, seed=0)
         assert run.codewords is None
@@ -213,7 +230,8 @@ class TestMlDecode:
     @pytest.mark.parametrize("cross_noisy", [0.0, 0.3, 0.5, 1.0])
     def test_noise_free_decode_matches_the_full_score(self, monkeypatch, n, cross_noisy):
         # the noise-free decoder against the first-on-ties argmax of every codeword's
-        # full score, in blocks of 4 rows.  Codewords repeat, so survivors tie, and at
+        # full score, in blocks of 4 rows, the survivors it holds scored 6 or more at a
+        # time, so that ties span scorings.  Codewords repeat, so survivors tie, and at
         # c = 0.5 every survivor scores the same; a clean-mask density of 0 makes every
         # codeword survive, one of 0.9 leaves most blocks without a survivor.  A trial's
         # codewords lie near one word, so some differ from y only past the first word
@@ -248,15 +266,28 @@ class TestMlDecode:
             assert (got == score.argmax(-1)).all()
 
             agree = d_clean == 0
-            top = score == score.max(-1, keepdims=True)
+            tied = agree & (score == score.max(-1, keepdims=True))
+            # the decoder scores what it holds whenever DECODE_BLOCK // 4 survivors
+            # are held: number each row by the scoring that takes it
+            scoring, held, done = [], 0, 0
+            for count in agree.reshape(2, trials, -1, 4).sum((0, 1, 3)):
+                scoring.append(done)
+                held += count
+                if held >= simulate.DECODE_BLOCK // 4:
+                    held, done = 0, done + 1
+            scoring = np.repeat(scoring, 4)
+            first, last = np.where(tied, scoring, m).min(-1), np.where(tied, scoring, -1).max(-1)
             seen.update(
                 case for case, hit in (
                     ("all survive", agree.all(-1).any()),
                     ("skipped block", (~agree.reshape(2, trials, -1, 4).any((0, 1, 3))).any()),
-                    ("tied survivors", ((top & agree).sum(-1) > 1).any()),
+                    ("tied survivors", (tied.sum(-1) > 1).any()),
+                    ("scored twice", len(set(scoring[agree.any((0, 1))])) > 1),
+                    ("ties across a scoring", (last > first).any()),
                 ) if hit
             )
-        assert seen == {"all survive", "skipped block", "tied survivors"}
+        assert seen == {"all survive", "skipped block", "tied survivors", "scored twice",
+                        "ties across a scoring"}
 
     @pytest.mark.parametrize("n", [24, 70, 130])
     @pytest.mark.parametrize("cross_noisy", [0.0, 0.3, 0.5, 1.0])
@@ -429,14 +460,7 @@ class TestDeterminism:
         # is scored DECODE_BLOCK members at a time
         run = SchemeRun(n=40, rate=0.5, trials=1, seed=2020, codebook="linear")
         assert _traced_peak(SPEC_Q25, run)[0] < 2**20
-        draw = simulate._words
-
-        def zero_coin(*args):
-            words = draw(*args)
-            words[:, 0] = 0
-            return words
-
-        monkeypatch.setattr(simulate, "_words", zero_coin)
+        _zero_coin(monkeypatch)
         empty_half_peak, report = _traced_peak(SPEC_Q25, run)
         assert report.interfered_samples == run.n
         assert empty_half_peak < CODEBOOK_CAP * 8
@@ -447,6 +471,19 @@ class TestDeterminism:
         # is never held whole
         run = SchemeRun(n=40, rate=0.5, trials=1, seed=2020)
         assert _traced_peak(BinaryChannelSpec.iid(0.25, noise_q=noise_q), run)[0] < 2 * 2**20
+
+    def test_iid_cap_trial_where_every_codeword_survives_stays_small(self, monkeypatch):
+        # pinned: with its coin zeroed, user 1's clean half is empty and all 2^20
+        # codewords survive, yet the decoder holds a bounded number of them at a time
+        _zero_coin(monkeypatch)
+        peak, report = _traced_peak(SPEC_Q25, SchemeRun(n=40, rate=0.5, trials=1, seed=2020))
+        assert peak < 2 * 2**20
+        assert repr(report) == (
+            "SchemeReport(trials=1, n=40, codewords=1048576, empirical_crossover=0.375, "
+            "interfered_samples=40, empirical_mi_per_symbol=0.5227829985375174, "
+            "predicted_mi_per_symbol=0.5227829985375174, frame_error_rate=1.0, fer_user1=1.0, "
+            "fer_user2=0.0)"
+        )
 
     @pytest.mark.parametrize("n, m", [(40, 21619), (128, 17000)])
     @pytest.mark.parametrize("trials", [range(5, 6), range(5, 7)])
