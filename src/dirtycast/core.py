@@ -2,9 +2,10 @@
 
 Entropies, jointly-Gaussian mutual information over a whole stack of
 covariance matrices per call, dB conversion, a derivative-free scalar
-minimizer that solves a batch of problems per call, and the argument and
-rate checks, received power and result shaping that the Gaussian and binary
-modules share.  The argument checks take floats or arrays alike, and so does
+minimizer that solves a batch of problems per call in at most seven calls
+of its objective, on 65 points each, and the argument and rate checks,
+received power and result shaping that the Gaussian and binary modules
+share.  The argument checks take floats or arrays alike, and so does
 binary_entropy: a float gives a Python float and an array an array, from the
 same NumPy code, so a float call costs about 5 us (2 vCPU x86-64, numpy 2.4)
 and a sweep should pass its q as one array.
@@ -343,11 +344,9 @@ def gaussian_mi(cov: GaussianCov, block_a, block_b):
     return _out((la + lb - lab) / (2.0 * _LN2))
 
 
-_GRID_POINTS = 2001
 _ZOOM = 32  # each zoom narrows the bracket by this factor
 _ZOOM_STEPS = np.arange(-_ZOOM, _ZOOM + 1.0)  # a zoom's 65 points, in units of its spacing
 _XTOL = 1e-10
-_SCAN_VALUES = 2**15  # values per call of f in the grid scan: batch size times points
 
 
 def _argmin(f, points):
@@ -364,33 +363,20 @@ def _argmin(f, points):
     return i, vals[np.indices(i.shape, sparse=True) + (i,)]
 
 
-def _scan(f, xs):
-    """_argmin(f, xs) for a 1-D grid xs, in the blocks minimize_scalar
-    describes.  A block replaces the running best only if strictly less, or
-    if it holds the first NaN, so ties and NaN still go to the first index."""
-    i, v = _argmin(f, xs[:1])
-    step = max(1, _SCAN_VALUES // np.size(v))
-    for start in range(1, len(xs), step):
-        j, w = _argmin(f, xs[start:start + step])
-        better = (w < v) | (np.isnan(w) & ~np.isnan(v))
-        i, v = np.where(better, j + start, i), np.where(better, w, v)
-    return i, v
-
-
 def minimize_scalar(f, domain):
     """Minimize a scalar function on the closed interval domain = (lo, hi).
 
     f takes an array of points and returns its value at each; its own
     parameters may carry leading batch axes that broadcast against the
-    points, so one call minimizes a batch of functions.  A scan visits a
-    grid of 2001 points once, in order: f at the first point, which gives
-    the batch size, then the others in blocks of at most 2**15 values (one
-    point, if the batch alone is larger) per call of f, so a large batch
-    holds only a block of the grid at a time.
-    Each zoom then calls f once on 65 points (batch + (65,)) evenly spread
-    over the two grid cells around the best, clipped to the domain, which
-    narrows the bracket 32-fold.  The zoom count (at most 5) is fixed up
-    front so that the bracket reaches width 1e-10 * max(1, |lo|, |hi|).
+    points, so one call minimizes a batch of functions.  The first step
+    calls f once on 65 evenly spaced points, lo and hi included, and keeps
+    the best (the first, on ties and on NaN).  Each zoom then calls f once
+    on 65 points (batch + (65,)) evenly spread over the two cells around
+    the best, clipped to the domain, which narrows the bracket 32-fold.
+    The zoom count is fixed up front so that the bracket reaches width
+    1e-10 * max(1, |lo|, |hi|): 6 on a domain of width 1 or 2, and never
+    more.  So f is called at most 7 times, and no call holds more than
+    batch x 65 values.
     Derivative-free, so kinked objectives are fine; for a unimodal f the
     argmin is within 1e-6 * max(1, |lo|, |hi|) of the global minimizer.
     Returns (argmin, minimum): floats for one function, arrays of the batch
@@ -401,11 +387,11 @@ def minimize_scalar(f, domain):
         raise ValueError("interval endpoints must be finite")
     if lo > hi:
         raise ValueError(f"need lo <= hi, got [{lo}, {hi}]")
-    cell = (hi - lo) / (_GRID_POINTS - 1)
+    cell = (hi - lo) / (2 * _ZOOM)
     xtol = _XTOL * max(1.0, abs(lo), abs(hi))
     zooms = math.ceil(math.log(2.0 * cell / xtol, _ZOOM)) if 2.0 * cell > xtol else 0
-    xs = np.linspace(lo, hi, _GRID_POINTS)
-    i, v = _scan(f, xs)
+    xs = np.linspace(lo, hi, 2 * _ZOOM + 1)
+    i, v = _argmin(f, xs)
     x = xs[i]
     for _ in range(zooms):
         cell /= _ZOOM

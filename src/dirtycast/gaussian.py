@@ -88,7 +88,7 @@ def _rho_objective(value, p, q, rho, rho_max):
     denominators are positive, and +inf outside it.
 
     The formula sees the closed entries too, with the divide and invalid
-    warnings of their logs and sqrts silenced, and any (a scan block rarely
+    warnings of their logs and sqrts silenced, and any (a minimizer step rarely
     has one) are then set to +inf in place; so rho keeps its own shape and
     a term in rho is not broadcast against Q.  The arguments are taken as
     arrays, so a float rho = -1 divides by zero as NumPy does, not raising."""
@@ -106,7 +106,7 @@ def _upper_i_value(p, q, rho):
     """The upper_i_at_rho formula: log2(P+Q+1+2 sqrt(PQ))/4 on the axes of P
     and Q, less log2(Q/2+1-rho)/4 on those of Q and rho (their ratio
     overflows at large P, small Q), plus log2((1+P)/(1+rho))/4 on those of P
-    and rho.  Scaling each term before the broadcast leaves a scan block two
+    and rho.  Scaling each term before the broadcast leaves a minimizer step two
     full-size passes, one in place, and is exact: a power of two commutes
     with rounding, and no log here, nor a difference of two, is subnormal."""
     value = 0.25 * np.log2(_received_power(p, q)) - 0.25 * np.log2(q / 2.0 + 1.0 - rho)

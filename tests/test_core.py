@@ -196,56 +196,50 @@ class TestMinimizeScalar:
         with pytest.raises(ValueError, match="endpoints must be finite"):
             minimize_scalar(lambda t: t, (0.0, math.inf))
 
-    @pytest.mark.parametrize("bound, batch, step", [
-        (2**15, (), 2000),  # one problem: the other 2000 points in one call
-        (2**15, (3,), 2000),
-        (2**15, (20, 21), 78),  # verify's rho grid: 420 problems, 78 points a call
-        (64, (3,), 21),
-        (64, (100,), 1),  # a batch above the bound: one point a call
-    ], ids=["one-problem", "row", "verify-grid", "small-bound", "batch-above-bound"])
-    def test_scan_visits_the_grid_once_in_bounded_blocks(self, monkeypatch, bound, batch, step):
-        monkeypatch.setattr(core, "_SCAN_VALUES", bound)
-        # the bracket after the scan is two cells, 2 * 2/2000, and each zoom
-        # narrows it 32-fold until it is at most 1e-10
-        zooms = math.ceil(math.log(2.0 * (2.0 / 2000) / 1e-10, 32))
-        assert zooms == 5
-        size = math.prod(batch)
-        centre = np.linspace(-0.5, 0.9, size).reshape(batch + (1,))
-        calls = []
+    def test_first_step_and_each_zoom_call_f_once_on_65_points(self):
+        # the bracket after the first step is two of its 64 cells, 2 * 2/64,
+        # and each zoom narrows it 32-fold until it is at most 1e-10
+        zooms = math.ceil(math.log(2.0 * (2.0 / 64) / 1e-10, 32))
+        assert zooms == 6
+        for batch in [(), (3,), (20, 21)]:  # one problem, a row, verify's rho grid
+            centre = np.linspace(-0.5, 0.9, math.prod(batch)).reshape(batch + (1,))
+            calls = []
 
-        def f(t):
-            calls.append(t)
-            return (t - centre) ** 2
+            def f(t):
+                calls.append(t)
+                return (t - centre) ** 2
 
-        x, _ = minimize_scalar(f, (-1.0, 1.0))
-        scan, zoom = calls[:-zooms], calls[-zooms:]
-        # the first point, then the other 2000 in order, in blocks of step points
-        assert np.concatenate(scan).tolist() == np.linspace(-1.0, 1.0, 2001).tolist()
-        full, rest = divmod(2000, step)
-        assert [t.size for t in scan] == [1] + [step] * full + [rest] * (rest > 0)
-        assert all(t.ndim == 1 and size * t.size <= max(bound, size) for t in scan)
-        assert [t.shape for t in zoom] == [batch + (65,)] * zooms
-        assert np.shape(x) == batch
+            x, _ = minimize_scalar(f, (-1.0, 1.0))
+            assert len(calls) == 1 + zooms
+            assert calls[0].tolist() == np.linspace(-1.0, 1.0, 65).tolist()
+            assert [t.shape for t in calls[1:]] == [batch + (65,)] * zooms
+            assert np.shape(x) == batch
 
-    @pytest.mark.parametrize("bound", [1, 64, 2**15])
-    def test_blocked_scan_equals_one_scan(self, monkeypatch, bound):
-        # rows of values on the 2001-point grid, one problem per row
+    def test_finds_a_narrow_deeper_basin(self):
+        # a shallow basin at -0.5 on a first-step point, and a deeper one,
+        # below 0 on 0.125 (four cells of the first step), between two
+        # points of a 9-point grid
+        x, v = minimize_scalar(lambda t: np.minimum((t + 0.5) ** 2, 16.0 * abs(t - 0.385) - 1.0),
+                               (-1.0, 1.0))
+        assert x == pytest.approx(0.385, abs=1e-9) and v == pytest.approx(-1.0, abs=1e-8)
+
+    def test_argmin_is_first_on_ties_and_nan(self):
+        # rows of values on a 2001-point grid, one problem per row, in one call
         xs = np.linspace(-1.0, 1.0, 2001)
         rows = np.ones((13, 2001))
-        rows[1, [500, 1500]] = 0.0  # a tie across blocks
+        rows[1, [500, 1500]] = 0.0  # a tie across the grid
         rows[2, [0, 2000]] = 0.0  # a tie between the endpoints
         rows[3], rows[4] = -xs, xs  # an endpoint minimum, at each end
         rows[5] = math.inf  # +inf everywhere
-        rows[6, :1999] = math.inf  # +inf, then a minimum in the last block
+        rows[6, :1999] = math.inf  # +inf, then a minimum near the end
         rows[7, [10, 1500]] = 0.5, math.nan  # NaN after the least value
-        rows[8, 0] = math.nan  # NaN at the first point, scanned on its own
+        rows[8, 0] = math.nan  # NaN at the first point
         rows[9, [300, 1800]] = math.nan  # the first of two NaNs
         rows[10] = math.nan
         rows[11, 1999:] = -math.inf
         rows[12, [700, 1300]] = 0.0, -0.0  # a tie of +0.0 and -0.0
-        monkeypatch.setattr(core, "_SCAN_VALUES", bound)
-        i, v = core._scan(lambda t: rows[:, np.searchsorted(xs, t)], xs)
-        # numpy's argmin over the whole grid: first on ties, NaN first of all
+        i, v = core._argmin(lambda t: rows, xs)
+        # numpy's argmin: first on ties, NaN first of all
         assert i.tolist() == rows.argmin(-1).tolist() == [0, 500, 0, 2000, 0, 0, 1999, 1500, 0,
                                                           300, 0, 1999, 700]
         assert np.array_equal(v, rows.min(-1), equal_nan=True)
@@ -262,7 +256,7 @@ class TestMinimizeScalar:
         with pytest.raises(ValueError, match="f must take an array of points") as info:
             minimize_scalar(lambda t: math.sin(t) ** 2, (0.0, 1.0))
         assert isinstance(info.value.__cause__, TypeError)
-        with pytest.raises(ValueError, match=r"array of points.*shape \(\) for \(1,\)"):
+        with pytest.raises(ValueError, match=r"array of points.*shape \(\) for \(65,\)"):
             minimize_scalar(lambda t: 1.0, (0.0, 1.0))
 
     def test_wide_domain_terminates(self):

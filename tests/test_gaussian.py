@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import test_api as api
 
-from dirtycast import core, verify
+from dirtycast import verify
 from dirtycast.gaussian import (
     awgn_capacity,
     dpc_covariance,
@@ -18,7 +18,6 @@ from dirtycast.gaussian import (
     lower_bound,
     maximize_power_split,
     minimize_upper_i_rho,
-    minimize_upper_ii_rho,
     rate_interference_as_noise,
     rate_of_split,
     rate_timeshare,
@@ -263,22 +262,6 @@ class TestArrayObjectives:
     @api.array_cases({name: api.GAUSSIAN[name] for name in OBJECTIVES})
     def test_rho_objective_array_matches_scalar(self, row, scalars):
         api.assert_array_matches_floats(row, scalars)
-
-    @pytest.mark.parametrize("minimize", [minimize_upper_i_rho, minimize_upper_ii_rho])
-    def test_rho_minimum_does_not_depend_on_the_scan_block(self, monkeypatch, minimize):
-        # verify's two 20x21 grids, and P, Q in {0, 1e-300, 1e300}; 2**6 values
-        # make blocks of one point (a batch is 9 or 420 problems), 2**15 of 78
-        # points on the 20x21 grids, and 2**20 one block after the first point.
-        # At Q = 0 the last block holds the closed rho = 1, the others none.
-        extreme = np.array([0.0, 1e-300, 1e300])
-        grids = [(np.array(verify.P_GRID)[:, None], np.array(verify.Q_GRID_LINEAR)),
-                 (np.array(verify.P_GRID)[:, None], np.array(verify.Q_GRID_LOG)),
-                 (extreme[:, None], extreme)]
-        results = []
-        for size in (2**6, 2**15, 2**20):
-            monkeypatch.setattr(core, "_SCAN_VALUES", size)
-            results.append([np.stack(minimize(p, q)).view(np.uint64).tolist() for p, q in grids])
-        assert results[0] == results[1] == results[2]
 
     @api.array_cases({name: row for name, row in api.GAUSSIAN.items() if name not in OBJECTIVES})
     def test_closed_form_array_matches_float(self, row, scalars):

@@ -9,6 +9,7 @@ import pkgutil
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dirtycast
@@ -78,6 +79,25 @@ def test_optimizer_checks_minimize_once_per_grid(monkeypatch, name, most):
     [result] = verify.run_checks([name])
     assert result.passed, result.detail
     assert 1 <= len(calls) <= most
+
+
+def test_optimizer_minima_are_at_most_the_dense_grid_minima(monkeypatch):
+    # every minimum the optimizer checks take, and the power split's on
+    # verify's 20x21 grid, is at most the least value of its objective on a
+    # 2001-point grid of the domain: 65 first points miss no basin there
+    minimize, excess = gaussian.minimize_scalar, []
+
+    def against_the_grid(f, domain):
+        x, v = minimize(f, domain)
+        excess.append(float(np.max(v - f(np.linspace(*domain, 2001)).min(-1))))
+        return x, v
+
+    monkeypatch.setattr(gaussian, "minimize_scalar", against_the_grid)
+    names = ["rho-map-upper-i", "rho-map-upper-ii", "gaussian-lower-vs-grid",
+             "gaussian-upper-vs-rho-min"]
+    assert all(result.passed for result in verify.run_checks(names))
+    gaussian.maximize_power_split(np.array(verify.P_GRID)[:, None], np.array(verify.Q_GRID_LINEAR))
+    assert len(excess) == 7 and all(e <= 0.0 for e in excess), excess
 
 
 @pytest.mark.parametrize("name, ks", [
