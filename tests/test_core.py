@@ -196,34 +196,38 @@ class TestMinimizeScalar:
         with pytest.raises(ValueError, match="endpoints must be finite"):
             minimize_scalar(lambda t: t, (0.0, math.inf))
 
-    def test_first_step_and_each_zoom_call_f_once_on_65_points(self):
+    @pytest.mark.parametrize("batch", [(), (3,), (20, 21), (100,)],
+                             ids=["one-problem", "row", "verify-grid", "large-batch"])
+    def test_first_step_and_each_zoom_call_f_once_on_65_points(self, batch):
         # the bracket after the first step is two of its 64 cells, 2 * 2/64,
         # and each zoom narrows it 32-fold until it is at most 1e-10
         zooms = math.ceil(math.log(2.0 * (2.0 / 64) / 1e-10, 32))
         assert zooms == 6
-        for batch in [(), (3,), (20, 21)]:  # one problem, a row, verify's rho grid
-            centre = np.linspace(-0.5, 0.9, math.prod(batch)).reshape(batch + (1,))
-            calls = []
+        centre = np.linspace(-0.5, 0.9, math.prod(batch)).reshape(batch + (1,))
+        calls = []
 
-            def f(t):
-                calls.append(t)
-                return (t - centre) ** 2
+        def f(t):
+            calls.append(t)
+            return (t - centre) ** 2
 
-            x, _ = minimize_scalar(f, (-1.0, 1.0))
-            assert len(calls) == 1 + zooms
-            assert calls[0].tolist() == np.linspace(-1.0, 1.0, 65).tolist()
-            assert [t.shape for t in calls[1:]] == [batch + (65,)] * zooms
-            assert np.shape(x) == batch
+        x, _ = minimize_scalar(f, (-1.0, 1.0))
+        assert len(calls) == 1 + zooms
+        assert calls[0].tolist() == np.linspace(-1.0, 1.0, 65).tolist()
+        assert [t.shape for t in calls[1:]] == [batch + (65,)] * zooms
+        assert np.shape(x) == batch
 
-    def test_finds_a_narrow_deeper_basin(self):
-        # a shallow basin at -0.5 on a first-step point, and a deeper one,
-        # below 0 on 0.125 (four cells of the first step), between two
-        # points of a 9-point grid
-        x, v = minimize_scalar(lambda t: np.minimum((t + 0.5) ** 2, 16.0 * abs(t - 0.385) - 1.0),
-                               (-1.0, 1.0))
-        assert x == pytest.approx(0.385, abs=1e-9) and v == pytest.approx(-1.0, abs=1e-8)
+    @pytest.mark.parametrize("side", [1.0, -1.0], ids=["deep-right", "deep-left"])
+    def test_finds_a_narrow_deeper_basin(self, side):
+        # a shallow basin at -0.5 * side on a first-step point, and a deeper
+        # one, below 0 on 0.125 (four cells of the first step) around
+        # 0.385 * side, between two points of a 9-point grid
+        x, v = minimize_scalar(
+            lambda t: np.minimum((t + 0.5 * side) ** 2, 16.0 * abs(t - 0.385 * side) - 1.0),
+            (-1.0, 1.0))
+        assert x == pytest.approx(0.385 * side, abs=1e-9) and v == pytest.approx(-1.0, abs=1e-8)
 
-    def test_argmin_is_first_on_ties_and_nan(self):
+    @pytest.mark.parametrize("batched", [False, True], ids=["grid", "batched-points"])
+    def test_argmin_is_first_on_ties_and_nan(self, batched):
         # rows of values on a 2001-point grid, one problem per row, in one call
         xs = np.linspace(-1.0, 1.0, 2001)
         rows = np.ones((13, 2001))
@@ -238,7 +242,10 @@ class TestMinimizeScalar:
         rows[10] = math.nan
         rows[11, 1999:] = -math.inf
         rows[12, [700, 1300]] = 0.0, -0.0  # a tie of +0.0 and -0.0
-        i, v = core._argmin(lambda t: rows, xs)
+        # the points as the first step passes them (one grid) or as a zoom
+        # does (one row of points per problem)
+        points = np.broadcast_to(xs, rows.shape) if batched else xs
+        i, v = core._argmin(lambda t: rows, points)
         # numpy's argmin: first on ties, NaN first of all
         assert i.tolist() == rows.argmin(-1).tolist() == [0, 500, 0, 2000, 0, 0, 1999, 1500, 0,
                                                           300, 0, 1999, 700]
