@@ -2,7 +2,7 @@
 
 Entropies, jointly-Gaussian mutual information over a whole stack of
 covariance matrices per call, dB conversion, a derivative-free scalar
-minimizer that solves a batch of problems per call in at most seven calls
+minimizer that solves a batch of problems per call in at most six calls
 of its objective, on 65 points each, and the argument and rate checks,
 received power and result shaping that the Gaussian and binary modules
 share.  The argument checks take floats or arrays alike, and so does
@@ -346,7 +346,7 @@ def gaussian_mi(cov: GaussianCov, block_a, block_b):
 
 _ZOOM = 32  # each zoom narrows the bracket by this factor
 _ZOOM_STEPS = np.arange(-_ZOOM, _ZOOM + 1.0)  # a zoom's 65 points, in units of its spacing
-_XTOL = 1e-10
+_XTOL = 1e-8
 
 
 def _argmin(f, points):
@@ -374,8 +374,8 @@ def minimize_scalar(f, domain):
     on 65 points (batch + (65,)) evenly spread over the two cells around
     the best, clipped to the domain, which narrows the bracket 32-fold.
     The zoom count is fixed up front so that the bracket reaches width
-    1e-10 * max(1, |lo|, |hi|): 6 on a domain of width 1 or 2, and never
-    more.  So f is called at most 7 times, and no call holds more than
+    1e-8 * max(1, |lo|, |hi|): 5 on a domain of width 1 or 2, and never
+    more.  So f is called at most 6 times, and no call holds more than
     batch x 65 values.
     Derivative-free, so kinked objectives are fine; for a unimodal f the
     argmin is within 1e-6 * max(1, |lo|, |hi|) of the global minimizer.

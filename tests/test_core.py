@@ -200,9 +200,9 @@ class TestMinimizeScalar:
                              ids=["one-problem", "row", "verify-grid", "large-batch"])
     def test_first_step_and_each_zoom_call_f_once_on_65_points(self, batch):
         # the bracket after the first step is two of its 64 cells, 2 * 2/64,
-        # and each zoom narrows it 32-fold until it is at most 1e-10
-        zooms = math.ceil(math.log(2.0 * (2.0 / 64) / 1e-10, 32))
-        assert zooms == 6
+        # and each zoom narrows it 32-fold until it is at most 1e-8
+        zooms = math.ceil(math.log(2.0 * (2.0 / 64) / 1e-8, 32))
+        assert zooms == 5
         centre = np.linspace(-0.5, 0.9, math.prod(batch)).reshape(batch + (1,))
         calls = []
 
@@ -267,7 +267,7 @@ class TestMinimizeScalar:
             minimize_scalar(lambda t: 1.0, (0.0, 1.0))
 
     def test_wide_domain_terminates(self):
-        # far from 0 an absolute stopping width of 1e-10 is below one ulp,
+        # far from 0 an absolute stopping width of 1e-8 is below one ulp,
         # so the zoom count must follow a width relative to |lo|, |hi|
         calls = 0
 
