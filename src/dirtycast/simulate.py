@@ -311,6 +311,13 @@ def _keys(seed, trials):
     return _mix(_mix(np.array([seed], dtype=np.uint64)) + t * _GAMMA)
 
 
+def _uniforms(seed, count):
+    """count 53-bit uniforms on [0, 1): words 1..count of trial 0 under seed, each
+    shifted right by 11 and scaled by 2^-53, hashed at any count (never a PCG64)."""
+    z = _keys(seed, range(1)) + np.arange(1, count + 1, dtype=np.uint64) * _GAMMA
+    return (_mix(z) >> np.uint64(11)) * 2.0**-53
+
+
 def _raw(gens, count):
     """The next count words of each PCG64 in gens, one row each; a single row is
     a view of its draw, never a copy."""

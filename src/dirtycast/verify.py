@@ -14,7 +14,7 @@ import numpy as np
 
 from . import binary, correlated, figures, gaussian
 from .core import GaussianCov, JointPmf, binary_entropy, db_to_linear, gaussian_mi, pmf_entropy
-from .simulate import SchemeRun, simulate_scheme
+from .simulate import SchemeRun, _uniforms, simulate_scheme
 
 __all__ = [
     "run_checks",
@@ -82,12 +82,12 @@ def check_entropy_basics() -> str:
 
 
 def check_gaussian_mi_properties() -> str:
-    rng = np.random.default_rng(7)
-    dims, counts = np.unique(rng.integers(2, 9, size=60), return_counts=True)
+    u = _uniforms(7, 67 + 60 * 80)  # 60 sizes in 2..8, a cut per size, 8 x 10 entries a matrix
+    dims, cuts, entries = 2 + (7.0 * u[:60]).astype(int), u[60:67], 2.0 * u[67:] - 1.0
     worst_sym, worst_neg = 0.0, 0.0
-    for dim, count in zip(dims.tolist(), counts.tolist()):  # one stack and cut per dim
-        a = rng.normal(size=(count, dim, dim + 2))  # random covariances a a^T
-        cut = int(rng.integers(1, dim))
+    for dim in np.unique(dims).tolist():  # one stack and cut per size
+        a = entries.reshape(60, 8, 10)[dims == dim, :dim, :dim + 2]  # covariances a a^T
+        cut = 1 + int((dim - 1) * cuts[dim - 2])
         cov, lo, hi = GaussianCov(a @ np.swapaxes(a, -1, -2)), range(cut), range(cut, dim)
         fwd, bwd = gaussian_mi(cov, lo, hi), gaussian_mi(cov, hi, lo)
         worst_sym = max(worst_sym, float(np.max(np.abs(fwd - bwd))))
@@ -232,7 +232,7 @@ def check_gp_rate() -> str:
 
 def check_simulation_mi() -> str:
     spec = binary.BinaryChannelSpec.iid(0.25)
-    report = simulate_scheme(spec, SchemeRun(n=100_000, rate=None, trials=1, seed=7))
+    report = simulate_scheme(spec, SchemeRun(n=2000, rate=None, trials=50, seed=7))  # hashed rows
     q_true = 0.375
     sigma = math.sqrt(q_true * (1 - q_true) / report.interfered_samples)
     dev = abs(report.empirical_crossover - q_true)
@@ -323,9 +323,8 @@ def check_upper_bounds_vs_rho_min() -> str:
 
 
 def check_dpc_oracle() -> str:
-    rng = np.random.default_rng(12345)
-    # 100 draws of (P_A, P_D, Q), each 10^u in float arithmetic
-    p_a, p_d, q = np.array([10.0 ** u for u in rng.uniform(-2, 3, 300).tolist()]).reshape(100, 3).T
+    # 100 draws of (P_A, P_D, Q), each 10^u with u uniform on [-2, 3)
+    p_a, p_d, q = (10.0 ** (5.0 * _uniforms(12345, 300) - 2.0)).reshape(100, 3).T
     # the split rate is r_a + r_d/2, and all of it is r_d/2 at P_A = 0
     d = gaussian.rate_of_split(0.0, p_d, q)
     a = gaussian.rate_of_split(p_a, p_d, q) - d
@@ -336,12 +335,9 @@ def check_dpc_oracle() -> str:
 
 
 def check_rate_distortion_floor() -> str:
-    rng = np.random.default_rng(99)
-    # 200 random test channels, drawn channel by channel: log10 Q, log10 P, rho and
-    # the uniforms behind c and w_var; Q and P are 10^u in float arithmetic
-    u = rng.uniform((-1.0, -1.0, -1.0, -1.0, 0.0), (3.0, 3.0, 1.0, 1.0, 1.0), (200, 5))
-    q, p = (np.array([10.0 ** x for x in col.tolist()]) for col in u[:, :2].T)
-    rho = u[:, 2]
+    # 200 random test channels, one a row: log10 Q, log10 P, rho and the uniforms behind c, w_var
+    u = _uniforms(99, 1000).reshape(200, 5) * (4.0, 4.0, 2.0, 2.0, 1.0) - (1.0, 1.0, 1.0, 1.0, 0.0)
+    (q, p), rho = 10.0 ** u[:, :2].T, u[:, 2]
     c = u[:, 3] * np.sqrt(p / q)
     w_var = u[:, 4] * (p - c * c * q)
     # (S+, V) with V = sqrt2 X + S+ + Z+ and X = c S+ + W
@@ -462,12 +458,9 @@ def check_correlated_t_and_bridge() -> str:
 
 
 def check_correlated_scaled_and_gaps() -> str:
-    rng = np.random.default_rng(3)
-    # 50 draws of (beta1, beta2, log10 Q0), in the order of 150 scalar draws;
-    # Q0 is 10^u in float arithmetic
-    u = rng.uniform((-2.0, -2.0, -1.0), (2.0, 2.0, 2.0), (50, 3))
-    b1, b2 = u[:, 0], u[:, 1]
-    q0 = np.array([10.0 ** x for x in u[:, 2].tolist()])
+    # 50 draws of (beta1, beta2, log10 Q0), uniform on [-2, 2) x [-2, 2) x [-1, 2)
+    u = _uniforms(3, 150).reshape(50, 3) * (4.0, 4.0, 3.0) - (2.0, 2.0, 1.0)
+    b1, b2, q0 = u[:, 0], u[:, 1], 10.0 ** u[:, 2]
     wants = (b1 * b1 * q0, b2 * b2 * q0, (b1 - b2) ** 2 * q0)
     for label, got, want in zip(("Q1", "Q2", "Qd"), correlated.scaled_powers(b1, b2, q0), wants):
         _require(np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, got)), f"{label} mismatch")

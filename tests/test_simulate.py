@@ -151,7 +151,7 @@ class TestNoiselessScheme:
 
     def test_crossover_and_mi_estimate(self):
         # the 3-sigma crossover and 1 % MI clauses on this run are scheme-mi-estimate's
-        report = simulate_scheme(SPEC_Q25, SchemeRun(n=100_000, rate=None, trials=1, seed=7))
+        report = simulate_scheme(SPEC_Q25, SchemeRun(n=2000, rate=None, trials=50, seed=7))
         assert report.predicted_mi_per_symbol == pytest.approx(0.5227829985375174, abs=1e-12)
         assert report.frame_error_rate is None
 

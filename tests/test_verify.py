@@ -5,7 +5,10 @@ export lists."""
 import ast
 import importlib
 import math
+import os
 import pkgutil
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -59,6 +62,16 @@ def test_a_crashing_check_fails(monkeypatch):
     [result] = verify.run_checks()
     assert not result.passed and "boom" in result.detail
     assert cli.main(["verify"]) == 1
+
+
+def test_a_pass_does_not_import_numpy_random():
+    # the checks draw their inputs from simulate's counter hash, in rows short
+    # enough to hash: importing numpy.random would add megabytes to a pass's peak
+    code = ("import sys; from dirtycast import verify\n"
+            "assert all(r.passed for r in verify.run_checks())\n"
+            "assert 'numpy.random' not in sys.modules")
+    env = {**os.environ, "PYTHONPATH": str(Path(dirtycast.__file__).parent.parent)}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
 
 
 @pytest.mark.parametrize("name, most", [
