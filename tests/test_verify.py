@@ -71,7 +71,9 @@ def test_a_pass_does_not_import_numpy_random():
             "assert all(r.passed for r in verify.run_checks())\n"
             "assert 'numpy.random' not in sys.modules")
     env = {**os.environ, "PYTHONPATH": str(Path(dirtycast.__file__).parent.parent)}
-    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("name, most", [
